@@ -16,7 +16,6 @@ from .errors import (
     InvalidRank,
     InvalidSampleCount,
     LandscapeError,
-    NoConvergence,
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
@@ -39,5 +38,4 @@ __all__ = [
     "NotHorizontal",
     "NonFiniteEntry",
     "SamplerStarved",
-    "NoConvergence",
 ]

@@ -28,7 +28,6 @@ from .errors import (
     InvalidConfig,
     InvalidRank,
     InvalidSampleCount,
-    NoConvergence,
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
@@ -51,7 +50,6 @@ _CONFIG_ERRORS = (
 )
 _NUMERICAL_ERRORS = (
     NonFiniteEntry,
-    NoConvergence,
     GramNotSPD,
     RankDeficientFactor,
     NotSkew,

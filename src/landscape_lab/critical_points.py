@@ -20,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramNotSPD, InvalidConfig, RankDeficientFactor
-from .manifold import horizontal_basis, procrustes_distance
+from .errors import GramNotSPD, InvalidConfig
+from .manifold import procrustes_distance
 from .risk_models import SensingGroundTruth
-from .spectral import dense_euclidean_hessian, min_eig_euclidean, min_eig_horizontal
+from .spectral import (
+    dense_euclidean_hessian,
+    min_eig_euclidean,
+    min_eig_horizontal,
+    restricted_hessian,
+)
 
 # convergence declared at 1e-8 * (1 + value scale); curvature sign calls and
 # duplicate merges use the model's own scales
@@ -56,6 +61,32 @@ def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     return -eigvecs @ ((eigvecs.T @ grad_flat) / damped)
 
 
+def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shrink a step to the cap 0.5 * (1 + ||point||) if it is longer;
+    returns the step and the cap."""
+    cap = 0.5 * (1.0 + float(np.linalg.norm(point)))
+    step_norm = float(np.linalg.norm(step))
+    if step_norm > cap:
+        step = step * (cap / step_norm)
+    return step, cap
+
+
+def _backtrack(model, point: np.ndarray, grad_norm: float, step: np.ndarray):
+    """Halve the step until the gradient norm falls below grad_norm.
+
+    Returns the first such (point, grad_norm), or the inputs unchanged when
+    MAX_BACKTRACKS halvings all fail.
+    """
+    scale = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        candidate = point + scale * step
+        norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
+        if norm < grad_norm:
+            return candidate, norm
+        scale *= 0.5
+    return point, grad_norm
+
+
 def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
     """Drive the gradient to zero from one seed.
 
@@ -74,19 +105,8 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
         iters += 1
         hess = dense_euclidean_hessian(model, point)
         step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
-        cap = 0.5 * (1.0 + float(np.linalg.norm(point)))
-        step_norm = float(np.linalg.norm(step))
-        if step_norm > cap:
-            step = step * (cap / step_norm)
-        best_point, best_norm = point, grad_norm
-        scale = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            candidate = point + scale * step
-            norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
-            if norm < best_norm:
-                best_point, best_norm = candidate, norm
-                break
-            scale *= 0.5
+        step, _ = _capped(step, point)
+        best_point, best_norm = _backtrack(model, point, grad_norm, step)
         if best_norm >= grad_norm:
             stalls += 1
             if stalls >= MAX_STALLS:
@@ -100,10 +120,7 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
         for _ in range(MAX_POLISH_ITER):
             hess = dense_euclidean_hessian(model, point)
             step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
-            cap = 0.5 * (1.0 + float(np.linalg.norm(point)))
-            step_norm = float(np.linalg.norm(step))
-            if step_norm > cap:
-                step = step * (cap / step_norm)
+            step, _ = _capped(step, point)
             candidate = point + step
             norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
             if not (norm < 0.9 * grad_norm or norm == 0.0):
@@ -173,7 +190,7 @@ def _classify(model, point: np.ndarray):
     if _uses_quotient(model):
         try:
             lam = min_eig_horizontal(model, point).lambda_min
-        except (RankDeficientFactor, GramNotSPD):
+        except GramNotSPD:
             # the quotient geometry breaks down at rank-deficient factors;
             # fall back to the ambient Hessian, which only widens the
             # negative spectrum
@@ -266,9 +283,9 @@ def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
 def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
     """Newton refinement of a factor minimum inside the horizontal space.
 
-    Builds the horizontal Hessian in an explicit basis and steps only along
-    horizontal directions, so the gauge degeneracy of the ambient Hessian
-    never enters. Intended for polishing near-minima; returns the refined
+    Builds the horizontal Hessian with restricted_hessian and steps only
+    along horizontal directions, so the gauge degeneracy of the ambient
+    Hessian never enters. Intended for polishing near-minima; returns the refined
     factor and its Riemannian gradient norm.
     """
     if not model.is_factor:
@@ -280,32 +297,11 @@ def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tau:
             break
-        basis = horizontal_basis(point)
-        mats = [b.entries for b in basis]
-        d = len(mats)
-        hess = np.empty((d, d))
-        rhs = np.empty(d)
-        for i, e_i in enumerate(mats):
-            image = model.hess_vec(point, e_i)
-            rhs[i] = np.vdot(grad, e_i)
-            for j in range(i, d):
-                hess[i, j] = np.vdot(image, mats[j])
-                hess[j, i] = hess[i, j]
-        coeffs = _damped_newton_step(hess, rhs)
-        step = sum(c * e for c, e in zip(coeffs, mats))
-        cap = 0.5 * (1.0 + float(np.linalg.norm(point)))
-        step_norm = float(np.linalg.norm(step))
-        if step_norm > cap:
-            step = step * (cap / step_norm)
-        best_point, best_norm = point, grad_norm
-        scale = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            candidate = point + scale * step
-            norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
-            if norm < best_norm:
-                best_point, best_norm = candidate, norm
-                break
-            scale *= 0.5
+        hess, mats = restricted_hessian(model, point)
+        flat = mats.reshape(len(mats), -1)
+        coeffs = _damped_newton_step(hess, flat @ grad.ravel())
+        step, cap = _capped((coeffs @ flat).reshape(point.shape), point)
+        best_point, best_norm = _backtrack(model, point, grad_norm, step)
         if best_norm >= grad_norm:
             # Newton stalled; a value-decreasing gradient step keeps the
             # refinement moving through nearly flat valleys where the

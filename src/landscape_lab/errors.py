@@ -51,7 +51,3 @@ class NonFiniteEntry(LandscapeError):
 
 class SamplerStarved(LandscapeError):
     """A rejection sampler exhausted its attempt budget for a region."""
-
-
-class NoConvergence(LandscapeError):
-    """An iterative solve failed to reach its tolerance within the budget."""

@@ -27,14 +27,19 @@ from .errors import (
     InvalidSampleCount,
     SamplerStarved,
 )
-from .manifold import horizontal_basis, procrustes_distance
+from .manifold import procrustes_distance
 from .risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
     SensingEnsemble,
     SensingGroundTruth,
 )
-from .spectral import dense_euclidean_hessian, min_eig_euclidean, min_eig_horizontal
+from .spectral import (
+    dense_euclidean_hessian,
+    min_eig_euclidean,
+    min_eig_horizontal,
+    restricted_hessian,
+)
 
 MS_R1 = "MS_R1"
 MS_R2P = "MS_R2p"
@@ -704,20 +709,13 @@ def _hessian_diff_opnorm(population, empirical, point):
     """Operator norm of hess f - hess g, restricted to the horizontal
     space for factor models."""
     if population.is_factor:
-        basis = horizontal_basis(point)
-        mats = [b.entries for b in basis]
-        d = len(mats)
-        diff = np.empty((d, d))
-        for i, e_i in enumerate(mats):
-            image = empirical.hess_vec(point, e_i) - population.hess_vec(point, e_i)
-            for j, e_j in enumerate(mats):
-                diff[i, j] = np.vdot(image, e_j)
-        diff = 0.5 * (diff + diff.T)
-        eigvals = np.linalg.eigvalsh(diff)
-        return float(max(abs(eigvals[0]), abs(eigvals[-1])))
-    diff = dense_euclidean_hessian(empirical, point) - dense_euclidean_hessian(
-        population, point
-    )
+        diff = restricted_hessian(empirical, point)[0] - restricted_hessian(
+            population, point
+        )[0]
+    else:
+        diff = dense_euclidean_hessian(empirical, point) - dense_euclidean_hessian(
+            population, point
+        )
     eigvals = np.linalg.eigvalsh(diff)
     return float(max(abs(eigvals[0]), abs(eigvals[-1])))
 

@@ -28,7 +28,6 @@ GRAM_SPD_RTOL = 1e-12
 SKEW_INPUT_RTOL = 1e-10
 SYLVESTER_RESIDUAL_RTOL = 1e-10
 HORIZONTAL_RTOL = 1e-10
-BASIS_DROP_TOL = 1e-8
 FULL_RANK_RTOL = 1e-12
 
 
@@ -161,6 +160,16 @@ class SkewFactor:
         return self.strict_lower - self.strict_lower.T
 
 
+def _require_spd(eigvals: np.ndarray) -> None:
+    """Gate on ascending Gram eigenvalues: the smallest must clear
+    GRAM_SPD_RTOL times the largest."""
+    if eigvals[0] <= GRAM_SPD_RTOL * max(eigvals[-1], 0.0):
+        raise GramNotSPD(
+            f"gram matrix is numerically singular: min eig {eigvals[0]:.3e}, "
+            f"max eig {eigvals[-1]:.3e}"
+        )
+
+
 def solve_skew_sylvester(gram: np.ndarray, rhs: np.ndarray) -> SkewFactor:
     """Solve Omega G + G Omega = S for skew Omega, G symmetric positive definite.
 
@@ -185,11 +194,7 @@ def solve_skew_sylvester(gram: np.ndarray, rhs: np.ndarray) -> SkewFactor:
 
     sym = 0.5 * (g_mat + g_mat.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[0] <= GRAM_SPD_RTOL * max(eigvals[-1], 0.0):
-        raise GramNotSPD(
-            f"gram matrix is numerically singular: min eig {eigvals[0]:.3e}, "
-            f"max eig {eigvals[-1]:.3e}"
-        )
+    _require_spd(eigvals)
     s_tilde = eigvecs.T @ s_mat @ eigvecs
     omega_tilde = s_tilde / (eigvals[:, None] + eigvals[None, :])
     omega = eigvecs @ omega_tilde @ eigvecs.T
@@ -261,43 +266,23 @@ def procrustes_align(u, v) -> tuple[float, np.ndarray]:
 def horizontal_basis(u) -> list[HorizontalTangent]:
     """Orthonormal basis of the horizontal space at U.
 
-    The Nk canonical directions are projected, then reduced by
-    column-pivoted Gram-Schmidt (largest residual first, ties to the lowest
-    index); candidates with residual norm below BASIS_DROP_TOL are dropped.
-    The result has exactly Nk - k(k-1)/2 elements.
+    The vertical space is spanned by the k(k-1)/2 matrices U(E_ij - E_ji),
+    i < j. The trailing Nk - k(k-1)/2 columns of a complete QR of that
+    Nk x k(k-1)/2 block are orthonormal and orthogonal to it, so they are
+    the basis. For k = 1 the block is empty and the basis is canonical.
+    Raises GramNotSPD when U^T U fails the GRAM_SPD_RTOL gate, where the
+    vertical block loses rank.
     """
     u_mat = _as_matrix(u)
+    if not np.all(np.isfinite(u_mat)):
+        raise NonFiniteEntry("factor entries must be finite")
+    _require_spd(np.linalg.eigvalsh(u_mat.T @ u_mat))
     n, k = u_mat.shape
-    expected = n * k - k * (k - 1) // 2
-
-    candidates = []
-    for i in range(n):
-        for j in range(k):
-            e = np.zeros((n, k))
-            e[i, j] = 1.0
-            candidates.append(horizontal_project(u_mat, e).entries.copy())
-
-    basis: list[np.ndarray] = []
-    residuals = [c.copy() for c in candidates]
-    alive = list(range(len(residuals)))
-    while alive:
-        norms = [np.linalg.norm(residuals[i]) for i in alive]
-        best = int(np.argmax(norms))
-        if norms[best] < BASIS_DROP_TOL:
-            break
-        idx = alive.pop(best)
-        vec = residuals[idx]
-        # Second orthogonalization pass for numerical hygiene.
-        for b in basis:
-            vec = vec - np.vdot(b, vec) * b
-        vec = vec / np.linalg.norm(vec)
-        basis.append(vec)
-        for i in alive:
-            residuals[i] = residuals[i] - np.vdot(vec, residuals[i]) * vec
-
-    if len(basis) != expected:
-        raise RankDeficientFactor(
-            f"horizontal space at this point has numerical dimension "
-            f"{len(basis)}, expected {expected}"
-        )
-    return [HorizontalTangent(b, u_mat) for b in basis]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    vertical = np.zeros((len(pairs), n, k))
+    for t, (i, j) in enumerate(pairs):
+        vertical[t, :, j] = u_mat[:, i]
+        vertical[t, :, i] = -u_mat[:, j]
+    q_full, _ = np.linalg.qr(vertical.reshape(len(pairs), n * k).T, mode="complete")
+    horizontal = q_full[:, len(pairs):].T.reshape(-1, n, k)
+    return [HorizontalTangent(b, u_mat) for b in horizontal]

@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
-from .manifold import FactorPoint, horizontal_project
+from .manifold import FactorPoint, horizontal_project, procrustes_distance
 
 MEASUREMENT_RECOMPUTE_RTOL = 1e-12
 RIEMANNIAN_GRAD_RTOL = 1e-9
@@ -201,8 +201,6 @@ class SensingGroundTruth:
                 - 2.0 * np.sqrt(lam_bar) * nuclear
             )
             return float(np.sqrt(max(sq, 0.0)))
-        from .manifold import procrustes_distance
-
         return procrustes_distance(u_mat, self.canonical_minimum())
 
 
@@ -281,9 +279,11 @@ class SensingEnsemble:
         stored = np.array(doc["measurements"], dtype=float)
         recomputed = np.einsum("mij,ij->m", sym, truth.matrix)
         scale = max(np.linalg.norm(stored), 1e-300)
-        if np.linalg.norm(recomputed - stored) > MEASUREMENT_RECOMPUTE_RTOL * scale:
+        # negated <= so that a NaN anywhere in the document fails the check
+        if not np.linalg.norm(recomputed - stored) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
             raise NonFiniteEntry(
-                "stored measurements disagree with the recomputed values"
+                "stored measurements are non-finite or disagree with the "
+                "recomputed values"
             )
         return cls(truth, raw, sym, stored, doc["seed"])
 
@@ -325,8 +325,8 @@ class PhaseProblem:
             )
         if y.shape != (a.shape[0],):
             raise DimensionMismatch("measurements must be (M,)")
-        if np.any(y < 0.0):
-            raise NonFiniteEntry("squared measurements cannot be negative")
+        if not np.all(np.isfinite(y) & (y >= 0.0)):
+            raise NonFiniteEntry("squared measurements must be finite and non-negative")
         object.__setattr__(self, "signal", _frozen(x))
         object.__setattr__(self, "vectors", _frozen(a))
         object.__setattr__(self, "measurements", _frozen(y))
@@ -359,9 +359,11 @@ class PhaseProblem:
         stored = np.array(doc["measurements"], dtype=float)
         recomputed = (vectors @ signal) ** 2
         scale = max(np.linalg.norm(stored), 1e-300)
-        if np.linalg.norm(recomputed - stored) > MEASUREMENT_RECOMPUTE_RTOL * scale:
+        # negated <= so that a NaN anywhere in the document fails the check
+        if not np.linalg.norm(recomputed - stored) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
             raise NonFiniteEntry(
-                "stored measurements disagree with the recomputed values"
+                "stored measurements are non-finite or disagree with the "
+                "recomputed values"
             )
         return cls(signal, vectors, stored, doc["seed"])
 

@@ -89,36 +89,41 @@ def min_eig_euclidean(model, point) -> SpectrumResult:
     return SpectrumResult(lam, vec, residual)
 
 
+def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian form restricted to the horizontal space at a factor point.
+
+    Returns (form, mats): mats stacks the orthonormal basis {E_i} of
+    horizontal_basis with shape (d, N, k), and form is the symmetrized
+    d x d matrix B_ij = <hess_vec(U, E_i), E_j>, taken as one matmul of the
+    flattened basis against the flattened images.
+    """
+    mats = np.stack([b.entries for b in horizontal_basis(point)])
+    images = np.stack([model.hess_vec(point, e) for e in mats])
+    _check_finite(images, "hess_vec")
+    d = len(mats)
+    form = images.reshape(d, -1) @ mats.reshape(d, -1).T
+    return 0.5 * (form + form.T), mats
+
+
 def min_eig_horizontal(model, point) -> SpectrumResult:
     """Smallest eigenvalue of the Hessian restricted to the horizontal space.
 
-    The quadratic form is represented in an orthonormal horizontal basis
-    {E_i} at the point as B_ij = <hess_vec(U, E_i), E_j>; its eigenvector is
+    The quadratic form comes from restricted_hessian; its eigenvector is
     returned as a HorizontalTangent. For k = 1 the horizontal space is the
     whole ambient space and the result matches min_eig_euclidean.
     """
-    basis = horizontal_basis(point)
-    mats = [b.entries for b in basis]
-    d = len(mats)
-    form = np.empty((d, d))
-    for i, e_i in enumerate(mats):
-        image = model.hess_vec(point, e_i)
-        _check_finite(image, "hess_vec")
-        for j, e_j in enumerate(mats):
-            form[i, j] = np.vdot(image, e_j)
-    form = 0.5 * (form + form.T)
+    form, mats = restricted_hessian(model, point)
     eigvals, eigvecs = np.linalg.eigh(form)
     lam = float(eigvals[0])
     coeffs = eigvecs[:, 0]
-    direction = np.tensordot(coeffs, np.stack(mats), axes=(0, 0))
+    direction = np.tensordot(coeffs, mats, axes=(0, 0))
     # sign convention lives on the tangent entries, so flip coefficients too
     flat = direction.ravel()
     if flat[int(np.argmax(np.abs(flat)))] < 0.0:
         coeffs = -coeffs
         direction = -direction
     residual = float(np.linalg.norm(form @ coeffs - lam * coeffs))
-    base = basis[0].base
-    return SpectrumResult(lam, HorizontalTangent(direction, base), residual)
+    return SpectrumResult(lam, HorizontalTangent(direction, point), residual)
 
 
 def fd_grad_check(model, point, tol: float = 1e-5) -> FdCheck:

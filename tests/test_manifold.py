@@ -303,8 +303,8 @@ def test_horizontal_basis_size_and_orthonormality(n, k):
     assert np.linalg.norm(gram - np.eye(expected)) <= 1e-10
 
 
-def test_horizontal_basis_spans_all_projections():
-    n, k = 6, 2
+@pytest.mark.parametrize("n,k", [(6, 2), (5, 1), (6, 3)])
+def test_horizontal_basis_spans_all_projections(n, k):
     u = random_factor("basis-span", 0, n, k)
     basis = horizontal_basis(u)
     mats = np.stack([b.entries for b in basis])

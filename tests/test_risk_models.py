@@ -157,6 +157,10 @@ def test_ensemble_json_round_trip_is_exact():
     assert np.array_equal(back.raw, ensemble.raw)
     assert np.array_equal(back.measurements, ensemble.measurements)
     assert back.seed == ensemble.seed
+    corrupted = ensemble.to_json_dict()
+    corrupted["measurements"][3] = float("nan")
+    with pytest.raises(NonFiniteEntry):
+        SensingEnsemble.from_json_dict(corrupted)
 
 
 def test_phase_problem_json_round_trip_and_validation():
@@ -164,6 +168,12 @@ def test_phase_problem_json_round_trip_and_validation():
     assert np.all(problem.measurements >= 0.0)
     back = PhaseProblem.from_json_dict(problem.to_json_dict())
     assert np.array_equal(back.vectors, problem.vectors)
+    corrupted = problem.to_json_dict()
+    corrupted["measurements"][3] = float("nan")
+    with pytest.raises(NonFiniteEntry):
+        PhaseProblem.from_json_dict(corrupted)
+    with pytest.raises(NonFiniteEntry):
+        PhaseProblem(problem.signal, problem.vectors, corrupted["measurements"], 3)
     with pytest.raises(ZeroTruthSignal):
         generate_phase_problem(np.zeros(3), 10, 3)
     with pytest.raises(InvalidSampleCount):

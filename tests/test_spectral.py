@@ -21,6 +21,7 @@ from landscape_lab.spectral import (
     fd_hess_check,
     min_eig_euclidean,
     min_eig_horizontal,
+    restricted_hessian,
 )
 
 MASTER = 271828
@@ -112,6 +113,28 @@ def test_horizontal_equals_euclidean_for_rank_one_factors():
     horiz = min_eig_horizontal(model, u)
     ambient = min_eig_euclidean(model, u)
     assert horiz.lambda_min == pytest.approx(ambient.lambda_min, rel=1e-12, abs=1e-12)
+
+
+def test_restricted_hessian_spectrum_matches_closed_form():
+    # criterion 2's instance: at the top-k minimum the whole horizontal
+    # spectrum is {lambda_i + lambda_j : i <= j <= k} and
+    # {lambda_j - lambda_m : j <= k < m <= N}, with lambda_m = 0 for m > r
+    truth = SensingGroundTruth.from_random_basis(
+        dim=8,
+        eigvals=(1.0, 1.0, 1.0 / 12.0),
+        target_rank=2,
+        seed=rng.subseed(rng.DEFAULT_MASTER_SEED, "acceptance-c2", 0),
+    )
+    n, k = truth.dim, truth.target_rank
+    lam = np.zeros(n)
+    lam[: truth.rank] = truth.eigvals
+    expected = sorted(
+        [lam[i] + lam[j] for i in range(k) for j in range(i, k)]
+        + [lam[j] - lam[m] for j in range(k) for m in range(k, n)]
+    )
+    form, mats = restricted_hessian(MsPopulationRisk(truth), truth.canonical_minimum())
+    assert mats.shape == (len(expected), n, k)
+    assert np.max(np.abs(np.linalg.eigvalsh(form) - expected)) <= 1e-12
 
 
 def test_horizontal_minimum_dominates_ambient_minimum():
