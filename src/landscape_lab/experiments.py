@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,22 +434,17 @@ def run_ms_rank2_distance(config: ExperimentConfig) -> ExperimentOutcome:
 
     rows = []
     detail = {}
-    workers = min(trials, os.cpu_count() or 1, 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for m in m_list:
-            futures = [pool.submit(one_trial, m, t) for t in range(trials)]
-            outcomes = [f.result() for f in futures]  # trial order
-            distances = [d for ok, d in outcomes if ok]
-            trials_ok = len(distances)
-            mean = float(np.mean(distances)) if distances else math.nan
-            std = (
-                float(np.std(distances, ddof=1)) if trials_ok >= 2 else 0.0
-            )
-            rows.append((m, trials_ok, mean, std))
-            detail[str(m)] = {
-                "distances": distances,
-                "failed_trials": trials - trials_ok,
-            }
+    for m in m_list:
+        outcomes = [one_trial(m, t) for t in range(trials)]
+        distances = [d for ok, d in outcomes if ok]
+        trials_ok = len(distances)
+        mean = float(np.mean(distances)) if distances else math.nan
+        std = float(np.std(distances, ddof=1)) if trials_ok >= 2 else 0.0
+        rows.append((m, trials_ok, mean, std))
+        detail[str(m)] = {
+            "distances": distances,
+            "failed_trials": trials - trials_ok,
+        }
 
     resolved = {
         "experiment": "ms_rank2_dist",

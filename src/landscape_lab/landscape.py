@@ -874,7 +874,7 @@ def estimate_rip(
             h = rng.normal(gen, (truth.dim, cols_neg))
             z = z - h @ h.T
         z = z / np.linalg.norm(z)
-        energy = float(np.linalg.norm(ensemble.apply(z)) ** 2)
+        energy = ensemble.energy(z)
         worst = max(worst, abs(energy - 1.0))
     return RipReport(
         rank_bound=rb,

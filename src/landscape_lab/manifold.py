@@ -263,15 +263,16 @@ def procrustes_align(u, v) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(u_mat - v_mat @ q_opt)), q_opt
 
 
-def horizontal_basis(u) -> list[HorizontalTangent]:
-    """Orthonormal basis of the horizontal space at U.
+def horizontal_basis(u) -> np.ndarray:
+    """Orthonormal basis of the horizontal space at U, as a (d, N, k) stack.
 
     The vertical space is spanned by the k(k-1)/2 matrices U(E_ij - E_ji),
-    i < j. The trailing Nk - k(k-1)/2 columns of a complete QR of that
+    i < j. The trailing d = Nk - k(k-1)/2 columns of a complete QR of that
     Nk x k(k-1)/2 block are orthonormal and orthogonal to it, so they are
     the basis. For k = 1 the block is empty and the basis is canonical.
-    Raises GramNotSPD when U^T U fails the GRAM_SPD_RTOL gate, where the
-    vertical block loses rank.
+    Raises NotHorizontal when some ||B_i^T U - U^T B_i|| exceeds
+    HORIZONTAL_RTOL * ||U||, and GramNotSPD when U^T U fails the
+    GRAM_SPD_RTOL gate, where the vertical block loses rank.
     """
     u_mat = _as_matrix(u)
     if not np.all(np.isfinite(u_mat)):
@@ -284,5 +285,9 @@ def horizontal_basis(u) -> list[HorizontalTangent]:
         vertical[t, :, j] = u_mat[:, i]
         vertical[t, :, i] = -u_mat[:, j]
     q_full, _ = np.linalg.qr(vertical.reshape(len(pairs), n * k).T, mode="complete")
-    horizontal = q_full[:, len(pairs):].T.reshape(-1, n, k)
-    return [HorizontalTangent(b, u_mat) for b in horizontal]
+    # contiguous, so downstream GEMMs round the same as on a fresh stack
+    basis = np.ascontiguousarray(q_full[:, len(pairs):].T).reshape(-1, n, k)
+    skew = np.linalg.norm(basis.transpose(0, 2, 1) @ u_mat - u_mat.T @ basis, axis=(1, 2))
+    if np.any(skew > HORIZONTAL_RTOL * np.linalg.norm(u_mat)):  # unit-norm B_i
+        raise NotHorizontal(f"basis is not horizontal: max defect {np.max(skew):.3e}")
+    return basis

@@ -7,7 +7,8 @@ counterparts, which is what the expectation-consistency tests pin down.
 
 Matrix sensing: X = W diag(lambda) W^T is the rank-r truth, measurements are
 y_m = <X, A_m> with A_m the symmetrized Gaussian B_m, and the factor U is
-N x k with ceil(r/2) <= k <= r, so UU^T can only underfit the rank.
+N x k with ceil(r/2) <= k <= r, so UU^T can only underfit the rank. The
+empirical risk sees the ensemble only through the Gram matrix of A*A.
 
 Phase retrieval: y_m = <a_m, x*>^2 with standard normal a_m; the population
 risk is ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
@@ -16,7 +17,7 @@ risk is ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +30,9 @@ from .errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
-from .manifold import FactorPoint, horizontal_project, procrustes_distance
+from .manifold import FactorPoint, procrustes_distance
 
 MEASUREMENT_RECOMPUTE_RTOL = 1e-12
-RIEMANNIAN_GRAD_RTOL = 1e-9
 EIGENVALUE_CLUSTER_RTOL = 1e-9
 
 
@@ -208,42 +208,52 @@ class SensingGroundTruth:
 class SensingEnsemble:
     """A batch of Gaussian sensing matrices and their measurements.
 
-    raw holds the unsymmetrized B_m with i.i.d. N(0, 1/M) entries, sym the
-    operator matrices A_m = (B_m + B_m^T) / 2, and measurements the values
-    <X, A_m>. The seed fully determines raw, so measurements can be
-    recomputed and checked bit-close from (truth, seed).
+    raw holds the unsymmetrized B_m with i.i.d. N(0, 1/M) entries and
+    measurements the values <X, A_m>, A_m = (B_m + B_m^T) / 2. The seed fully
+    determines raw, so measurements can be recomputed and checked bit-close
+    from (truth, seed). gram is the N^2 x N^2 matrix sum_m vec(A_m) vec(A_m)^T
+    of A*A, built once, so the risk costs the same at every M.
     """
 
     truth: SensingGroundTruth
     raw: np.ndarray
-    sym: np.ndarray
     measurements: np.ndarray
     seed: int
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.truth.dim
-        m = self.raw.shape[0] if self.raw.ndim == 3 else -1
-        if self.raw.shape != (m, n, n) or m < 1:
-            raise DimensionMismatch(f"raw must be (M, {n}, {n}), got {self.raw.shape}")
-        if self.sym.shape != self.raw.shape:
-            raise DimensionMismatch("sym shape must match raw")
-        if self.measurements.shape != (m,):
+        raw = _frozen(self.raw)
+        y = _frozen(self.measurements)
+        m = raw.shape[0] if raw.ndim == 3 else -1
+        if raw.shape != (m, n, n) or m < 1:
+            raise DimensionMismatch(f"raw must be (M, {n}, {n}), got {raw.shape}")
+        if y.shape != (m,):
             raise DimensionMismatch(f"measurements must be ({m},)")
-        object.__setattr__(self, "raw", _frozen(self.raw))
-        object.__setattr__(self, "sym", _frozen(self.sym))
-        object.__setattr__(self, "measurements", _frozen(self.measurements))
+        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(y))):
+            raise NonFiniteEntry("sensing matrices and measurements must be finite")
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "measurements", y)
+        # rows are 2 vec(A_m), hence the 1/4; the M x N^2 stack is not kept
+        stack = (raw + np.transpose(raw, (0, 2, 1))).reshape(m, n * n)
+        object.__setattr__(self, "gram", _frozen(0.25 * (stack.T @ stack)))
 
     @property
     def n_measurements(self) -> int:
         return self.raw.shape[0]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """The linear operator A: symmetric matrix -> R^M."""
-        return np.einsum("mij,ij->m", self.sym, z)
+        """A(Z) = (<A_m, Z>)_m, the exact sum over the stored stack."""
+        return np.einsum("mij,ij->m", self.raw, 0.5 * (z + z.T))
 
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """A*: R^M -> symmetric matrices."""
-        return np.einsum("m,mij->ij", v, self.sym)
+    def energy(self, z: np.ndarray) -> float:
+        """||A(Z)||^2 as vec(Z)^T G vec(Z)."""
+        flat = z.ravel()
+        return float(flat @ (self.gram @ flat))
+
+    def normal(self, z: np.ndarray) -> np.ndarray:
+        """A*A(Z) as G vec(Z), reshaped to N x N."""
+        return (self.gram @ z.ravel()).reshape(z.shape)
 
     def to_json_dict(self) -> dict:
         n, r = self.truth.dim, self.truth.rank
@@ -275,9 +285,9 @@ class SensingEnsemble:
         raw = np.array(doc["raw_row_major"], dtype=float).reshape(
             dims["m"], dims["n"], dims["n"]
         )
-        sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
         stored = np.array(doc["measurements"], dtype=float)
-        recomputed = np.einsum("mij,ij->m", sym, truth.matrix)
+        ensemble = cls(truth, raw, stored, doc["seed"])
+        recomputed = ensemble.apply(truth.matrix)
         scale = max(np.linalg.norm(stored), 1e-300)
         # negated <= so that a NaN anywhere in the document fails the check
         if not np.linalg.norm(recomputed - stored) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
@@ -285,7 +295,7 @@ class SensingEnsemble:
                 "stored measurements are non-finite or disagree with the "
                 "recomputed values"
             )
-        return cls(truth, raw, sym, stored, doc["seed"])
+        return ensemble
 
 
 def generate_sensing_ensemble(
@@ -297,9 +307,8 @@ def generate_sensing_ensemble(
         raise InvalidSampleCount(f"need at least one measurement, got {n_measurements}")
     gen = rng.stream(seed, "sensing-ensemble", 0)
     raw = rng.normal(gen, (m, truth.dim, truth.dim)) / np.sqrt(m)
-    sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-    measurements = np.einsum("mij,ij->m", sym, truth.matrix)
-    return SensingEnsemble(truth, raw, sym, measurements, int(seed))
+    measurements = np.einsum("mij,ij->m", raw, truth.matrix)
+    return SensingEnsemble(truth, raw, measurements, int(seed))
 
 
 @dataclass(frozen=True)
@@ -392,8 +401,7 @@ class RiskModel:
 
     hess_quadratic(p, d) must equal <hess_vec(p, d), d>; both are exact
     derivatives of value, which the finite-difference suites verify. For
-    factor models the Euclidean gradient is automatically horizontal, so
-    riemannian_grad checks that fact and returns the projection.
+    factor models the Euclidean gradient is automatically horizontal.
     """
 
     is_factor = False
@@ -413,19 +421,6 @@ class RiskModel:
 
     def hess_quadratic(self, point, direction) -> float:
         return float(np.vdot(self.hess_vec(point, direction), direction))
-
-    def riemannian_grad(self, point) -> np.ndarray:
-        grad = self.euclidean_grad(point)
-        if not self.is_factor:
-            return grad
-        point_mat = self._coerce(point)
-        projected = horizontal_project(point_mat, grad).entries
-        defect = np.linalg.norm(projected - grad)
-        if defect > RIEMANNIAN_GRAD_RTOL * max(np.linalg.norm(grad), 1e-300):
-            raise AssertionError(
-                f"euclidean gradient left the horizontal space: defect {defect:.3e}"
-            )
-        return projected
 
     # scale hooks used by solvers and tolerance policies
     @property
@@ -509,14 +504,13 @@ class MsEmpiricalRisk(_SensingRisk):
         self.ensemble = ensemble
 
     def _normal_residual(self, u: np.ndarray) -> np.ndarray:
-        # A*A applied to the residual UU^T - X
-        return self.ensemble.adjoint(self.ensemble.apply(u @ u.T - self._target))
+        # A*A applied to the residual UU^T - X, formed first so nothing
+        # cancels at the minimum
+        return self.ensemble.normal(u @ u.T - self._target)
 
     def value(self, point) -> float:
         u = self._coerce(point)
-        return 0.25 * float(
-            np.linalg.norm(self.ensemble.apply(u @ u.T - self._target)) ** 2
-        )
+        return 0.25 * self.ensemble.energy(u @ u.T - self._target)
 
     def euclidean_grad(self, point) -> np.ndarray:
         u = self._coerce(point)
@@ -526,14 +520,13 @@ class MsEmpiricalRisk(_SensingRisk):
         u = self._coerce(point)
         d = np.asarray(direction, dtype=float)
         sym = u @ d.T + d @ u.T
-        first = self.ensemble.adjoint(self.ensemble.apply(sym)) @ u
-        return first + self._normal_residual(u) @ d
+        return self.ensemble.normal(sym) @ u + self._normal_residual(u) @ d
 
     def hess_quadratic(self, point, direction) -> float:
         u = self._coerce(point)
         d = np.asarray(direction, dtype=float)
         sym = u @ d.T + d @ u.T
-        return 0.5 * float(np.linalg.norm(self.ensemble.apply(sym)) ** 2) + float(
+        return 0.5 * self.ensemble.energy(sym) + float(
             np.vdot(self._normal_residual(u), d @ d.T)
         )
 

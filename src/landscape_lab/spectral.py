@@ -92,12 +92,12 @@ def min_eig_euclidean(model, point) -> SpectrumResult:
 def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
     """The Hessian form restricted to the horizontal space at a factor point.
 
-    Returns (form, mats): mats stacks the orthonormal basis {E_i} of
-    horizontal_basis with shape (d, N, k), and form is the symmetrized
+    Returns (form, mats): mats is the (d, N, k) orthonormal basis stack
+    {E_i} from horizontal_basis, and form is the symmetrized
     d x d matrix B_ij = <hess_vec(U, E_i), E_j>, taken as one matmul of the
     flattened basis against the flattened images.
     """
-    mats = np.stack([b.entries for b in horizontal_basis(point)])
+    mats = horizontal_basis(point)
     images = np.stack([model.hess_vec(point, e) for e in mats])
     _check_finite(images, "hess_vec")
     d = len(mats)
