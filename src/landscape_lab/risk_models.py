@@ -7,11 +7,17 @@ counterparts, which is what the expectation-consistency tests pin down.
 
 Matrix sensing: X = W diag(lambda) W^T is the rank-r truth, measurements are
 y_m = <X, A_m> with A_m the symmetrized Gaussian B_m, and the factor U is
-N x k with ceil(r/2) <= k <= r, so UU^T can only underfit the rank. The
-empirical risk sees the ensemble only through the Gram matrix of A*A.
+N x k with ceil(r/2) <= k <= r, so UU^T can only underfit the rank.
 
 Phase retrieval: y_m = <a_m, x*>^2 with standard normal a_m; the population
 risk is ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
+
+Both empirical risks are quadratic in an N x N residual Z (UU^T - X, or
+xx^T - x*x*^T), through the N^2 x N^2 Gram matrix G of the rows vec(A_m),
+or vec(a_m a_m^T) / sqrt(M). Each ensemble keeps a square-root factor C with
+C^T C = G, so the risk is the sum of squares ||C vec Z||^2, never negative,
+and costs the same at every M. hess_vec takes one direction or a stack of
+them along a leading axis.
 """
 
 from __future__ import annotations
@@ -40,6 +46,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """C = diag(sqrt(w)) V^T from G = V diag(w) V^T, so that C^T C = G.
+
+    Eigenvalue noise below zero, from a singular G, is clipped to zero.
+    """
+    w, v = np.linalg.eigh(gram)
+    return _frozen(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
+
+
+def _root_coords(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # C vec(Z) for one N x N matrix or a stack along leading axes
+    return z.reshape(*z.shape[:-2], -1) @ root.T
+
+
+def _root_energy(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||C vec(Z)||^2, a sum of squares, per N x N matrix of z."""
+    coords = _root_coords(root, z)
+    return (coords * coords).sum(axis=-1)
+
+
+def _root_normal(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """C^T C vec(Z), reshaped like z."""
+    return (_root_coords(root, z) @ root).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +242,16 @@ class SensingEnsemble:
     raw holds the unsymmetrized B_m with i.i.d. N(0, 1/M) entries and
     measurements the values <X, A_m>, A_m = (B_m + B_m^T) / 2. The seed fully
     determines raw, so measurements can be recomputed and checked bit-close
-    from (truth, seed). gram is the N^2 x N^2 matrix sum_m vec(A_m) vec(A_m)^T
-    of A*A, built once, so the risk costs the same at every M.
+    from (truth, seed). gram_root is a square-root factor C of the N^2 x N^2
+    Gram matrix G = sum_m vec(A_m) vec(A_m)^T of A*A, built once, so energy
+    and normal cost the same at every M.
     """
 
     truth: SensingGroundTruth
     raw: np.ndarray
     measurements: np.ndarray
     seed: int
-    gram: np.ndarray = field(init=False, repr=False)
+    gram_root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.truth.dim
@@ -236,7 +268,7 @@ class SensingEnsemble:
         object.__setattr__(self, "measurements", y)
         # rows are 2 vec(A_m), hence the 1/4; the M x N^2 stack is not kept
         stack = (raw + np.transpose(raw, (0, 2, 1))).reshape(m, n * n)
-        object.__setattr__(self, "gram", _frozen(0.25 * (stack.T @ stack)))
+        object.__setattr__(self, "gram_root", _gram_root(0.25 * (stack.T @ stack)))
 
     @property
     def n_measurements(self) -> int:
@@ -247,13 +279,12 @@ class SensingEnsemble:
         return np.einsum("mij,ij->m", self.raw, 0.5 * (z + z.T))
 
     def energy(self, z: np.ndarray) -> float:
-        """||A(Z)||^2 as vec(Z)^T G vec(Z)."""
-        flat = z.ravel()
-        return float(flat @ (self.gram @ flat))
+        """||A(Z)||^2 as ||C vec(Z)||^2."""
+        return float(_root_energy(self.gram_root, z))
 
     def normal(self, z: np.ndarray) -> np.ndarray:
-        """A*A(Z) as G vec(Z), reshaped to N x N."""
-        return (self.gram @ z.ravel()).reshape(z.shape)
+        """A*A(Z) as C^T C vec(Z), for one N x N matrix or a stack."""
+        return _root_normal(self.gram_root, z)
 
     def to_json_dict(self) -> dict:
         n, r = self.truth.dim, self.truth.rank
@@ -313,12 +344,20 @@ def generate_sensing_ensemble(
 
 @dataclass(frozen=True)
 class PhaseProblem:
-    """Phaseless measurements y_m = <a_m, x*>^2 of a nonzero signal."""
+    """Phaseless measurements y_m = <a_m, x*>^2 of a nonzero signal.
+
+    Construction rechecks y against (A x*)^2, so the empirical risk may read
+    x* in place of y. gram_root is a square-root factor C of the N^2 x N^2
+    Gram matrix G = (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the
+    empirical fourth moment of the sensing vectors, built once, so energy
+    and normal cost the same at every M.
+    """
 
     signal: np.ndarray
     vectors: np.ndarray
     measurements: np.ndarray
     seed: int
+    gram_root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.signal, dtype=float)
@@ -328,17 +367,24 @@ class PhaseProblem:
             raise DimensionMismatch(f"signal must be 1-d, got shape {x.shape}")
         if np.linalg.norm(x) == 0.0:
             raise ZeroTruthSignal("phase retrieval needs a nonzero signal")
-        if a.ndim != 2 or a.shape[1] != x.shape[0] or a.shape[0] < 1:
-            raise DimensionMismatch(
-                f"vectors must be (M, {x.shape[0]}), got {a.shape}"
-            )
-        if y.shape != (a.shape[0],):
+        n = x.shape[0]
+        m = a.shape[0] if a.ndim == 2 else -1
+        if a.shape != (m, n) or m < 1:
+            raise DimensionMismatch(f"vectors must be (M, {n}), got {a.shape}")
+        if y.shape != (m,):
             raise DimensionMismatch("measurements must be (M,)")
-        if not np.all(np.isfinite(y) & (y >= 0.0)):
-            raise NonFiniteEntry("squared measurements must be finite and non-negative")
+        recomputed = (a @ x) ** 2
+        scale = max(np.linalg.norm(y), 1e-300)
+        # negated <= so that a NaN anywhere fails the check
+        if not np.linalg.norm(recomputed - y) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
+            raise NonFiniteEntry(
+                "measurements are non-finite or disagree with (A x*)^2"
+            )
         object.__setattr__(self, "signal", _frozen(x))
         object.__setattr__(self, "vectors", _frozen(a))
         object.__setattr__(self, "measurements", _frozen(y))
+        stack = (a[:, :, None] * a[:, None, :]).reshape(m, n * n)
+        object.__setattr__(self, "gram_root", _gram_root((stack.T @ stack) / m))
 
     @property
     def dim(self) -> int:
@@ -347,6 +393,14 @@ class PhaseProblem:
     @property
     def n_measurements(self) -> int:
         return self.vectors.shape[0]
+
+    def energy(self, z: np.ndarray) -> float:
+        """(1/M) sum_m <a_m a_m^T, Z>^2 as ||C vec(Z)||^2."""
+        return float(_root_energy(self.gram_root, z))
+
+    def normal(self, z: np.ndarray) -> np.ndarray:
+        """(1/M) sum_m <a_m a_m^T, Z> a_m a_m^T as C^T C vec(Z)."""
+        return _root_normal(self.gram_root, z)
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,17 +418,12 @@ class PhaseProblem:
         vectors = np.array(doc["vectors_row_major"], dtype=float).reshape(
             dims["m"], dims["n"]
         )
-        signal = np.array(doc["signal"], dtype=float)
-        stored = np.array(doc["measurements"], dtype=float)
-        recomputed = (vectors @ signal) ** 2
-        scale = max(np.linalg.norm(stored), 1e-300)
-        # negated <= so that a NaN anywhere in the document fails the check
-        if not np.linalg.norm(recomputed - stored) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
-            raise NonFiniteEntry(
-                "stored measurements are non-finite or disagree with the "
-                "recomputed values"
-            )
-        return cls(signal, vectors, stored, doc["seed"])
+        return cls(
+            np.array(doc["signal"], dtype=float),
+            vectors,
+            np.array(doc["measurements"], dtype=float),
+            doc["seed"],
+        )
 
 
 def generate_phase_problem(signal, n_measurements: int, seed: int) -> PhaseProblem:
@@ -402,6 +451,8 @@ class RiskModel:
     hess_quadratic(p, d) must equal <hess_vec(p, d), d>; both are exact
     derivatives of value, which the finite-difference suites verify. For
     factor models the Euclidean gradient is automatically horizontal.
+    hess_vec also takes a (p, *shape) stack of directions and returns the
+    (p, *shape) stack of their images.
     """
 
     is_factor = False
@@ -485,7 +536,7 @@ class MsPopulationRisk(_SensingRisk):
     def hess_vec(self, point, direction) -> np.ndarray:
         u = self._coerce(point)
         d = np.asarray(direction, dtype=float)
-        sym = u @ d.T + d @ u.T
+        sym = u @ np.swapaxes(d, -1, -2) + d @ u.T
         return sym @ u + (u @ u.T - self._target) @ d
 
     def hess_quadratic(self, point, direction) -> float:
@@ -519,7 +570,7 @@ class MsEmpiricalRisk(_SensingRisk):
     def hess_vec(self, point, direction) -> np.ndarray:
         u = self._coerce(point)
         d = np.asarray(direction, dtype=float)
-        sym = u @ d.T + d @ u.T
+        sym = u @ np.swapaxes(d, -1, -2) + d @ u.T
         return self.ensemble.normal(sym) @ u + self._normal_residual(u) @ d
 
     def hess_quadratic(self, point, direction) -> float:
@@ -589,31 +640,36 @@ class PrPopulationRisk(_PhaseRisk):
         xs = self.signal
         d = np.asarray(direction, dtype=float)
         return (
-            12.0 * float(x @ d) * x
-            - 4.0 * float(xs @ d) * xs
+            12.0 * (d @ x)[..., None] * x
+            - 4.0 * (d @ xs)[..., None] * xs
             + (6.0 * float(x @ x) - 2.0 * float(xs @ xs)) * d
         )
 
 
 class PrEmpiricalRisk(_PhaseRisk):
-    """f(x) = (1/2M) sum_m (<a_m, x>^2 - y_m)^2 for fixed measurements."""
+    """f(x) = (1/2M) sum_m (<a_m, x>^2 - y_m)^2 for fixed measurements.
+
+    Since <a_m, x>^2 - y_m = <a_m a_m^T, R> with R = xx^T - x*x*^T, the
+    risk is energy(R) / 2 through the problem's Gram factor: value, gradient
+    and hess_vec read x* and gram_root, never the vectors or measurements.
+    R is formed first, so nothing cancels at the minimum. hess_matrix stays
+    the exact sum over the M vectors, as an independent oracle.
+    """
 
     def __init__(self, problem: PhaseProblem):
         super().__init__(problem.signal)
         self.problem = problem
 
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        return np.outer(x, x) - np.outer(self.signal, self.signal)
+
     def value(self, point) -> float:
         x = self._coerce(point)
-        z = self.problem.vectors @ x
-        res = z ** 2 - self.problem.measurements
-        return 0.5 * float(np.mean(res ** 2))
+        return 0.5 * self.problem.energy(self._residual(x))
 
     def euclidean_grad(self, point) -> np.ndarray:
         x = self._coerce(point)
-        a = self.problem.vectors
-        z = a @ x
-        weights = z * (z ** 2 - self.problem.measurements)
-        return (2.0 / self.problem.n_measurements) * (a.T @ weights)
+        return 2.0 * (self.problem.normal(self._residual(x)) @ x)
 
     def hess_matrix(self, point) -> np.ndarray:
         x = self._coerce(point)
@@ -624,8 +680,10 @@ class PrEmpiricalRisk(_PhaseRisk):
 
     def hess_vec(self, point, direction) -> np.ndarray:
         x = self._coerce(point)
-        a = self.problem.vectors
         d = np.asarray(direction, dtype=float)
-        z = a @ x
-        diag = 3.0 * z ** 2 - self.problem.measurements
-        return (2.0 / self.problem.n_measurements) * (a.T @ (diag * (a @ d)))
+        dx = d[..., :, None] * x
+        # d @ N(R)^T is N(R) d for one direction and for each of a stack
+        return 2.0 * (
+            self.problem.normal(dx + np.swapaxes(dx, -1, -2)) @ x
+            + d @ self.problem.normal(self._residual(x)).T
+        )

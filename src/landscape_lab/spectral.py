@@ -1,10 +1,10 @@
 """Spectral probes of risk Hessians and finite-difference derivative checks.
 
 Hessians are never formed by the risk models themselves; this module
-assembles them densely from hess_vec actions on basis directions, either the
-canonical ambient basis or an orthonormal horizontal basis at a factor
-point. Problem sizes here are small by design, so dense eigh is the right
-tool.
+assembles them densely from one hess_vec call on a stack of basis
+directions, either the canonical ambient basis or an orthonormal horizontal
+basis at a factor point. Problem sizes here are small by design, so dense
+eigh is the right tool.
 """
 
 from __future__ import annotations
@@ -65,17 +65,14 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
 
 
 def dense_euclidean_hessian(model, point) -> np.ndarray:
-    """Assemble the ambient Hessian from hess_vec on the canonical basis."""
+    """Assemble the ambient Hessian from hess_vec on the canonical basis stack."""
     shape = model.shape
     n = int(np.prod(shape))
-    columns = np.empty((n, n))
-    for j in range(n):
-        basis_dir = np.zeros(n)
-        basis_dir[j] = 1.0
-        image = model.hess_vec(point, basis_dir.reshape(shape))
-        _check_finite(image, "hess_vec")
-        columns[:, j] = np.asarray(image, dtype=float).ravel()
-    return 0.5 * (columns + columns.T)
+    images = model.hess_vec(point, np.eye(n).reshape(n, *shape))
+    _check_finite(images, "hess_vec")
+    # row j is the image of the j-th basis direction, the j-th column
+    rows = images.reshape(n, n)
+    return 0.5 * (rows + rows.T)
 
 
 def min_eig_euclidean(model, point) -> SpectrumResult:
@@ -94,11 +91,12 @@ def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (form, mats): mats is the (d, N, k) orthonormal basis stack
     {E_i} from horizontal_basis, and form is the symmetrized
-    d x d matrix B_ij = <hess_vec(U, E_i), E_j>, taken as one matmul of the
-    flattened basis against the flattened images.
+    d x d matrix B_ij = <hess_vec(U, E_i), E_j>, from one hess_vec call on
+    the stack and one matmul of the flattened images against the flattened
+    basis.
     """
     mats = horizontal_basis(point)
-    images = np.stack([model.hess_vec(point, e) for e in mats])
+    images = model.hess_vec(point, mats)
     _check_finite(images, "hess_vec")
     d = len(mats)
     form = images.reshape(d, -1) @ mats.reshape(d, -1).T

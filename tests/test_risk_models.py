@@ -165,6 +165,14 @@ def test_ensemble_measurements_recomputable():
             assert np.linalg.norm(ensemble.normal(z) - summed) <= 1e-12 * np.linalg.norm(
                 summed
             )
+    # along every eigenvector of the singular Gram matrix at M = 12, null
+    # directions included, the energy is a sum of squares and never negative
+    flat = sym_stack.reshape(12, 36)
+    _, eigvecs = np.linalg.eigh(flat.T @ flat)
+    for v in eigvecs.T:
+        z = v.reshape(6, 6)
+        z = (z + z.T) / np.linalg.norm(z + z.T)
+        assert ensemble.energy(z) >= 0.0
 
 
 def test_ensemble_json_round_trip_is_exact():
@@ -196,10 +204,47 @@ def test_phase_problem_json_round_trip_and_validation():
         PhaseProblem.from_json_dict(corrupted)
     with pytest.raises(NonFiniteEntry):
         PhaseProblem(problem.signal, problem.vectors, corrupted["measurements"], 3)
+    # the empirical risk reads x*, not y, so construction rechecks y itself
+    with pytest.raises(NonFiniteEntry):
+        PhaseProblem(problem.signal, problem.vectors, 1.01 * problem.measurements, 3)
     with pytest.raises(ZeroTruthSignal):
         generate_phase_problem(np.zeros(3), 10, 3)
     with pytest.raises(InvalidSampleCount):
         generate_phase_problem(np.array([1.0]), 0, 3)
+
+
+def test_phase_risk_is_non_negative_on_its_zero_set():
+    # at M = 1 the empirical risk vanishes on the whole line <a, x> = <a, x*>
+    problem = generate_phase_problem(np.array([1.0, -1.0]), 1, 2)
+    model = PrEmpiricalRisk(problem)
+    a = problem.vectors[0]
+    foot = (a @ problem.signal) / (a @ a) * a
+    a_perp = np.array([-a[1], a[0]])
+    for t in np.linspace(-3.0, 3.0, 25):
+        assert model.value(foot + t * a_perp) >= 0.0
+
+
+@pytest.mark.parametrize("m", [1, 3, 35])
+@pytest.mark.parametrize("xstar", [(1.0, -1.0), (1.2, -0.5, 0.3)])
+def test_phase_gram_form_matches_the_sums_over_measurements(xstar, m):
+    xstar = np.array(xstar)
+    problem = generate_phase_problem(xstar, m, MASTER)
+    model = PrEmpiricalRisk(problem)
+    a, y = problem.vectors, problem.measurements
+    gen = rng.stream(MASTER, "pr-gram-form", m)
+    for spread in (1e-6, 1e-2, 1.0, 3.0):
+        x = xstar + spread * rng.normal(gen, xstar.shape)
+        d = rng.normal(gen, xstar.shape)
+        z = a @ x
+        s = float(np.mean(z ** 4 + y ** 2))
+        value = 0.5 * float(np.mean((z ** 2 - y) ** 2))
+        grad = (2.0 / m) * (a.T @ (z * (z ** 2 - y)))
+        hvp = (2.0 / m) * (a.T @ ((3.0 * z ** 2 - y) * (a @ d)))
+        assert abs(model.value(x) - value) <= 1e-12 * s
+        assert np.linalg.norm(model.euclidean_grad(x) - grad) <= 1e-12 * s ** 0.75
+        assert np.linalg.norm(model.hess_vec(x, d) - hvp) <= (
+            1e-12 * s ** 0.5 * np.linalg.norm(d)
+        )
 
 
 def test_sensing_operator_is_isotropic_on_rank2_probes():
@@ -273,11 +318,20 @@ def test_hess_quadratic_is_the_form_of_hess_vec(model_index):
     model = all_models()[model_index]
     gen = rng.stream(MASTER, "quad-dir", model_index)
     point = generic_point(model, 5)
+    dirs, images = [], []
     for _ in range(4):
         direction = rng.normal(gen, model.shape)
         form = model.hess_quadratic(point, direction)
-        pairing = float(np.vdot(model.hess_vec(point, direction), direction))
+        image = model.hess_vec(point, direction)
+        pairing = float(np.vdot(image, direction))
         assert abs(form - pairing) <= 1e-12 * max(abs(form), 1.0)
+        dirs.append(direction)
+        images.append(image)
+    # a stack of directions maps to the stack of their single images
+    stacked = model.hess_vec(point, np.stack(dirs))
+    assert stacked.shape == (4, *model.shape)
+    for got, image in zip(stacked, images):
+        assert np.linalg.norm(got - image) <= 1e-13 * np.linalg.norm(image)
 
 
 @pytest.mark.parametrize("model_index", range(4))
