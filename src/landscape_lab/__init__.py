@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
-    RankDeficientFactor,
     SamplerStarved,
     ZeroTruthSignal,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "InvalidRank",
     "InvalidSampleCount",
     "ZeroTruthSignal",
-    "RankDeficientFactor",
     "GramNotSPD",
     "NotSkew",
     "NotHorizontal",

@@ -31,7 +31,6 @@ from .errors import (
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
-    RankDeficientFactor,
     SamplerStarved,
     ZeroTruthSignal,
 )
@@ -51,7 +50,6 @@ _CONFIG_ERRORS = (
 _NUMERICAL_ERRORS = (
     NonFiniteEntry,
     GramNotSPD,
-    RankDeficientFactor,
     NotSkew,
     NotHorizontal,
     SamplerStarved,

@@ -25,9 +25,9 @@ from .manifold import procrustes_distance
 from .risk_models import SensingGroundTruth
 from .spectral import (
     dense_euclidean_hessian,
-    min_eig_euclidean,
-    min_eig_horizontal,
+    min_eig,
     restricted_hessian,
+    uses_quotient,
 )
 
 # convergence declared at 1e-8 * (1 + value scale); curvature sign calls and
@@ -45,10 +45,6 @@ MAX_SEARCH_DIM = 64
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
 KIND_DEGENERATE = "Degenerate"
-
-
-def _uses_quotient(model) -> bool:
-    return model.is_factor and model.shape[1] >= 2
 
 
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
@@ -179,7 +175,7 @@ class CriticalSearchResult:
 
 
 def _dedupe_distance(model, a: np.ndarray, b: np.ndarray) -> float:
-    if _uses_quotient(model):
+    if uses_quotient(model):
         return procrustes_distance(a, b)
     return float(np.linalg.norm(a - b))
 
@@ -187,17 +183,14 @@ def _dedupe_distance(model, a: np.ndarray, b: np.ndarray) -> float:
 def _classify(model, point: np.ndarray):
     tau_eig = TAU_EIG_FACTOR * model.hessian_scale
     note = ""
-    if _uses_quotient(model):
-        try:
-            lam = min_eig_horizontal(model, point).lambda_min
-        except GramNotSPD:
-            # the quotient geometry breaks down at rank-deficient factors;
-            # fall back to the ambient Hessian, which only widens the
-            # negative spectrum
-            lam = min_eig_euclidean(model, point).lambda_min
-            note = "rank-deficient factor, ambient curvature reported"
-    else:
-        lam = min_eig_euclidean(model, point).lambda_min
+    try:
+        lam = min_eig(model, point)
+    except GramNotSPD:
+        # the quotient geometry breaks down at rank-deficient factors;
+        # fall back to the ambient Hessian, which only widens the
+        # negative spectrum
+        lam = np.linalg.eigh(dense_euclidean_hessian(model, point))[0][0]
+        note = "rank-deficient factor, ambient curvature reported"
     if lam > tau_eig:
         kind = KIND_MIN
     elif lam < -tau_eig:

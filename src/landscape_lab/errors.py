@@ -29,10 +29,6 @@ class ZeroTruthSignal(LandscapeError):
     """The ground-truth signal is identically zero."""
 
 
-class RankDeficientFactor(LandscapeError):
-    """A factor matrix expected to have full column rank does not."""
-
-
 class GramNotSPD(LandscapeError):
     """A Gram matrix required to be positive definite is numerically singular."""
 

@@ -34,12 +34,7 @@ from .risk_models import (
     SensingEnsemble,
     SensingGroundTruth,
 )
-from .spectral import (
-    dense_euclidean_hessian,
-    min_eig_euclidean,
-    min_eig_horizontal,
-    restricted_hessian,
-)
+from .spectral import hessian_form, min_eig
 
 MS_R1 = "MS_R1"
 MS_R2P = "MS_R2p"
@@ -222,18 +217,18 @@ def classify_region_pr(signal, point) -> RegionLabelSet:
 # ---------------------------------------------------------------------------
 
 
+# starvation declared below 0.1% proposal acceptance
+ATTEMPT_FACTOR = 1000
+
+
 @dataclass(frozen=True)
 class RegionSamplerConfig:
-    # starvation declared below 0.1% proposal acceptance
     n_per_region: int = 500
     seed: int = rng.DEFAULT_MASTER_SEED
-    attempt_factor: int = 1000
 
     def __post_init__(self):
         if self.n_per_region < 1:
             raise InvalidSampleCount("n_per_region must be at least 1")
-        if self.attempt_factor < 1:
-            raise InvalidConfig("attempt_factor must be at least 1")
 
 
 def _scaled_gaussian_factor(gen, n, k, uut_target):
@@ -257,13 +252,11 @@ def _rejection_sample(propose, accept, n, budget, region):
     return out
 
 
-def sample_region_ms(
-    truth: SensingGroundTruth, region: str, n: int, gen, attempt_factor: int = 1000
-) -> list:
+def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> list:
     """Draw n factor points whose label set contains the region."""
     thresholds = ms_region_thresholds(truth)
     n_dim, k = truth.dim, truth.target_rank
-    budget = max(n * attempt_factor, 1000)
+    budget = max(n * ATTEMPT_FACTOR, 1000)
 
     def member(u):
         return region in classify_region_ms(truth, u).labels
@@ -322,14 +315,12 @@ def sample_region_ms(
     return _rejection_sample(propose, member, n, budget, region)
 
 
-def sample_region_pr(
-    signal, region: str, n: int, gen, attempt_factor: int = 1000
-) -> list:
+def sample_region_pr(signal, region: str, n: int, gen) -> list:
     """Draw n vectors whose label set contains the region."""
     xstar = np.asarray(signal, dtype=float)
     dim = xstar.shape[0]
     norm_star = float(np.linalg.norm(xstar))
-    budget = max(n * attempt_factor, 1000)
+    budget = max(n * ATTEMPT_FACTOR, 1000)
 
     def member(x):
         return region in classify_region_pr(xstar, x).labels
@@ -527,11 +518,11 @@ def verify_region_bounds_ms(
     def margin_of(region, samples):
         if region == MS_R1:
             bound = MS_R1_CURVATURE_FLOOR * lam_k
-            vals = [min_eig_horizontal(model, u).lambda_min for u in samples]
+            vals = [min_eig(model, u) for u in samples]
             return "curvature_floor", bound, [v - bound for v in vals]
         if region == MS_R2P:
             bound = MS_R2P_CURVATURE_CEIL * lam_k
-            vals = [min_eig_horizontal(model, u).lambda_min for u in samples]
+            vals = [min_eig(model, u) for u in samples]
             return "curvature_ceiling", bound, [bound - v for v in vals]
         bound = grad_floors[region]
         vals = [
@@ -542,9 +533,7 @@ def verify_region_bounds_ms(
     return _run_region_checks(
         "ms",
         MS_REGIONS,
-        lambda region, n, gen: sample_region_ms(
-            truth, region, n, gen, config.attempt_factor
-        ),
+        lambda region, n, gen: sample_region_ms(truth, region, n, gen),
         margin_of,
         config,
     )
@@ -564,7 +553,7 @@ def verify_region_bounds_pr(signal, config: RegionSamplerConfig) -> RegionBoundR
                 float(np.linalg.norm(model.euclidean_grad(x))) for x in samples
             ]
             return "gradient_floor", bound, [v - bound for v in vals]
-        vals = [min_eig_euclidean(model, x).lambda_min for x in samples]
+        vals = [min_eig(model, x) for x in samples]
         if region == PR_R1:
             bound = PR_R1_CURVATURE_CEIL * n2
             return "curvature_ceiling", bound, [bound - v for v in vals]
@@ -577,9 +566,7 @@ def verify_region_bounds_pr(signal, config: RegionSamplerConfig) -> RegionBoundR
     return _run_region_checks(
         "pr",
         PR_REGIONS,
-        lambda region, n, gen: sample_region_pr(
-            xstar, region, n, gen, config.attempt_factor
-        ),
+        lambda region, n, gen: sample_region_pr(xstar, region, n, gen),
         margin_of,
         config,
     )
@@ -706,16 +693,9 @@ def _sample_ball(population, radius, gen):
 
 
 def _hessian_diff_opnorm(population, empirical, point):
-    """Operator norm of hess f - hess g, restricted to the horizontal
-    space for factor models."""
-    if population.is_factor:
-        diff = restricted_hessian(empirical, point)[0] - restricted_hessian(
-            population, point
-        )[0]
-    else:
-        diff = dense_euclidean_hessian(empirical, point) - dense_euclidean_hessian(
-            population, point
-        )
+    """Operator norm of hess f - hess g, in the tangent space of
+    spectral.hessian_form."""
+    diff = hessian_form(empirical, point) - hessian_form(population, point)
     eigvals = np.linalg.eigvalsh(diff)
     return float(max(abs(eigvals[0]), abs(eigvals[-1])))
 
@@ -741,10 +721,7 @@ def check_assumptions(population, empirical, config: AssumptionConfig) -> Assump
         sup_hess = max(sup_hess, _hessian_diff_opnorm(population, empirical, point))
         if float(np.linalg.norm(grad_pop)) <= config.epsilon:
             small_grad += 1
-            if population.is_factor:
-                lam = min_eig_horizontal(population, point).lambda_min
-            else:
-                lam = min_eig_euclidean(population, point).lambda_min
+            lam = min_eig(population, point)
             if abs(lam) < config.eta:
                 violations.append(
                     {

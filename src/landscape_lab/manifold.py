@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
-    RankDeficientFactor,
 )
 
 # Validation tolerances. Relative throughout; absolute floors guard the
@@ -28,12 +27,9 @@ GRAM_SPD_RTOL = 1e-12
 SKEW_INPUT_RTOL = 1e-10
 SYLVESTER_RESIDUAL_RTOL = 1e-10
 HORIZONTAL_RTOL = 1e-10
-FULL_RANK_RTOL = 1e-12
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if isinstance(obj, FactorPoint):
-        return obj.entries
     if isinstance(obj, HorizontalTangent):
         return obj.entries
     arr = np.asarray(obj, dtype=float)
@@ -46,46 +42,6 @@ def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class FactorPoint:
-    """A full-column-rank N x k factor matrix.
-
-    Construction rejects rank-deficient input: the smallest singular value
-    must exceed FULL_RANK_RTOL times the largest. Entries are copied and
-    frozen so downstream code cannot mutate a shared point.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"factor must be 2-d, got shape {arr.shape}")
-        n, k = arr.shape
-        if k < 1 or n < k:
-            raise DimensionMismatch(f"factor needs n >= k >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteEntry("factor entries must be finite")
-        sigma = np.linalg.svd(arr, compute_uv=False)
-        if sigma[-1] <= FULL_RANK_RTOL * max(sigma[0], 1.0):
-            raise RankDeficientFactor(
-                f"factor is rank deficient: sigma_min={sigma[-1]:.3e}, "
-                f"sigma_max={sigma[0]:.3e}"
-            )
-        object.__setattr__(self, "entries", _frozen_copy(arr))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self.entries.T @ self.entries
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 @dataclass(frozen=True)

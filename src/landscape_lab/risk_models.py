@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
-from .manifold import FactorPoint, procrustes_distance
+from .manifold import procrustes_distance
 
 MEASUREMENT_RECOMPUTE_RTOL = 1e-12
 EIGENVALUE_CLUSTER_RTOL = 1e-9
@@ -215,7 +215,7 @@ class SensingGroundTruth:
         minimizers sweep a Stiefel manifold inside the top eigenspace and the
         distance has a closed form through the nuclear norm of E^T U.
         """
-        u_mat = u.entries if isinstance(u, FactorPoint) else np.asarray(u, dtype=float)
+        u_mat = np.asarray(u, dtype=float)
         k = self.target_rank
         if u_mat.shape != (self.dim, k):
             raise DimensionMismatch(
@@ -487,7 +487,7 @@ class RiskModel:
         raise NotImplementedError
 
     def _coerce(self, point) -> np.ndarray:
-        arr = point.entries if isinstance(point, FactorPoint) else np.asarray(point, dtype=float)
+        arr = np.asarray(point, dtype=float)
         if arr.shape != self.shape:
             raise DimensionMismatch(
                 f"point shape {arr.shape} does not match model shape {self.shape}"

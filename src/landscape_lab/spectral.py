@@ -5,6 +5,11 @@ assembles them densely from one hess_vec call on a stack of basis
 directions, either the canonical ambient basis or an orthonormal horizontal
 basis at a factor point. Problem sizes here are small by design, so dense
 eigh is the right tool.
+
+uses_quotient alone picks which of the two a model's curvature is read in:
+factors with k >= 2 columns carry the O(k) gauge zeros in their ambient
+Hessian, so they are read on the horizontal space. At k = 1 the horizontal
+basis is the identity and the two forms agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,30 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntry
-from .manifold import HorizontalTangent, horizontal_basis
-
-EIGVEC_UNIT_ATOL = 1e-12
-RESIDUAL_RTOL = 1e-8
+from .manifold import horizontal_basis
 
 # central-difference steps: cube root of machine eps for first derivatives,
 # fourth root for second derivatives
 _EPS = float(np.finfo(float).eps)
 GRAD_STEP_FACTOR = _EPS ** (1.0 / 3.0)
 HESS_STEP_FACTOR = _EPS ** 0.25
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Smallest eigenvalue of a symmetric operator with its eigenvector.
-
-    The eigenvector has unit norm and a deterministic sign: its
-    largest-magnitude entry is positive. residual is ||H v - lambda v||_2
-    in the space the operator was assembled in.
-    """
-
-    lambda_min: float
-    eigvec: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -51,12 +39,6 @@ class FdCheck:
     @property
     def passed(self) -> bool:
         return bool(self.max_rel_error <= self.tol)
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    flat = vec.ravel()
-    lead = flat[int(np.argmax(np.abs(flat)))]
-    return -vec if lead < 0.0 else vec
 
 
 def _check_finite(arr: np.ndarray, label: str) -> None:
@@ -73,17 +55,6 @@ def dense_euclidean_hessian(model, point) -> np.ndarray:
     # row j is the image of the j-th basis direction, the j-th column
     rows = images.reshape(n, n)
     return 0.5 * (rows + rows.T)
-
-
-def min_eig_euclidean(model, point) -> SpectrumResult:
-    """Smallest eigenvalue of the ambient (Euclidean) Hessian at a point."""
-    dense = dense_euclidean_hessian(model, point)
-    eigvals, eigvecs = np.linalg.eigh(dense)
-    lam = float(eigvals[0])
-    vec = _fix_sign(eigvecs[:, 0])
-    residual = float(np.linalg.norm(dense @ vec - lam * vec))
-    vec = vec.reshape(model.shape)
-    return SpectrumResult(lam, vec, residual)
 
 
 def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
@@ -103,32 +74,28 @@ def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (form + form.T), mats
 
 
-def min_eig_horizontal(model, point) -> SpectrumResult:
-    """Smallest eigenvalue of the Hessian restricted to the horizontal space.
+def uses_quotient(model) -> bool:
+    """True when the model's curvature lives on the horizontal space: a
+    factor model with k >= 2 columns."""
+    return model.is_factor and model.shape[1] >= 2
 
-    The quadratic form comes from restricted_hessian; its eigenvector is
-    returned as a HorizontalTangent. For k = 1 the horizontal space is the
-    whole ambient space and the result matches min_eig_euclidean.
-    """
-    form, mats = restricted_hessian(model, point)
-    eigvals, eigvecs = np.linalg.eigh(form)
-    lam = float(eigvals[0])
-    coeffs = eigvecs[:, 0]
-    direction = np.tensordot(coeffs, mats, axes=(0, 0))
-    # sign convention lives on the tangent entries, so flip coefficients too
-    flat = direction.ravel()
-    if flat[int(np.argmax(np.abs(flat)))] < 0.0:
-        coeffs = -coeffs
-        direction = -direction
-    residual = float(np.linalg.norm(form @ coeffs - lam * coeffs))
-    return SpectrumResult(lam, HorizontalTangent(direction, point), residual)
+
+def hessian_form(model, point) -> np.ndarray:
+    """The Hessian in the model's own tangent space: restricted_hessian's
+    form when uses_quotient, else the dense ambient Hessian."""
+    if uses_quotient(model):
+        return restricted_hessian(model, point)[0]
+    return dense_euclidean_hessian(model, point)
+
+
+def min_eig(model, point) -> float:
+    """Smallest eigenvalue of hessian_form at a point."""
+    return float(np.linalg.eigh(hessian_form(model, point))[0][0])
 
 
 def fd_grad_check(model, point, tol: float = 1e-5) -> FdCheck:
     """Central-difference check of euclidean_grad against value."""
-    p = np.asarray(
-        point.entries if hasattr(point, "entries") else point, dtype=float
-    )
+    p = np.asarray(point, dtype=float)
     shape = p.shape
     flat = p.ravel().copy()
     step = GRAD_STEP_FACTOR * (1.0 + np.linalg.norm(flat))
@@ -148,9 +115,7 @@ def fd_grad_check(model, point, tol: float = 1e-5) -> FdCheck:
 
 def fd_hess_check(model, point, direction, tol: float = 1e-4) -> FdCheck:
     """Central-difference check of hess_vec along one direction, via grads."""
-    p = np.asarray(
-        point.entries if hasattr(point, "entries") else point, dtype=float
-    )
+    p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
     d_unit = d / np.linalg.norm(d)
     step = HESS_STEP_FACTOR * (1.0 + np.linalg.norm(p))

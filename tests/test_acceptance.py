@@ -51,7 +51,7 @@ from landscape_lab.spectral import (
     dense_euclidean_hessian,
     fd_grad_check,
     fd_hess_check,
-    min_eig_horizontal,
+    min_eig,
 )
 
 MASTER = rng.DEFAULT_MASTER_SEED
@@ -111,9 +111,9 @@ def test_criterion_2_fixed_point_curvature_bounds():
     k = truth.target_rank
     gap = float(truth.eigvals[k - 1] - truth.eigvals[k])
     minimum = truth.canonical_minimum()
-    at_minimum = min_eig_horizontal(model, minimum).lambda_min
-    at_saddle = min_eig_horizontal(model, truth.canonical_point((0, 2))).lambda_min
-    # Witness, independent of min_eig_horizontal: the unit tail direction
+    at_minimum = min_eig(model, minimum)
+    at_saddle = min_eig(model, truth.canonical_point((0, 2)))
+    # Witness, independent of min_eig: the unit tail direction
     # D = w_{k+1} e_k^T is horizontal at U* (U*^T D = 0), and its Rayleigh
     # quotient 1/2 |U* D^T + D U*^T|^2 + <U* U*^T - X, D D^T> equals
     # lambda_k - lambda_{k+1}.
@@ -133,7 +133,7 @@ def test_criterion_2_fixed_point_curvature_bounds():
     assert report(
         2,
         ok,
-        f"min_eig_horizontal(U*) = {at_minimum:.6f} vs lambda_k - lambda_(k+1) = "
+        f"min_eig(U*) = {at_minimum:.6f} vs lambda_k - lambda_(k+1) = "
         f"{gap:.6f} [{'ok' if min_ok else 'violated'}]; witness w_(k+1) e_k^T "
         f"Rayleigh {rayleigh:.6f} [{'ok' if witness_ok else 'violated'}]; "
         f"saddle {at_saddle:.6f} vs lambda_(k+1) - lambda_k = {-gap:.6f} "

@@ -162,7 +162,7 @@ class TestExitCodes:
         cfg.write_text("experiment=assumptions\nsamples=60\nm=3\n")
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "asm")])
         assert rc == cli.EXIT_VERIFICATION_FAILED
-        payload = json.load(open(tmp_path / "asm.json"))
+        payload = json.loads((tmp_path / "asm.json").read_text(encoding="utf-8"))
         assert payload["ok"] is False
 
     def test_verification_pass_is_zero(self, tmp_path):

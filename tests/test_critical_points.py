@@ -344,3 +344,21 @@ class TestKindThresholds:
         result = find_critical_points(model, [signal + np.array([0.05, 0.3])])
         assert result.records[0].kind == KIND_DEGENERATE
         assert result.records[0].lambda_min == pytest.approx(0.0, abs=1e-10)
+
+    def test_rank_deficient_factors_fall_back_to_ambient_curvature(self):
+        # at U = 0 and at (w_1, 0) the Gram matrix U^T U is singular, so the
+        # horizontal basis does not exist and the ambient Hessian is read;
+        # its smallest eigenvalue is -lambda_1 = -lambda_2 = -1
+        truth = SensingGroundTruth(
+            np.eye(8)[:, :3], np.array([1.0, 1.0, 1.0 / 12.0]), 2
+        )
+        model = MsPopulationRisk(truth)
+        padded = np.zeros((8, 2))
+        padded[:, 0] = truth.eigvecs[:, 0]
+        result = find_critical_points(model, [np.zeros((8, 2)), padded])
+        assert result.n_converged == 2
+        assert len(result.records) == 2
+        for record in result.records:
+            assert record.kind == KIND_SADDLE
+            assert record.lambda_min == -1.0
+            assert record.note == "rank-deficient factor, ambient curvature reported"

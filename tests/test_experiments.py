@@ -1,6 +1,7 @@
 """Experiment runner tests: schemas, frozen values, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return metadata, columns, rows
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def run_config(**kwargs):
@@ -99,7 +105,7 @@ def dist_result(tmp_path_factory):
         trials=4,
         fmt="json",
     )
-    return json.load(open(outcome.paths[0]))
+    return read_json(outcome.paths[0])
 
 
 class TestPr1d:
@@ -162,7 +168,7 @@ class TestPr1d:
 
     def test_json_variant(self, tmp_path):
         outcome = run_config(experiment="pr1d", out=str(tmp_path / "line"), fmt="json")
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["columns"] == ["x", "g", "f", "dg", "df", "d2g", "d2f"]
         assert len(payload["rows"]) == 401
         assert len(payload["small_gradient_intervals"]) == 3
@@ -206,7 +212,7 @@ class TestPlaneLandscapes:
             grid=(-2.0, 2.0, 5),
             fmt="json",
         )
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert set(payload["surfaces"]) == {"population", "m3"}
         points = payload["surfaces"]["population"]["points"]
         assert len(points) == 3
@@ -251,7 +257,7 @@ class TestDistanceExperiment:
             trials=1,
             fmt="json",
         )
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["rows"][0][3] == 0.0
 
     def test_rank_budget_gate(self):
@@ -268,7 +274,7 @@ class TestVerificationRunners:
             fmt="json",
         )
         assert outcome.ok is True
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["ok"] is True
         assert payload["config"]["n"] == 3
         assert len(payload["report"]["checks"]) == 4
@@ -281,7 +287,7 @@ class TestVerificationRunners:
             fmt="json",
         )
         assert outcome.ok is True
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert len(payload["report"]["checks"]) == 5
         assert payload["config"]["k"] == 2 and payload["config"]["r"] == 3
 
@@ -294,7 +300,7 @@ class TestVerificationRunners:
             fmt="json",
         )
         assert outcome.ok is False
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["report"]["verdicts"]["gradient_proximity"] == "FAIL"
         assert payload["report"]["caveat"] == "Monte-Carlo lower bound of supremum"
 
@@ -307,7 +313,7 @@ class TestVerificationRunners:
             samples=15,
             fmt="json",
         )
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["config"]["family"] == "ms"
         assert set(payload["report"]["verdicts"]) == {
             "gradient_proximity",
@@ -323,7 +329,7 @@ class TestVerificationRunners:
             n_probes=50,
             fmt="json",
         )
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         report = payload["report"]
         assert report["rank_bound"] == 2
         assert report["delta_est"] > 0.0
@@ -341,7 +347,7 @@ class TestVerificationRunners:
             n_probes=10,
             fmt="json",
         )
-        payload = json.load(open(outcome.paths[0]))
+        payload = read_json(outcome.paths[0])
         assert payload["report"]["rank_bound"] == 4  # min(r + k, n)
 
     def test_unknown_family_rejected(self, tmp_path):
@@ -361,7 +367,7 @@ class TestVerificationRunners:
         kwargs = dict(experiment="regions_pr", samples=20, fmt="json")
         a = run_config(out=str(tmp_path / "a"), **kwargs)
         b = run_config(out=str(tmp_path / "b"), **kwargs)
-        assert open(a.paths[0], "rb").read() == open(b.paths[0], "rb").read()
+        assert Path(a.paths[0]).read_bytes() == Path(b.paths[0]).read_bytes()
 
 
 class TestFloatFormatting:

@@ -176,7 +176,7 @@ class TestClassifyPr:
         # ties the classifier to the curvature floor: every randomly found
         # R2 point must have a strongly convex Hessian
         from landscape_lab.risk_models import PrPopulationRisk
-        from landscape_lab.spectral import min_eig_euclidean
+        from landscape_lab.spectral import min_eig
 
         model = PrPopulationRisk(XSTAR)
         floor = 0.22 * float(XSTAR @ XSTAR)
@@ -187,7 +187,7 @@ class TestClassifyPr:
             x = x + 0.3 * rng.normal(gen, (3,))
             if PR_R2 in classify_region_pr(XSTAR, x).labels:
                 hits += 1
-                assert min_eig_euclidean(model, x).lambda_min >= floor
+                assert min_eig(model, x) >= floor
         assert hits > 50
 
     def test_dimension_one_never_sees_r3(self):
@@ -326,8 +326,6 @@ class TestRegionBounds:
     def test_config_validation(self):
         with pytest.raises(InvalidSampleCount):
             RegionSamplerConfig(n_per_region=0)
-        with pytest.raises(InvalidConfig):
-            RegionSamplerConfig(attempt_factor=0)
 
 
 # ---------------------------------------------------------------------------

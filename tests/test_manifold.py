@@ -14,10 +14,8 @@ from landscape_lab.errors import (
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
-    RankDeficientFactor,
 )
 from landscape_lab.manifold import (
-    FactorPoint,
     HorizontalTangent,
     SkewFactor,
     horizontal_basis,
@@ -81,38 +79,6 @@ def procrustes_by_angle_grid(u: np.ndarray, v: np.ndarray, points: int = 100_000
     best = max(trace_rot.max(), trace_ref.max())
     sq = np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2 - 2.0 * best
     return float(np.sqrt(max(sq, 0.0)))
-
-
-# ---- FactorPoint ------------------------------------------------------
-
-
-def test_factor_point_copies_and_freezes():
-    raw = random_factor("fp", 0, 5, 2)
-    point = FactorPoint(raw)
-    raw[0, 0] = 999.0
-    assert point.entries[0, 0] != 999.0
-    with pytest.raises(ValueError):
-        point.entries[0, 0] = 1.0
-
-
-def test_factor_point_rejects_rank_deficient():
-    u = np.ones((4, 2))
-    with pytest.raises(RankDeficientFactor):
-        FactorPoint(u)
-
-
-def test_factor_point_rejects_bad_shapes():
-    with pytest.raises(DimensionMismatch):
-        FactorPoint(np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        FactorPoint(np.ones((2, 4)))
-
-
-def test_factor_point_rejects_non_finite():
-    u = random_factor("fp", 1, 4, 2)
-    u[1, 1] = np.nan
-    with pytest.raises(NonFiniteEntry):
-        FactorPoint(u)
 
 
 # ---- SkewFactor -------------------------------------------------------

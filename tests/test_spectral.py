@@ -8,7 +8,7 @@ import pytest
 
 from landscape_lab import rng
 from landscape_lab.errors import NonFiniteEntry
-from landscape_lab.manifold import HorizontalTangent, horizontal_basis
+from landscape_lab.manifold import horizontal_basis
 from landscape_lab.risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
@@ -17,10 +17,10 @@ from landscape_lab.risk_models import (
     MsEmpiricalRisk,
 )
 from landscape_lab.spectral import (
+    dense_euclidean_hessian,
     fd_grad_check,
     fd_hess_check,
-    min_eig_euclidean,
-    min_eig_horizontal,
+    min_eig,
     restricted_hessian,
 )
 
@@ -41,34 +41,21 @@ def test_min_eig_matches_dense_oracle_at_random_points():
     gen = rng.stream(MASTER, "spec-pts", 0)
     for _ in range(5):
         x = rng.normal(gen, (3,))
-        result = min_eig_euclidean(model, x)
         oracle = np.linalg.eigvalsh(model.hess_matrix(x))[0]
-        assert result.lambda_min == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        assert min_eig(model, x) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 def test_min_eig_analytic_values_at_phase_critical_points():
     norm2 = float(XSTAR @ XSTAR)
     model = PrPopulationRisk(XSTAR)
-    at_zero = min_eig_euclidean(model, np.zeros(3))
-    assert at_zero.lambda_min == pytest.approx(-6.0 * norm2, rel=1e-12)
-    at_min = min_eig_euclidean(model, XSTAR)
-    assert at_min.lambda_min == pytest.approx(4.0 * norm2, rel=1e-12)
+    assert min_eig(model, np.zeros(3)) == pytest.approx(-6.0 * norm2, rel=1e-12)
+    assert min_eig(model, XSTAR) == pytest.approx(4.0 * norm2, rel=1e-12)
     # saddle direction: any unit w orthogonal to the signal
     w = np.array([0.5, 1.2, 0.0])
     w -= (w @ XSTAR) / norm2 * XSTAR
     w /= np.linalg.norm(w)
     saddle = np.sqrt(norm2 / 3.0) * w
-    at_saddle = min_eig_euclidean(model, saddle)
-    assert at_saddle.lambda_min == pytest.approx(-4.0 * norm2, rel=1e-10)
-
-
-def test_spectrum_result_invariants():
-    model = PrPopulationRisk(XSTAR)
-    result = min_eig_euclidean(model, rng.normal(rng.stream(MASTER, "inv", 0), (3,)))
-    assert abs(np.linalg.norm(result.eigvec) - 1.0) <= 1e-12
-    assert result.residual <= 1e-8 * max(1.0, abs(result.lambda_min))
-    flat = result.eigvec.ravel()
-    assert flat[int(np.argmax(np.abs(flat)))] > 0.0
+    assert min_eig(model, saddle) == pytest.approx(-4.0 * norm2, rel=1e-10)
 
 
 def test_min_eig_raises_on_non_finite_hessian():
@@ -78,7 +65,7 @@ def test_min_eig_raises_on_non_finite_hessian():
             return out * np.nan
 
     with pytest.raises(NonFiniteEntry):
-        min_eig_euclidean(Broken(XSTAR), XSTAR)
+        min_eig(Broken(XSTAR), XSTAR)
 
 
 # ---- horizontal probe ---------------------------------------------------
@@ -90,10 +77,8 @@ def test_horizontal_curvature_at_global_minimum():
     # w_{k+1} q^T; verified against an independent basis assembly.
     truth = separated_truth()
     model = MsPopulationRisk(truth)
-    result = min_eig_horizontal(model, truth.canonical_minimum())
-    assert result.lambda_min == pytest.approx(11.0 / 12.0, rel=1e-10)
-    assert isinstance(result.eigvec, HorizontalTangent)
-    assert result.residual <= 1e-8 * max(1.0, abs(result.lambda_min))
+    lam = min_eig(model, truth.canonical_minimum())
+    assert lam == pytest.approx(11.0 / 12.0, rel=1e-10)
 
 
 def test_horizontal_curvature_at_swap_saddle():
@@ -102,17 +87,18 @@ def test_horizontal_curvature_at_swap_saddle():
     truth = separated_truth()
     model = MsPopulationRisk(truth)
     saddle = truth.canonical_point([0, 2])
-    result = min_eig_horizontal(model, saddle)
-    assert result.lambda_min == pytest.approx(-11.0 / 12.0, rel=1e-10)
+    assert min_eig(model, saddle) == pytest.approx(-11.0 / 12.0, rel=1e-10)
 
 
 def test_horizontal_equals_euclidean_for_rank_one_factors():
+    # at k = 1 the horizontal basis is the identity, so reading width-one
+    # factors in ambient coordinates gives the restricted form bit for bit
     truth = SensingGroundTruth(np.eye(4)[:, :1], np.array([2.0]), 1)
     model = MsPopulationRisk(truth)
     u = rng.normal(rng.stream(MASTER, "k1", 0), (4, 1))
-    horiz = min_eig_horizontal(model, u)
-    ambient = min_eig_euclidean(model, u)
-    assert horiz.lambda_min == pytest.approx(ambient.lambda_min, rel=1e-12, abs=1e-12)
+    assert np.array_equal(
+        restricted_hessian(model, u)[0], dense_euclidean_hessian(model, u)
+    )
 
 
 def test_restricted_hessian_spectrum_matches_closed_form():
@@ -143,9 +129,8 @@ def test_horizontal_minimum_dominates_ambient_minimum():
     gen = rng.stream(MASTER, "dom", 0)
     for index in range(4):
         u = rng.normal(gen, (8, 2))
-        horiz = min_eig_horizontal(model, u).lambda_min
-        ambient = min_eig_euclidean(model, u).lambda_min
-        assert horiz >= ambient - 1e-9
+        ambient = np.linalg.eigvalsh(dense_euclidean_hessian(model, u))[0]
+        assert min_eig(model, u) >= ambient - 1e-9
 
 
 def test_horizontal_minimum_is_a_rayleigh_lower_bound():
@@ -153,15 +138,15 @@ def test_horizontal_minimum_is_a_rayleigh_lower_bound():
     model = MsPopulationRisk(truth)
     gen = rng.stream(MASTER, "rayleigh", 0)
     u = rng.normal(gen, (8, 2))
-    result = min_eig_horizontal(model, u)
+    lam = min_eig(model, u)
     mats = horizontal_basis(u)
-    scale = max(1.0, abs(result.lambda_min))
+    scale = max(1.0, abs(lam))
     for _ in range(100):
         coeffs = rng.normal(gen, (len(mats),))
         direction = np.tensordot(coeffs, mats, axes=(0, 0))
         quad = model.hess_quadratic(u, direction)
         norm2 = float(np.vdot(direction, direction))
-        assert quad >= result.lambda_min * norm2 - 1e-9 * scale * norm2
+        assert quad >= lam * norm2 - 1e-9 * scale * norm2
 
 
 def test_horizontal_minimum_is_gauge_invariant():
@@ -170,8 +155,8 @@ def test_horizontal_minimum_is_gauge_invariant():
     gen = rng.stream(MASTER, "h-gauge", 0)
     u = rng.normal(gen, (8, 2))
     q, _ = np.linalg.qr(rng.normal(gen, (2, 2)))
-    a = min_eig_horizontal(model, u).lambda_min
-    b = min_eig_horizontal(model, u @ q).lambda_min
+    a = min_eig(model, u)
+    b = min_eig(model, u @ q)
     assert b == pytest.approx(a, rel=1e-8, abs=1e-12)
 
 
@@ -179,9 +164,7 @@ def test_horizontal_probe_works_on_empirical_risk():
     truth = separated_truth()
     ensemble = generate_sensing_ensemble(truth, 200, 77)
     model = MsEmpiricalRisk(ensemble)
-    result = min_eig_horizontal(model, truth.canonical_minimum())
-    assert np.isfinite(result.lambda_min)
-    assert result.residual <= 1e-8 * max(1.0, abs(result.lambda_min))
+    assert np.isfinite(min_eig(model, truth.canonical_minimum()))
 
 
 # ---- finite-difference machinery ----------------------------------------
