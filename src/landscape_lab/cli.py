@@ -21,6 +21,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import experiments, rng
 from .errors import (
     DimensionMismatch,
@@ -54,6 +56,8 @@ _NUMERICAL_ERRORS = (
     NotHorizontal,
     SamplerStarved,
     FloatingPointError,
+    # eigh, svd and qr failing to converge
+    np.linalg.LinAlgError,
 )
 
 _INT_KEYS = ("n", "k", "r", "trials", "seed", "samples", "n_probes", "rank_bound")

@@ -47,11 +47,18 @@ KIND_SADDLE = "StrictSaddle"
 KIND_DEGENERATE = "Degenerate"
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of all entries, by np.linalg.norm's own ord=None path
+    (ravel in memory order, dot, sqrt), so the bits match it."""
+    flat = v.ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
+
+
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     """Newton step that repels saddles: eigenvalues keep their sign but
     their magnitude is floored, so the step stays finite near degeneracy."""
     eigvals, eigvecs = np.linalg.eigh(hess)
-    floor = 1e-10 * max(float(np.max(np.abs(eigvals))), 1e-30)
+    floor = 1e-10 * max(float(np.abs(eigvals).max()), 1e-30)
     signs = np.where(eigvals >= 0.0, 1.0, -1.0)
     damped = signs * np.maximum(np.abs(eigvals), floor)
     return -eigvecs @ ((eigvecs.T @ grad_flat) / damped)
@@ -60,27 +67,31 @@ def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
 def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, float]:
     """Shrink a step to the cap 0.5 * (1 + ||point||) if it is longer;
     returns the step and the cap."""
-    cap = 0.5 * (1.0 + float(np.linalg.norm(point)))
-    step_norm = float(np.linalg.norm(step))
+    cap = 0.5 * (1.0 + _norm(point))
+    step_norm = _norm(step)
     if step_norm > cap:
         step = step * (cap / step_norm)
     return step, cap
 
 
-def _backtrack(model, point: np.ndarray, grad_norm: float, step: np.ndarray):
+def _backtrack(
+    model, point: np.ndarray, grad: np.ndarray, grad_norm: float, step: np.ndarray
+):
     """Halve the step until the gradient norm falls below grad_norm.
 
-    Returns the first such (point, grad_norm), or the inputs unchanged when
-    MAX_BACKTRACKS halvings all fail.
+    Returns (point, grad, grad_norm) for the first such candidate, with the
+    gradient evaluated there, so the caller need not evaluate it again; or
+    the inputs unchanged when MAX_BACKTRACKS halvings all fail.
     """
     scale = 1.0
     for _ in range(MAX_BACKTRACKS):
         candidate = point + scale * step
-        norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
+        cand_grad = model.euclidean_grad(candidate)
+        norm = _norm(cand_grad)
         if norm < grad_norm:
-            return candidate, norm
+            return candidate, cand_grad, norm
         scale *= 0.5
-    return point, grad_norm
+    return point, grad, grad_norm
 
 
 def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
@@ -90,11 +101,13 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
     gradient norm dropped below 1e-8 * (1 + value scale); afterwards a
     polish phase keeps stepping while the gradient still shrinks, which
     pushes through directions where the Hessian degenerates at the root.
+    The gradient is evaluated once per point tried: an accepted point
+    keeps the gradient its acceptance test computed.
     """
     point = model._coerce(seed_point)
     tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
     grad = model.euclidean_grad(point)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = _norm(grad)
     stalls = 0
     iters = 0
     while iters < max_iter and grad_norm > tau:
@@ -102,15 +115,14 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
         hess = dense_euclidean_hessian(model, point)
         step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
         step, _ = _capped(step, point)
-        best_point, best_norm = _backtrack(model, point, grad_norm, step)
-        if best_norm >= grad_norm:
+        prev_norm = grad_norm
+        point, grad, grad_norm = _backtrack(model, point, grad, grad_norm, step)
+        if grad_norm >= prev_norm:
             stalls += 1
             if stalls >= MAX_STALLS:
                 break
         else:
             stalls = 0
-        point, grad_norm = best_point, best_norm
-        grad = model.euclidean_grad(point)
     converged = grad_norm <= tau
     if converged:
         for _ in range(MAX_POLISH_ITER):
@@ -118,11 +130,11 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
             step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
             step, _ = _capped(step, point)
             candidate = point + step
-            norm = float(np.linalg.norm(model.euclidean_grad(candidate)))
+            cand_grad = model.euclidean_grad(candidate)
+            norm = _norm(cand_grad)
             if not (norm < 0.9 * grad_norm or norm == 0.0):
                 break
-            point, grad_norm = candidate, norm
-            grad = model.euclidean_grad(point)
+            point, grad, grad_norm = candidate, cand_grad, norm
             if grad_norm == 0.0:
                 break
     return point, grad_norm, iters, converged
@@ -279,23 +291,25 @@ def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER
     Builds the horizontal Hessian with restricted_hessian and steps only
     along horizontal directions, so the gauge degeneracy of the ambient
     Hessian never enters. Intended for polishing near-minima; returns the refined
-    factor and its Riemannian gradient norm.
+    factor and its Riemannian gradient norm. As in damped_newton, the
+    gradient is evaluated once per point tried.
     """
     if not model.is_factor:
         raise InvalidConfig("horizontal refinement needs a factor model")
     point = model._coerce(seed_point)
     tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
+    grad = model.euclidean_grad(point)
+    grad_norm = _norm(grad)
     for _ in range(max_iter):
-        grad = model.euclidean_grad(point)
-        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tau:
             break
         hess, mats = restricted_hessian(model, point)
         flat = mats.reshape(len(mats), -1)
         coeffs = _damped_newton_step(hess, flat @ grad.ravel())
         step, cap = _capped((coeffs @ flat).reshape(point.shape), point)
-        best_point, best_norm = _backtrack(model, point, grad_norm, step)
-        if best_norm >= grad_norm:
+        prev_norm = grad_norm
+        point, grad, grad_norm = _backtrack(model, point, grad, grad_norm, step)
+        if grad_norm >= prev_norm:
             # Newton stalled; a value-decreasing gradient step keeps the
             # refinement moving through nearly flat valleys where the
             # Newton direction loses to its own small eigenvalues.
@@ -311,9 +325,9 @@ def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER
                 scale *= 0.5
             if not moved:
                 break
-            continue
-        point = best_point
-    return point, float(np.linalg.norm(model.euclidean_grad(point)))
+            grad = model.euclidean_grad(point)
+            grad_norm = _norm(grad)
+    return point, grad_norm
 
 
 # ---------------------------------------------------------------------------

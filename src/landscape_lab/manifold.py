@@ -63,7 +63,7 @@ class HorizontalTangent:
             raise DimensionMismatch(
                 f"tangent shape {d.shape} does not match base shape {u.shape}"
             )
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise NonFiniteEntry("tangent entries must be finite")
         skew_part = d.T @ u - u.T @ d
         bound = HORIZONTAL_RTOL * np.linalg.norm(d) * np.linalg.norm(u)
@@ -94,7 +94,7 @@ class SkewFactor:
         arr = np.asarray(self.strict_lower, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"strict lower part must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteEntry("skew entries must be finite")
         object.__setattr__(self, "strict_lower", _frozen_copy(np.tril(arr, k=-1)))
 
@@ -142,7 +142,7 @@ def solve_skew_sylvester(gram: np.ndarray, rhs: np.ndarray) -> SkewFactor:
         raise DimensionMismatch(
             f"rhs shape {s_mat.shape} does not match gram shape {g_mat.shape}"
         )
-    if not (np.all(np.isfinite(g_mat)) and np.all(np.isfinite(s_mat))):
+    if not (np.isfinite(g_mat).all() and np.isfinite(s_mat).all()):
         raise NonFiniteEntry("sylvester inputs must be finite")
     s_norm = np.linalg.norm(s_mat)
     if np.linalg.norm(s_mat + s_mat.T) > SKEW_INPUT_RTOL * max(s_norm, 1e-300):
@@ -231,7 +231,7 @@ def horizontal_basis(u) -> np.ndarray:
     GRAM_SPD_RTOL gate, where the vertical block loses rank.
     """
     u_mat = _as_matrix(u)
-    if not np.all(np.isfinite(u_mat)):
+    if not np.isfinite(u_mat).all():
         raise NonFiniteEntry("factor entries must be finite")
     _require_spd(np.linalg.eigvalsh(u_mat.T @ u_mat))
     n, k = u_mat.shape

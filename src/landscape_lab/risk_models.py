@@ -105,7 +105,7 @@ class SensingGroundTruth:
             )
         if n < r or r < 1:
             raise InvalidRank(f"need dim >= rank >= 1, got dim {n}, rank {r}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(lam))):
+        if not (np.isfinite(w).all() and np.isfinite(lam).all()):
             raise NonFiniteEntry("ground truth entries must be finite")
         if np.any(lam <= 0.0):
             raise ZeroTruthSignal("eigenvalues must be strictly positive")
@@ -262,7 +262,7 @@ class SensingEnsemble:
             raise DimensionMismatch(f"raw must be (M, {n}, {n}), got {raw.shape}")
         if y.shape != (m,):
             raise DimensionMismatch(f"measurements must be ({m},)")
-        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(raw).all() and np.isfinite(y).all()):
             raise NonFiniteEntry("sensing matrices and measurements must be finite")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "measurements", y)
@@ -492,7 +492,7 @@ class RiskModel:
             raise DimensionMismatch(
                 f"point shape {arr.shape} does not match model shape {self.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteEntry("point entries must be finite")
         return arr
 

@@ -42,7 +42,7 @@ class FdCheck:
 
 
 def _check_finite(arr: np.ndarray, label: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntry(f"{label} produced a non-finite entry")
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from landscape_lab import cli, experiments, rng
@@ -182,9 +183,17 @@ class TestExitCodes:
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])
         assert rc == cli.EXIT_INVALID_CONFIG
 
-    def test_numerical_failure_is_four(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NonFiniteEntry("NaN in table"),
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+        ],
+        ids=["NonFiniteEntry", "LinAlgError"],
+    )
+    def test_numerical_failure_is_four(self, error, monkeypatch, capsys):
         def explode(config):
-            raise NonFiniteEntry("NaN in table")
+            raise error
 
         monkeypatch.setattr(experiments, "run", explode)
         rc = cli.main(["pr1d"])

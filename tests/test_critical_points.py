@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from landscape_lab import rng
+from landscape_lab import critical_points, rng
 from landscape_lab.critical_points import (
     KIND_DEGENERATE,
     KIND_MIN,
@@ -20,7 +20,7 @@ from landscape_lab.critical_points import (
     match_correspondence,
     refine_minimum_horizontal,
 )
-from landscape_lab.errors import InvalidConfig
+from landscape_lab.errors import InvalidConfig, NonFiniteEntry
 from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
     MsPopulationRisk,
@@ -29,6 +29,7 @@ from landscape_lab.risk_models import (
     SensingGroundTruth,
     generate_phase_problem,
 )
+from landscape_lab.spectral import dense_euclidean_hessian, restricted_hessian
 
 XSTAR_2D = np.array([1.0, -1.0])
 
@@ -362,3 +363,93 @@ class TestKindThresholds:
             assert record.kind == KIND_SADDLE
             assert record.lambda_min == -1.0
             assert record.note == "rank-deficient factor, ambient curvature reported"
+
+
+def counting(model_class):
+    """A subclass of model_class that logs the point of every gradient and
+    every Hessian it evaluates; each dense or restricted Hessian is one
+    stacked hess_vec call."""
+
+    class Counting(model_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.grad_points = []
+            self.hess_points = []
+
+        def euclidean_grad(self, point):
+            self.grad_points.append(np.asarray(point, dtype=float).tobytes())
+            return super().euclidean_grad(point)
+
+        def hess_vec(self, point, direction):
+            self.hess_points.append(np.asarray(point, dtype=float).tobytes())
+            return super().hess_vec(point, direction)
+
+    return Counting
+
+
+def assert_no_halvings(model):
+    # a halved step leaves behind a tried point at which no Hessian is ever
+    # formed; here every distinct point tried, but the last, became an iterate
+    tried = list(dict.fromkeys(model.grad_points))
+    assert all(point in model.hess_points for point in tried[:-1])
+
+
+class TestOneGradientPerPoint:
+    def test_damped_newton_reuses_accepted_gradients(self):
+        model = counting(PrPopulationRisk)(XSTAR_2D)
+        point, _, _, converged = damped_newton(model, np.array([1.13, -1.07]))
+        assert converged
+        np.testing.assert_allclose(point, XSTAR_2D, atol=1e-7)
+        assert_no_halvings(model)
+        grads, hessians = len(model.grad_points), len(model.hess_points)
+        assert hessians == 6
+        assert grads == hessians + 1
+
+    def test_horizontal_refinement_reuses_accepted_gradients(self):
+        truth = factor_truth()
+        model = counting(MsPopulationRisk)(truth)
+        refined, grad_norm = refine_minimum_horizontal(
+            model, truth.canonical_minimum() + 0.05
+        )
+        assert grad_norm <= 1e-8 * (1.0 + model.value_scale)
+        assert procrustes_distance(refined, truth.canonical_minimum()) <= 1e-6
+        assert_no_halvings(model)
+        grads, hessians = len(model.grad_points), len(model.hess_points)
+        assert hessians == 4
+        assert grads == hessians + 1
+
+    def test_step_norm_has_the_bits_of_numpy_norm(self):
+        gen = rng.stream(5, "norm-test", 0)
+        block = rng.normal(gen, (6, 4)) * 10.0 ** rng.normal(gen, (6, 4))
+        for v in (block, block.T, block[:, 0], block[::2, 1:], np.zeros(3)):
+            assert critical_points._norm(v) == float(np.linalg.norm(v))
+
+
+class TestNonFiniteGuards:
+    def test_nan_seed_raises_in_every_search(self):
+        seed = np.array([np.nan, 0.5])
+        model = PrPopulationRisk(XSTAR_2D)
+        with pytest.raises(NonFiniteEntry):
+            damped_newton(model, seed)
+        # raised, not counted as a failed seed
+        with pytest.raises(NonFiniteEntry):
+            find_critical_points(model, [XSTAR_2D, seed])
+        truth = factor_truth()
+        factor_seed = truth.canonical_minimum().copy()
+        factor_seed[0, 0] = np.nan
+        with pytest.raises(NonFiniteEntry):
+            refine_minimum_horizontal(MsPopulationRisk(truth), factor_seed)
+
+    def test_hessian_assembly_rejects_non_finite_images(self, monkeypatch):
+        truth = factor_truth()
+        model = MsPopulationRisk(truth)
+        monkeypatch.setattr(
+            model,
+            "hess_vec",
+            lambda point, direction: np.full(direction.shape, np.nan),
+        )
+        point = truth.canonical_minimum()
+        with pytest.raises(NonFiniteEntry):
+            dense_euclidean_hessian(model, point)
+        with pytest.raises(NonFiniteEntry):
+            restricted_hessian(model, point)

@@ -436,3 +436,27 @@ def test_model_coercion_rejects_bad_points():
     bad[0, 0] = np.inf
     with pytest.raises(NonFiniteEntry):
         model.value(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "neg_inf"])
+@pytest.mark.parametrize("model_index", range(4))
+def test_derivatives_reject_non_finite_points(model_index, bad):
+    model = all_models()[model_index]
+    point = generic_point(model)
+    point.flat[-1] = bad
+    direction = generic_point(model, 1)
+    with pytest.raises(NonFiniteEntry):
+        model.euclidean_grad(point)
+    with pytest.raises(NonFiniteEntry):
+        model.hess_vec(point, direction)
+
+
+@pytest.mark.parametrize("model_index", range(4))
+def test_derivatives_reject_misshapen_points(model_index):
+    model = all_models()[model_index]
+    point = np.ones(int(np.prod(model.shape)) + 1)
+    direction = generic_point(model, 1)
+    with pytest.raises(DimensionMismatch):
+        model.euclidean_grad(point)
+    with pytest.raises(DimensionMismatch):
+        model.hess_vec(point, direction)
