@@ -24,12 +24,14 @@ from .critical_points import (
 )
 from .errors import InvalidConfig
 from .landscape import (
+    PR_R4,
     AssumptionConfig,
     RegionSamplerConfig,
     check_assumptions,
     default_phase_assumption_config,
     default_sensing_assumption_config,
     estimate_rip,
+    pr_region_bounds,
     verify_region_bounds_ms,
     verify_region_bounds_pr,
 )
@@ -59,7 +61,6 @@ VERIFICATION_EXPERIMENTS = ("assumptions", "regions_ms", "regions_pr", "rip")
 # the planar signal every two-dimensional figure uses
 XSTAR_PLANE = np.array([1.0, -1.0])
 
-PR1D_GRAD_CUTOFF = 0.3963  # times ||x*||^3, marks the small-gradient bands
 NEWTON_SEED_SPACING = 0.1  # critical-point seeding for the 2d experiments
 
 
@@ -193,6 +194,15 @@ def _identity_truth(dim: int, eigvals, target_rank: int) -> SensingGroundTruth:
     )
 
 
+def _sensing_instance(config: ExperimentConfig):
+    """The verification sensing truth: N=8, k=2, r=3, spectrum (1.3, 1.0, 0.08)."""
+    n = config.n if config.n is not None else 8
+    k = config.k if config.k is not None else 2
+    r = config.r if config.r is not None else 3
+    truth = _identity_truth(n, (1.3, 1.0, 0.08)[:r] if r <= 3 else np.ones(r), k)
+    return truth, {"family": "ms", "n": n, "k": k, "r": r}
+
+
 # ---------------------------------------------------------------------------
 # pr1d: both risks on a line
 # ---------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def run_pr1d(config: ExperimentConfig) -> ExperimentOutcome:
     cutoff = (
         config.epsilon
         if config.epsilon is not None
-        else PR1D_GRAD_CUTOFF * float(np.linalg.norm(xstar)) ** 3
+        else pr_region_bounds(xstar)[PR_R4][1]
     )
 
     pop = PrPopulationRisk(xstar)
@@ -499,10 +509,7 @@ def _assumptions_report(config: ExperimentConfig, master: int):
         )
         instance = {"family": "pr", "n": n, "m": m}
     elif family == "ms":
-        n = config.n if config.n is not None else 8
-        k = config.k if config.k is not None else 2
-        r = config.r if config.r is not None else 3
-        truth = _identity_truth(n, (1.3, 1.0, 0.08)[:r] if r <= 3 else np.ones(r), k)
+        truth, instance = _sensing_instance(config)
         m = int(config.m[0]) if config.m else 2000
         defaults = default_sensing_assumption_config(truth)
         # horizontal Hessian assembly is the cost driver for factors
@@ -513,7 +520,7 @@ def _assumptions_report(config: ExperimentConfig, master: int):
                 truth, m, seed=rng.subseed(master, "assumptions-ensemble", 0)
             )
         )
-        instance = {"family": "ms", "n": n, "k": k, "r": r, "m": m}
+        instance["m"] = m
     else:
         raise InvalidConfig(f"family must be pr or ms, got {family!r}")
     check_config = AssumptionConfig(
@@ -531,12 +538,8 @@ def _regions_report(config: ExperimentConfig, master: int):
     samples = config.samples if config.samples is not None else 500
     sampler = RegionSamplerConfig(n_per_region=samples, seed=master)
     if config.experiment == "regions_ms":
-        n = config.n if config.n is not None else 8
-        k = config.k if config.k is not None else 2
-        r = config.r if config.r is not None else 3
-        truth = _identity_truth(n, (1.3, 1.0, 0.08)[:r] if r <= 3 else np.ones(r), k)
+        truth, instance = _sensing_instance(config)
         report = verify_region_bounds_ms(truth, sampler)
-        instance = {"family": "ms", "n": n, "k": k, "r": r}
     else:
         n = config.n if config.n is not None else 3
         signal = (

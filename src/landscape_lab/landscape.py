@@ -2,11 +2,12 @@
 
 The population risks admit a covering of their domains by regions on which
 one of three things holds: strong convexity of the restricted Hessian, a
-negative curvature direction, or a large gradient. This module classifies
-points into those regions, draws samples from each region, verifies the
-advertised quantitative bounds on the samples, estimates how far an
-empirical risk sits from its population counterpart over a ball, and
-measures restricted-isometry constants of sensing ensembles.
+negative curvature direction, or a large gradient. ms_region_bounds and
+pr_region_bounds tabulate those bounds; this module classifies points
+into the regions, samples each region and verifies its tabled bound,
+estimates how far an empirical risk sits from its population counterpart
+over a ball (epsilon and eta default to tabled bounds), and measures
+restricted-isometry constants of sensing ensembles.
 
 All sampled checks report Monte-Carlo evidence: a clean run certifies the
 sampled points only, never the full region.
@@ -17,14 +18,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng
 from .errors import (
+    DimensionMismatch,
     InvalidConfig,
     InvalidRank,
     InvalidSampleCount,
+    NonFiniteEntry,
     SamplerStarved,
 )
 from .manifold import procrustes_distance
@@ -70,6 +74,12 @@ PR_R2_CURVATURE_FLOOR = 0.22
 PR_R3_CURVATURE_CEIL = -0.78
 PR_R4_GRAD_FLOOR = 0.3963          # times ||x*||^3
 
+# the kind of bound a region carries: a floor or a ceiling on the smallest
+# tangent-space Hessian eigenvalue, or a floor on the gradient norm
+CURVATURE_FLOOR = "curvature_floor"
+CURVATURE_CEILING = "curvature_ceiling"
+GRADIENT_FLOOR = "gradient_floor"
+
 
 @dataclass(frozen=True)
 class RegionLabelSet:
@@ -104,6 +114,21 @@ def ms_region_thresholds(truth: SensingGroundTruth) -> dict:
         "sigma_cap": MS_SIGMA_CAP_FACTOR * math.sqrt(lam_k),
         "ball_cap": MS_BALL_CAP_FACTOR * top_norm,
         "grad_split": MS_GRAD_SPLIT_FACTOR * lam_k ** 1.5,
+    }
+
+
+def ms_region_bounds(truth: SensingGroundTruth) -> dict:
+    """Region -> (kind, value) of the bound each matrix-sensing region
+    carries, in MS_REGIONS order."""
+    k = truth.target_rank
+    lam_k = float(truth.eigvals[k - 1])
+    scale = lam_k ** 1.5
+    return {
+        MS_R1: (CURVATURE_FLOOR, MS_R1_CURVATURE_FLOOR * lam_k),
+        MS_R2P: (CURVATURE_CEILING, MS_R2P_CURVATURE_CEIL * lam_k),
+        MS_R2PP: (GRADIENT_FLOOR, MS_GRAD_SPLIT_FACTOR * scale),
+        MS_R3P: (GRADIENT_FLOOR, MS_R3P_GRAD_FLOOR / truth.kappa * scale),
+        MS_R3PP: (GRADIENT_FLOOR, MS_R3PP_GRAD_FLOOR * k ** 0.25 * scale),
     }
 
 
@@ -180,10 +205,27 @@ def saddle_sphere_distance(signal: np.ndarray, x: np.ndarray) -> float:
     return math.hypot(along, perp_norm - radius)
 
 
+def pr_region_bounds(signal) -> dict:
+    """Region -> (kind, value) of the bound each phase-retrieval region
+    carries, in PR_REGIONS order."""
+    xstar = np.asarray(signal, dtype=float)
+    n2 = float(xstar @ xstar)
+    return {
+        PR_R1: (CURVATURE_CEILING, PR_R1_CURVATURE_CEIL * n2),
+        PR_R2: (CURVATURE_FLOOR, PR_R2_CURVATURE_FLOOR * n2),
+        PR_R3: (CURVATURE_CEILING, PR_R3_CURVATURE_CEIL * n2),
+        PR_R4: (GRADIENT_FLOOR, PR_R4_GRAD_FLOOR * n2 ** 1.5),
+    }
+
+
 def classify_region_pr(signal, point) -> RegionLabelSet:
     """All phase-retrieval regions containing the point."""
     xstar = np.asarray(signal, dtype=float)
     x = np.asarray(point, dtype=float)
+    if x.shape != xstar.shape:
+        raise DimensionMismatch(f"point shape {x.shape} != signal shape {xstar.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteEntry("point entries must be finite")
     norm_star = float(np.linalg.norm(xstar))
     norm_x = float(np.linalg.norm(x))
     sign_dist = min(
@@ -236,7 +278,9 @@ def _scaled_gaussian_factor(gen, n, k, uut_target):
     return g * math.sqrt(uut_target / np.linalg.norm(g @ g.T))
 
 
-def _rejection_sample(propose, accept, n, budget, region):
+def _rejection_sample(propose, classify, region, n):
+    """Keep proposals whose classify(...).labels hold the region, n of them."""
+    budget = max(n * ATTEMPT_FACTOR, 1000)
     out = []
     attempts = 0
     while len(out) < n:
@@ -247,7 +291,7 @@ def _rejection_sample(propose, accept, n, budget, region):
             )
         attempts += 1
         candidate = propose()
-        if accept(candidate):
+        if region in classify(candidate).labels:
             out.append(candidate)
     return out
 
@@ -256,10 +300,6 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
     """Draw n factor points whose label set contains the region."""
     thresholds = ms_region_thresholds(truth)
     n_dim, k = truth.dim, truth.target_rank
-    budget = max(n * ATTEMPT_FACTOR, 1000)
-
-    def member(u):
-        return region in classify_region_ms(truth, u).labels
 
     if region == MS_R1:
         anchor = truth.canonical_minimum()
@@ -271,11 +311,8 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
             return anchor + radius * direction
 
     elif region == MS_R2P:
-        selections = [
-            sel
-            for sel in _k_subsets(truth.rank, k)
-            if list(sel) != list(range(k))
-        ]
+        # the first k-subset, in lexicographic order, is the minimum itself
+        selections = list(itertools.combinations(range(truth.rank), k))[1:]
         if not selections:
             raise SamplerStarved(
                 f"region {region}: no swap saddles exist at full target rank"
@@ -287,12 +324,10 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
             3.0 * float(truth.eigvals[0]) + float(np.linalg.norm(truth.matrix))
         )
         radius = thresholds["grad_split"] / rate
-        state = {"i": 0}
+        cycle = itertools.cycle(selections)
 
         def propose():
-            sel = selections[state["i"] % len(selections)]
-            state["i"] += 1
-            anchor = truth.canonical_point(sel)
+            anchor = truth.canonical_point(next(cycle))
             direction = rng.normal(gen, (n_dim, k))
             direction /= np.linalg.norm(direction)
             return anchor + radius * float(rng.uniform(gen)) * direction
@@ -312,7 +347,7 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
     else:
         raise InvalidConfig(f"unknown matrix-sensing region {region!r}")
 
-    return _rejection_sample(propose, member, n, budget, region)
+    return _rejection_sample(propose, partial(classify_region_ms, truth), region, n)
 
 
 def sample_region_pr(signal, region: str, n: int, gen) -> list:
@@ -320,10 +355,6 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
     xstar = np.asarray(signal, dtype=float)
     dim = xstar.shape[0]
     norm_star = float(np.linalg.norm(xstar))
-    budget = max(n * ATTEMPT_FACTOR, 1000)
-
-    def member(x):
-        return region in classify_region_pr(xstar, x).labels
 
     if region == PR_R1:
 
@@ -374,11 +405,7 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
     else:
         raise InvalidConfig(f"unknown phase-retrieval region {region!r}")
 
-    return _rejection_sample(propose, member, n, budget, region)
-
-
-def _k_subsets(r, k):
-    return list(itertools.combinations(range(r), k))
+    return _rejection_sample(propose, partial(classify_region_pr, xstar), region, n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +419,8 @@ class RegionCheck:
 
     margin is the verified quantity minus its bound, oriented so that
     nonnegative means the bound holds; worst_margin is the minimum over
-    the samples.
+    the samples. A skipped region has no samples: its worst_margin is nan
+    and is written as null.
     """
 
     region: str
@@ -413,7 +441,7 @@ class RegionCheck:
             "requested": self.requested,
             "n_sampled": self.n_sampled,
             "n_violations": self.n_violations,
-            "worst_margin": float(self.worst_margin),
+            "worst_margin": None if self.skipped else float(self.worst_margin),
             "skipped": self.skipped,
             "note": self.note,
         }
@@ -448,10 +476,12 @@ class RegionBoundReport:
         }
 
 
-def _run_region_checks(family, regions, sample, margin_of, config):
+def _run_region_checks(family, model, bounds, sample, config):
+    """Check each tabled bound on samples of its region: min_eig against a
+    curvature bound, the Euclidean gradient norm against a gradient floor."""
     checks = []
     violations = []
-    for region in regions:
+    for region, (kind, bound) in bounds.items():
         gen = rng.stream(config.seed, f"regions-{family}/{region}", 0)
         try:
             samples = sample(region, config.n_per_region, gen)
@@ -459,8 +489,8 @@ def _run_region_checks(family, regions, sample, margin_of, config):
             checks.append(
                 RegionCheck(
                     region=region,
-                    bound_kind="",
-                    bound_value=math.nan,
+                    bound_kind=kind,
+                    bound_value=bound,
                     requested=config.n_per_region,
                     n_sampled=0,
                     n_violations=0,
@@ -470,7 +500,11 @@ def _run_region_checks(family, regions, sample, margin_of, config):
                 )
             )
             continue
-        kind, bound, margins = margin_of(region, samples)
+        if kind == GRADIENT_FLOOR:
+            vals = [float(np.linalg.norm(model.euclidean_grad(p))) for p in samples]
+        else:
+            vals = [min_eig(model, p) for p in samples]
+        margins = [bound - v if kind == CURVATURE_CEILING else v - bound for v in vals]
         worst = int(np.argmin(margins))
         bad = [i for i, m in enumerate(margins) if m < 0.0]
         for i in bad:
@@ -485,7 +519,7 @@ def _run_region_checks(family, regions, sample, margin_of, config):
             RegionCheck(
                 region=region,
                 bound_kind=kind,
-                bound_value=float(bound),
+                bound_value=bound,
                 requested=config.n_per_region,
                 n_sampled=len(samples),
                 n_violations=len(bad),
@@ -506,35 +540,11 @@ def verify_region_bounds_ms(
 ) -> RegionBoundReport:
     """Sample every matrix-sensing region and verify its curvature or
     gradient bound on each sample."""
-    model = MsPopulationRisk(truth)
-    lam_k = float(truth.eigvals[truth.target_rank - 1])
-    k = truth.target_rank
-    grad_floors = {
-        MS_R2PP: MS_GRAD_SPLIT_FACTOR * lam_k ** 1.5,
-        MS_R3P: MS_R3P_GRAD_FLOOR / truth.kappa * lam_k ** 1.5,
-        MS_R3PP: MS_R3PP_GRAD_FLOOR * k ** 0.25 * lam_k ** 1.5,
-    }
-
-    def margin_of(region, samples):
-        if region == MS_R1:
-            bound = MS_R1_CURVATURE_FLOOR * lam_k
-            vals = [min_eig(model, u) for u in samples]
-            return "curvature_floor", bound, [v - bound for v in vals]
-        if region == MS_R2P:
-            bound = MS_R2P_CURVATURE_CEIL * lam_k
-            vals = [min_eig(model, u) for u in samples]
-            return "curvature_ceiling", bound, [bound - v for v in vals]
-        bound = grad_floors[region]
-        vals = [
-            float(np.linalg.norm(model.euclidean_grad(u))) for u in samples
-        ]
-        return "gradient_floor", bound, [v - bound for v in vals]
-
     return _run_region_checks(
         "ms",
-        MS_REGIONS,
+        MsPopulationRisk(truth),
+        ms_region_bounds(truth),
         lambda region, n, gen: sample_region_ms(truth, region, n, gen),
-        margin_of,
         config,
     )
 
@@ -542,32 +552,11 @@ def verify_region_bounds_ms(
 def verify_region_bounds_pr(signal, config: RegionSamplerConfig) -> RegionBoundReport:
     """Sample every phase-retrieval region and verify its bound."""
     xstar = np.asarray(signal, dtype=float)
-    model = PrPopulationRisk(xstar)
-    n2 = float(xstar @ xstar)
-    n3 = n2 ** 1.5
-
-    def margin_of(region, samples):
-        if region == PR_R4:
-            bound = PR_R4_GRAD_FLOOR * n3
-            vals = [
-                float(np.linalg.norm(model.euclidean_grad(x))) for x in samples
-            ]
-            return "gradient_floor", bound, [v - bound for v in vals]
-        vals = [min_eig(model, x) for x in samples]
-        if region == PR_R1:
-            bound = PR_R1_CURVATURE_CEIL * n2
-            return "curvature_ceiling", bound, [bound - v for v in vals]
-        if region == PR_R2:
-            bound = PR_R2_CURVATURE_FLOOR * n2
-            return "curvature_floor", bound, [v - bound for v in vals]
-        bound = PR_R3_CURVATURE_CEIL * n2
-        return "curvature_ceiling", bound, [bound - v for v in vals]
-
     return _run_region_checks(
         "pr",
-        PR_REGIONS,
+        PrPopulationRisk(xstar),
+        pr_region_bounds(xstar),
         lambda region, n, gen: sample_region_pr(xstar, region, n, gen),
-        margin_of,
         config,
     )
 
@@ -602,32 +591,27 @@ class AssumptionConfig:
 
 
 def default_phase_assumption_config(signal, n_samples=2000, seed=None):
-    norm_star = float(np.linalg.norm(np.asarray(signal, dtype=float)))
+    """epsilon is the far-field gradient floor (R4), eta the curvature floor
+    around the minima (R2)."""
+    xstar = np.asarray(signal, dtype=float)
+    bounds = pr_region_bounds(xstar)
     return AssumptionConfig(
-        epsilon=PR_R4_GRAD_FLOOR * norm_star ** 3,
-        eta=PR_R2_CURVATURE_FLOOR * norm_star ** 2,
-        ball_radius=1.1 * norm_star,
+        epsilon=bounds[PR_R4][1],
+        eta=bounds[PR_R2][1],
+        ball_radius=1.1 * float(np.linalg.norm(xstar)),
         n_samples=n_samples,
         seed=rng.DEFAULT_MASTER_SEED if seed is None else seed,
     )
 
 
 def default_sensing_assumption_config(truth, n_samples=2000, seed=None):
-    lam_k = float(truth.eigvals[truth.target_rank - 1])
-    k = truth.target_rank
-    epsilon = (
-        min(
-            MS_GRAD_SPLIT_FACTOR,
-            MS_R3P_GRAD_FLOOR / truth.kappa,
-            MS_R3PP_GRAD_FLOOR * k ** 0.25,
-        )
-        * lam_k ** 1.5
-    )
+    """epsilon is the smallest gradient floor, eta the depth of the swap
+    saddles' curvature ceiling (R2'), and the ball is the R3'' cap."""
+    bounds = ms_region_bounds(truth)
     return AssumptionConfig(
-        epsilon=epsilon,
-        eta=-MS_R2P_CURVATURE_CEIL * lam_k,
-        ball_radius=MS_BALL_CAP_FACTOR
-        * float(np.linalg.norm(truth.eigvals[: truth.target_rank])),
+        epsilon=min(v for kind, v in bounds.values() if kind == GRADIENT_FLOOR),
+        eta=-bounds[MS_R2P][1],
+        ball_radius=ms_region_thresholds(truth)["ball_cap"],
         n_samples=n_samples,
         seed=rng.DEFAULT_MASTER_SEED if seed is None else seed,
     )
@@ -801,15 +785,16 @@ def rip_delta_threshold(truth: SensingGroundTruth, epsilon: float, eta: float) -
     k = truth.target_rank
     top_norm = float(np.linalg.norm(truth.eigvals[:k]))
     x_norm = float(np.linalg.norm(truth.matrix))
+    cap = MS_BALL_CAP_FACTOR
     from_grad = epsilon / (
         2.0
-        * math.sqrt(8.0 / 7.0)
+        * math.sqrt(cap)
         * k ** 0.25
-        * ((8.0 / 7.0) * top_norm + x_norm)
+        * (cap * top_norm + x_norm)
         * math.sqrt(top_norm)
     )
     from_hess = eta / (
-        2.0 * ((16.0 / 7.0) * math.sqrt(k) * top_norm + (8.0 / 7.0) * top_norm + x_norm)
+        2.0 * ((2.0 * cap) * math.sqrt(k) * top_norm + cap * top_norm + x_norm)
     )
     return min(from_grad, 1.0 / 36.0, from_hess)
 

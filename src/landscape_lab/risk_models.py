@@ -587,6 +587,8 @@ class _PhaseRisk(RiskModel):
 
     def __init__(self, signal):
         x = np.asarray(signal, dtype=float)
+        if not np.isfinite(x).all():
+            raise NonFiniteEntry("signal entries must be finite")
         if x.ndim != 1 or np.linalg.norm(x) == 0.0:
             raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
         self.signal = _frozen(x)

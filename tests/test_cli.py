@@ -172,6 +172,23 @@ class TestExitCodes:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "rp")])
         assert rc == cli.EXIT_OK
 
+    def test_skipped_region_writes_strict_json(self, tmp_path):
+        # at k = r = 1 there are no swap saddles, so R2' is skipped
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("experiment=regions_ms\nk=1\nr=1\nsamples=3\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "rm")])
+        assert rc == cli.EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "rm.json").read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=reject)
+        (r2p,) = [c for c in payload["report"]["checks"] if c["skipped"]]
+        assert r2p["region"] == "MS_R2p"
+        assert r2p["bound_kind"] == "curvature_ceiling"
+        assert r2p["worst_margin"] is None
+
     def test_invalid_config_is_three(self, tmp_path, capsys):
         assert cli.main(["pr1d", "--n", "4"]) == cli.EXIT_INVALID_CONFIG
         assert cli.main(["nope"]) == cli.EXIT_INVALID_CONFIG

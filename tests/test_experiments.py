@@ -8,6 +8,7 @@ import pytest
 
 from landscape_lab import experiments, rng
 from landscape_lab.errors import InvalidConfig
+from landscape_lab.landscape import PR_R4, pr_region_bounds
 from landscape_lab.risk_models import PrEmpiricalRisk, generate_phase_problem
 
 
@@ -144,6 +145,11 @@ class TestPr1d:
         assert len(intervals) == 3
         for target in (-1.0, 0.0, 1.0):
             assert any(lo <= target <= hi for lo, hi in intervals)
+
+    def test_default_cutoff_is_the_far_field_gradient_floor(self, table):
+        _, metadata, _, _ = table
+        floor = pr_region_bounds(np.array([1.0]))[PR_R4][1]
+        assert float(metadata["epsilon"]) == floor
 
     def test_empirical_expectation_matches_population(self):
         # E f(0) = g(0) = 1.5; Monte-Carlo over fresh measurement draws

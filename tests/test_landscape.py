@@ -8,12 +8,17 @@ import pytest
 
 from landscape_lab import rng
 from landscape_lab.errors import (
+    DimensionMismatch,
     InvalidConfig,
     InvalidRank,
     InvalidSampleCount,
+    NonFiniteEntry,
     SamplerStarved,
 )
 from landscape_lab.landscape import (
+    CURVATURE_CEILING,
+    CURVATURE_FLOOR,
+    GRADIENT_FLOOR,
     MS_R1,
     MS_R2P,
     MS_R2PP,
@@ -33,7 +38,9 @@ from landscape_lab.landscape import (
     default_phase_assumption_config,
     default_sensing_assumption_config,
     estimate_rip,
+    ms_region_bounds,
     ms_region_thresholds,
+    pr_region_bounds,
     rip_delta_threshold,
     sample_region_ms,
     sample_region_pr,
@@ -51,6 +58,15 @@ from landscape_lab.risk_models import (
 )
 
 XSTAR = np.array([1.2, -0.5, 0.3])
+
+
+def strict_json(payload):
+    """Round-trip through RFC 8259 JSON: NaN and Infinity are rejected."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(json.dumps(payload), parse_constant=reject)
 
 
 def separated_truth(n=8, seed=11):
@@ -205,6 +221,18 @@ class TestClassifyPr:
         expected = math.hypot(0.3 * norm_star, norm_star / math.sqrt(3.0))
         assert w == pytest.approx(expected, rel=1e-12)
 
+    def test_rejects_non_finite_point(self):
+        with pytest.raises(NonFiniteEntry):
+            classify_region_pr(XSTAR, np.array([np.nan, 0.0, 1.0]))
+        with pytest.raises(NonFiniteEntry):
+            classify_region_pr(XSTAR, np.array([np.inf, 0.0, 1.0]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            classify_region_pr(np.array([1.0, -1.0]), np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            classify_region_pr(XSTAR, np.ones((3, 1)))
+
 
 # ---------------------------------------------------------------------------
 # samplers
@@ -265,11 +293,14 @@ class TestRegionBounds:
         )
         assert report.all_clear, report.to_json_dict()["checks"]
         assert report.family == "ms"
+        table = ms_region_bounds(truth)
+        assert [c.region for c in report.checks] == list(MS_REGIONS)
         for region in MS_REGIONS:
             check = report.check(region)
             assert not check.skipped
             assert check.n_sampled == 40
             assert check.worst_margin >= 0.0
+            assert (check.bound_kind, check.bound_value) == table[region]
 
     def test_pr_suite_clears(self):
         report = verify_region_bounds_pr(
@@ -283,6 +314,10 @@ class TestRegionBounds:
             PR_R3: "curvature_ceiling",
             PR_R4: "gradient_floor",
         }
+        table = pr_region_bounds(XSTAR)
+        assert [c.region for c in report.checks] == list(PR_REGIONS)
+        for check in report.checks:
+            assert (check.bound_kind, check.bound_value) == table[check.region]
 
     def test_pr_bound_values_scale_with_signal(self):
         report = verify_region_bounds_pr(
@@ -297,8 +332,9 @@ class TestRegionBounds:
         )
 
     def test_ms_full_rank_truth_skips_r2_prime(self):
+        truth = full_rank_truth()
         report = verify_region_bounds_ms(
-            full_rank_truth(), RegionSamplerConfig(n_per_region=10, seed=5)
+            truth, RegionSamplerConfig(n_per_region=10, seed=5)
         )
         check = report.check(MS_R2P)
         assert check.skipped
@@ -306,13 +342,27 @@ class TestRegionBounds:
         assert check.n_sampled == 0
         # a skipped region contributes no violations
         assert report.all_clear
+        # and still names its bound, in strict JSON
+        parsed = strict_json(report.to_json_dict())
+        (r2p,) = [c for c in parsed["checks"] if c["region"] == MS_R2P]
+        assert r2p["worst_margin"] is None
+        assert (r2p["bound_kind"], r2p["bound_value"]) == ms_region_bounds(
+            truth
+        )[MS_R2P]
 
     def test_pr_dimension_one_skips_r3(self):
+        signal = np.array([2.0])
         report = verify_region_bounds_pr(
-            np.array([2.0]), RegionSamplerConfig(n_per_region=10, seed=6)
+            signal, RegionSamplerConfig(n_per_region=10, seed=6)
         )
         assert report.check(PR_R3).skipped
         assert report.all_clear
+        parsed = strict_json(report.to_json_dict())
+        (r3,) = [c for c in parsed["checks"] if c["region"] == PR_R3]
+        assert r3["worst_margin"] is None
+        assert (r3["bound_kind"], r3["bound_value"]) == pr_region_bounds(signal)[
+            PR_R3
+        ]
 
     def test_report_serializes(self):
         report = verify_region_bounds_pr(
@@ -326,6 +376,51 @@ class TestRegionBounds:
     def test_config_validation(self):
         with pytest.raises(InvalidSampleCount):
             RegionSamplerConfig(n_per_region=0)
+
+
+# ---------------------------------------------------------------------------
+# the bound tables and what reads them
+# ---------------------------------------------------------------------------
+
+
+class TestBoundTables:
+    def test_ms_kinds_and_values(self):
+        truth = separated_truth()
+        lam_k = 1.0
+        table = ms_region_bounds(truth)
+        assert table[MS_R1] == (CURVATURE_FLOOR, pytest.approx(0.19 * lam_k))
+        assert table[MS_R2P] == (CURVATURE_CEILING, pytest.approx(-0.06 * lam_k))
+        assert table[MS_R2PP] == (
+            GRADIENT_FLOOR,
+            ms_region_thresholds(truth)["grad_split"],
+        )
+        assert table[MS_R3P] == (
+            GRADIENT_FLOOR,
+            pytest.approx(1.0 / 60.0 / truth.kappa * lam_k**1.5),
+        )
+        assert table[MS_R3PP] == (
+            GRADIENT_FLOOR,
+            pytest.approx(5.0 / 84.0 * 2**0.25 * lam_k**1.5),
+        )
+
+    @pytest.mark.parametrize(
+        "signal", [XSTAR, np.array([1.0, -1.0])], ids=["xstar", "plane"]
+    )
+    def test_phase_defaults_read_the_table(self, signal):
+        table = pr_region_bounds(signal)
+        config = default_phase_assumption_config(signal)
+        assert config.epsilon == table[PR_R4][1]
+        assert config.eta == table[PR_R2][1]
+
+    def test_sensing_defaults_read_the_table(self):
+        truth = separated_truth()
+        table = ms_region_bounds(truth)
+        config = default_sensing_assumption_config(truth)
+        floors = [v for kind, v in table.values() if kind == GRADIENT_FLOOR]
+        assert len(floors) == 3
+        assert config.epsilon == min(floors)
+        assert config.eta == -table[MS_R2P][1]
+        assert config.ball_radius == ms_region_thresholds(truth)["ball_cap"]
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,12 @@ def test_phase_problem_json_round_trip_and_validation():
         generate_phase_problem(np.array([1.0]), 0, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_phase_risk_rejects_non_finite_signal(bad):
+    with pytest.raises(NonFiniteEntry):
+        PrPopulationRisk(np.array([bad, 1.0]))
+
+
 def test_phase_risk_is_non_negative_on_its_zero_set():
     # at M = 1 the empirical risk vanishes on the whole line <a, x> = <a, x*>
     problem = generate_phase_problem(np.array([1.0, -1.0]), 1, 2)
