@@ -94,7 +94,7 @@ def _backtrack(
     return point, grad, grad_norm
 
 
-def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
+def damped_newton(model, seed_point):
     """Drive the gradient to zero from one seed.
 
     Returns (point, grad_norm, n_iter, converged). Convergence means the
@@ -110,7 +110,7 @@ def damped_newton(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
     grad_norm = _norm(grad)
     stalls = 0
     iters = 0
-    while iters < max_iter and grad_norm > tau:
+    while iters < MAX_NEWTON_ITER and grad_norm > tau:
         iters += 1
         hess = dense_euclidean_hessian(model, point)
         step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
@@ -212,7 +212,7 @@ def _classify(model, point: np.ndarray):
     return float(lam), kind, note
 
 
-def find_critical_points(model, seed_points, max_iter: int = MAX_NEWTON_ITER) -> CriticalSearchResult:
+def find_critical_points(model, seed_points) -> CriticalSearchResult:
     """Run the damped Newton search from every seed and merge duplicates.
 
     Seeds that fail to converge are counted, not fatal. Duplicates merge
@@ -232,7 +232,7 @@ def find_critical_points(model, seed_points, max_iter: int = MAX_NEWTON_ITER) ->
     n_seeds = 0
     for seed_index, seed in enumerate(seed_points):
         n_seeds += 1
-        point, grad_norm, _, converged = damped_newton(model, seed, max_iter)
+        point, grad_norm, _, converged = damped_newton(model, seed)
         if not converged:
             n_failed += 1
             continue
@@ -242,29 +242,21 @@ def find_critical_points(model, seed_points, max_iter: int = MAX_NEWTON_ITER) ->
             if _dedupe_distance(model, record.location, point) <= tol:
                 keeper = i
                 break
-        if keeper is not None:
-            if grad_norm < found[keeper].grad_norm:
-                lam, kind, note = _classify(model, point)
-                found[keeper] = CriticalPointRecord(
-                    location=point,
-                    grad_norm=grad_norm,
-                    lambda_min=lam,
-                    kind=kind,
-                    basin_seed=seed_index,
-                    note=note,
-                )
+        if keeper is not None and grad_norm >= found[keeper].grad_norm:
             continue
         lam, kind, note = _classify(model, point)
-        found.append(
-            CriticalPointRecord(
-                location=point,
-                grad_norm=grad_norm,
-                lambda_min=lam,
-                kind=kind,
-                basin_seed=seed_index,
-                note=note,
-            )
+        record = CriticalPointRecord(
+            location=point,
+            grad_norm=grad_norm,
+            lambda_min=lam,
+            kind=kind,
+            basin_seed=seed_index,
+            note=note,
         )
+        if keeper is None:
+            found.append(record)
+        else:
+            found[keeper] = record
     return CriticalSearchResult(
         records=tuple(found),
         n_seeds=n_seeds,
@@ -285,7 +277,7 @@ def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
     return [np.array(p) for p in itertools.product(axis, repeat=dim)]
 
 
-def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER):
+def refine_minimum_horizontal(model, seed_point):
     """Newton refinement of a factor minimum inside the horizontal space.
 
     Builds the horizontal Hessian with restricted_hessian and steps only
@@ -300,7 +292,7 @@ def refine_minimum_horizontal(model, seed_point, max_iter: int = MAX_NEWTON_ITER
     tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
     grad = model.euclidean_grad(point)
     grad_norm = _norm(grad)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         if grad_norm <= tau:
             break
         hess, mats = restricted_hessian(model, point)

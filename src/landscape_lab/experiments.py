@@ -1,10 +1,12 @@
 """Experiment runners with seeded reproducibility and structured output.
 
-Each runner resolves its defaults, derives every random stream from the
-master seed, computes its tables, and writes CSV or JSON files that embed
-the master seed, a hash of the resolved configuration, and the package
-version. Re-running with an identical configuration reproduces identical
-bytes.
+A runner only computes: it resolves its defaults, derives every random
+stream from the master seed it is handed, and returns its resolved
+configuration, its tables, its JSON body and its summary. ``run`` is the
+one place that writes: it resolves the master seed, stamps the outputs
+with it, a hash of the resolved configuration and the package version, and
+writes either one CSV file per table or one JSON file. Re-running with an
+identical configuration reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class ExperimentConfig:
             raise InvalidConfig(f"format must be csv or json, got {self.fmt!r}")
         if self.grid is not None:
             lo, hi, points = self.grid
-            if not (hi > lo and int(points) >= 2):
-                raise InvalidConfig("grid needs max > min and points >= 2")
+            # a finite span keeps linspace and the seed count finite
+            if not (hi > lo and math.isfinite(hi - lo) and int(points) >= 2):
+                raise InvalidConfig("grid needs max > min, a finite span and points >= 2")
         if self.trials is not None and self.trials < 1:
             raise InvalidConfig("trials must be at least 1")
         if any(int(v) < 1 for v in self.m):
@@ -104,6 +107,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InvalidConfig(f"{name} must be at least 1")
+        for name in ("epsilon", "eta", "radius"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidConfig(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,11 +158,6 @@ def _stamp(resolved: dict) -> dict:
     }
 
 
-def _echo(resolved: dict) -> dict:
-    """Config as embedded in outputs: substance only, no output plumbing."""
-    return {k: v for k, v in resolved.items() if k not in ("out", "format")}
-
-
 def write_csv(path: str, columns, rows, metadata: dict) -> str:
     lines = [f"# {key}: {_format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
@@ -177,10 +179,6 @@ def write_json(path: str, payload: dict) -> str:
     except OSError as exc:
         raise InvalidConfig(f"cannot write {path}: {exc}") from None
     return path
-
-
-def _out_base(config: ExperimentConfig) -> str:
-    return config.out if config.out else config.experiment
 
 
 def _alternating_signal(dim: int) -> np.ndarray:
@@ -208,10 +206,9 @@ def _sensing_instance(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def run_pr1d(config: ExperimentConfig) -> ExperimentOutcome:
+def run_pr1d(config: ExperimentConfig, master: int):
     if config.n not in (None, 1):
         raise InvalidConfig("the line experiment runs in dimension one")
-    master = rng.resolve_master_seed(config.master_seed)
     m = int(config.m[0]) if config.m else 30
     lo, hi, points = config.grid if config.grid else (-2.0, 2.0, 401)
     xstar = np.array([1.0])
@@ -256,42 +253,18 @@ def run_pr1d(config: ExperimentConfig) -> ExperimentOutcome:
         intervals.append([start, rows[-1][0]])
 
     resolved = {
-        "experiment": "pr1d",
         "n": 1,
         "m": m,
-        "master_seed": master,
         "grid_min": lo,
         "grid_max": hi,
         "grid_points": int(points),
         "epsilon": cutoff,
-        "out": _out_base(config),
-        "format": config.fmt,
     }
     columns = ("x", "g", "f", "dg", "df", "d2g", "d2f")
-    summary = {
-        "rows": len(rows),
-        "small_gradient_intervals": intervals,
-        **_stamp(resolved),
-    }
-    if config.fmt == "csv":
-        metadata = {
-            **_stamp(resolved),
-            "experiment": "pr1d",
-            "m": m,
-            "epsilon": cutoff,
-            "small_gradient_intervals": json.dumps(intervals),
-        }
-        path = write_csv(_out_base(config) + ".csv", columns, rows, metadata)
-    else:
-        payload = {
-            "config": _echo(resolved),
-            **_stamp(resolved),
-            "columns": list(columns),
-            "rows": [list(r) for r in rows],
-            "small_gradient_intervals": intervals,
-        }
-        path = write_json(_out_base(config) + ".json", payload)
-    return ExperimentOutcome(paths=(path,), summary=summary, ok=True)
+    meta = {"m": m, "epsilon": cutoff, "small_gradient_intervals": json.dumps(intervals)}
+    body = {"columns": columns, "rows": rows, "small_gradient_intervals": intervals}
+    summary = {"rows": len(rows), "small_gradient_intervals": intervals}
+    return resolved, [("", columns, rows, meta)], body, summary, True
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +301,9 @@ def _surface_models(config: ExperimentConfig, master: int):
     return surfaces, m_list
 
 
-def run_2d_landscape(config: ExperimentConfig) -> ExperimentOutcome:
+def run_2d_landscape(config: ExperimentConfig, master: int):
     if config.n not in (None, 2):
         raise InvalidConfig("the contour experiments run in dimension two")
-    master = rng.resolve_master_seed(config.master_seed)
     lo, hi, points = config.grid if config.grid else (-2.0, 2.0, 81)
     surfaces, m_list = _surface_models(config, master)
     factor_domain = config.experiment == "ms2d_rank1"
@@ -343,20 +315,7 @@ def run_2d_landscape(config: ExperimentConfig) -> ExperimentOutcome:
         vec = np.array([x1, x2])
         return vec.reshape(2, 1) if factor_domain else vec
 
-    resolved = {
-        "experiment": config.experiment,
-        "n": 2,
-        "m_list": ",".join(str(m) for m in m_list),
-        "master_seed": master,
-        "grid_min": lo,
-        "grid_max": hi,
-        "grid_points": int(points),
-        "newton_seed_spacing": NEWTON_SEED_SPACING,
-        "out": _out_base(config),
-        "format": config.fmt,
-    }
-    stamp = _stamp(resolved)
-    paths = []
+    tables = []
     surface_payloads = {}
     counts = {}
     for name, model in surfaces:
@@ -380,36 +339,26 @@ def run_2d_landscape(config: ExperimentConfig) -> ExperimentOutcome:
             for record in search.records
         )
         counts[name] = len(point_rows)
-        if config.fmt == "csv":
-            metadata = {**stamp, "experiment": config.experiment, "surface": name}
-            paths.append(
-                write_csv(
-                    f"{_out_base(config)}_{name}_grid.csv",
-                    ("x1", "x2", "value"),
-                    grid_rows,
-                    metadata,
-                )
-            )
-            paths.append(
-                write_csv(
-                    f"{_out_base(config)}_{name}_points.csv",
-                    ("x1", "x2", "grad_norm", "lambda_min", "kind"),
-                    point_rows,
-                    metadata,
-                )
-            )
-        else:
-            surface_payloads[name] = {
-                "grid": [list(r) for r in grid_rows],
-                "points": [list(r) for r in point_rows],
-                "n_seeds": search.n_seeds,
-                "n_failed": search.n_failed,
-            }
-    if config.fmt == "json":
-        payload = {"config": _echo(resolved), **stamp, "surfaces": surface_payloads}
-        paths.append(write_json(_out_base(config) + ".json", payload))
-    summary = {"critical_points": counts, **stamp}
-    return ExperimentOutcome(paths=tuple(paths), summary=summary, ok=True)
+        meta = {"surface": name}
+        tables.append((f"_{name}_grid", ("x1", "x2", "value"), grid_rows, meta))
+        point_columns = ("x1", "x2", "grad_norm", "lambda_min", "kind")
+        tables.append((f"_{name}_points", point_columns, point_rows, meta))
+        surface_payloads[name] = {
+            "grid": grid_rows,
+            "points": point_rows,
+            "n_seeds": search.n_seeds,
+            "n_failed": search.n_failed,
+        }
+    resolved = {
+        "n": 2,
+        "m_list": ",".join(str(m) for m in m_list),
+        "grid_min": lo,
+        "grid_max": hi,
+        "grid_points": int(points),
+        "newton_seed_spacing": NEWTON_SEED_SPACING,
+    }
+    body = {"surfaces": surface_payloads}
+    return resolved, tables, body, {"critical_points": counts}, True
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +366,7 @@ def run_2d_landscape(config: ExperimentConfig) -> ExperimentOutcome:
 # ---------------------------------------------------------------------------
 
 
-def run_ms_rank2_distance(config: ExperimentConfig) -> ExperimentOutcome:
+def run_ms_rank2_distance(config: ExperimentConfig, master: int):
     n = config.n if config.n is not None else 8
     k = config.k if config.k is not None else 2
     r = config.r if config.r is not None else 3
@@ -425,7 +374,6 @@ def run_ms_rank2_distance(config: ExperimentConfig) -> ExperimentOutcome:
         raise InvalidConfig("need 1 <= k <= r <= n")
     trials = config.trials if config.trials is not None else 20
     m_list = tuple(int(v) for v in config.m) if config.m else (50, 100, 200, 400, 800)
-    master = rng.resolve_master_seed(config.master_seed)
 
     truth = _identity_truth(n, np.ones(r), k)
     ustar = truth.canonical_minimum()
@@ -457,35 +405,16 @@ def run_ms_rank2_distance(config: ExperimentConfig) -> ExperimentOutcome:
         }
 
     resolved = {
-        "experiment": "ms_rank2_dist",
         "n": n,
         "k": k,
         "r": r,
         "trials": trials,
         "m_list": ",".join(str(m) for m in m_list),
-        "master_seed": master,
-        "out": _out_base(config),
-        "format": config.fmt,
     }
-    stamp = _stamp(resolved)
     columns = ("M", "trials_ok", "mean_dist", "std_dist")
-    if config.fmt == "csv":
-        metadata = {**stamp, "experiment": "ms_rank2_dist", "trials": trials}
-        path = write_csv(_out_base(config) + ".csv", columns, rows, metadata)
-    else:
-        payload = {
-            "config": _echo(resolved),
-            **stamp,
-            "columns": list(columns),
-            "rows": [list(row) for row in rows],
-            "per_m": detail,
-        }
-        path = write_json(_out_base(config) + ".json", payload)
-    summary = {
-        "means": {str(m): mean for m, _, mean, _ in rows},
-        **stamp,
-    }
-    return ExperimentOutcome(paths=(path,), summary=summary, ok=True)
+    body = {"columns": columns, "rows": rows, "per_m": detail}
+    summary = {"means": {str(m): mean for m, _, mean, _ in rows}}
+    return resolved, [("", columns, rows, {"trials": trials})], body, summary, True
 
 
 # ---------------------------------------------------------------------------
@@ -576,34 +505,16 @@ def _rip_report(config: ExperimentConfig, master: int):
     return report.to_json_dict(), report.within_threshold, instance
 
 
-def run_verification(config: ExperimentConfig) -> ExperimentOutcome:
+def run_verification(config: ExperimentConfig, master: int):
     if config.fmt != "json":
         raise InvalidConfig("verification reports are JSON only")
-    master = rng.resolve_master_seed(config.master_seed)
     if config.experiment == "assumptions":
         report, ok, instance = _assumptions_report(config, master)
     elif config.experiment in ("regions_ms", "regions_pr"):
         report, ok, instance = _regions_report(config, master)
     else:
         report, ok, instance = _rip_report(config, master)
-    resolved = {
-        "experiment": config.experiment,
-        "master_seed": master,
-        "out": _out_base(config),
-        "format": config.fmt,
-        **{key: value for key, value in instance.items() if key != "family"},
-        "family": instance["family"],
-    }
-    stamp = _stamp(resolved)
-    payload = {
-        "config": _echo(resolved),
-        **stamp,
-        "ok": ok,
-        "report": report,
-    }
-    path = write_json(_out_base(config) + ".json", payload)
-    summary = {"ok": ok, **stamp}
-    return ExperimentOutcome(paths=(path,), summary=summary, ok=ok)
+    return instance, [], {"ok": ok, "report": report}, {"ok": ok}, ok
 
 
 RUNNERS = {
@@ -619,4 +530,38 @@ RUNNERS = {
 
 
 def run(config: ExperimentConfig) -> ExperimentOutcome:
-    return RUNNERS[config.experiment](config)
+    """Run one experiment and write its outputs.
+
+    ``RUNNERS[experiment](config, master)`` computes and writes nothing. It
+    returns ``(resolved, tables, body, summary, ok)``:
+
+    - ``resolved``: the resolved configuration, substance only; ``run``
+      prepends ``experiment`` and ``master_seed`` and hashes the result;
+    - ``tables``: a list of ``(suffix, columns, rows, meta)``, written in
+      order as ``<out><suffix>.csv`` with the stamp, the experiment name
+      and ``meta`` as header lines;
+    - ``body``: the keys of the JSON output beyond ``config`` and the stamp;
+    - ``summary``: the summary keys beyond the stamp;
+    - ``ok``: the verdict, which sets the exit code.
+
+    CSV writes one file per table; JSON writes one file holding the config,
+    the stamp and the body.
+    """
+    master = rng.resolve_master_seed(config.master_seed)
+    resolved, tables, body, summary, ok = RUNNERS[config.experiment](config, master)
+    resolved = {"experiment": config.experiment, "master_seed": master, **resolved}
+    stamp = _stamp(resolved)
+    base = config.out or config.experiment
+    if config.fmt == "csv":
+        paths = tuple(
+            write_csv(
+                f"{base}{suffix}.csv",
+                columns,
+                rows,
+                {**stamp, "experiment": config.experiment, **meta},
+            )
+            for suffix, columns, rows, meta in tables
+        )
+    else:
+        paths = (write_json(base + ".json", {"config": resolved, **stamp, **body}),)
+    return ExperimentOutcome(paths=paths, summary={**summary, **stamp}, ok=ok)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     InvalidSampleCount,
     NonFiniteEntry,
     SamplerStarved,
+    ZeroTruthSignal,
 )
 from .manifold import procrustes_distance
 from .risk_models import (
@@ -218,15 +219,26 @@ def pr_region_bounds(signal) -> dict:
     }
 
 
+def _pr_signal(signal) -> tuple:
+    """The signal as an array and its norm, rejected as the phase risks
+    reject it; one scalar test covers every entry."""
+    xstar = np.asarray(signal, dtype=float)
+    norm_star = float(np.linalg.norm(xstar))
+    if not math.isfinite(norm_star):
+        raise NonFiniteEntry("signal entries must be finite")
+    if xstar.ndim != 1 or norm_star == 0.0:
+        raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
+    return xstar, norm_star
+
+
 def classify_region_pr(signal, point) -> RegionLabelSet:
     """All phase-retrieval regions containing the point."""
-    xstar = np.asarray(signal, dtype=float)
+    xstar, norm_star = _pr_signal(signal)
     x = np.asarray(point, dtype=float)
     if x.shape != xstar.shape:
         raise DimensionMismatch(f"point shape {x.shape} != signal shape {xstar.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteEntry("point entries must be finite")
-    norm_star = float(np.linalg.norm(xstar))
     norm_x = float(np.linalg.norm(x))
     sign_dist = min(
         float(np.linalg.norm(x - xstar)), float(np.linalg.norm(x + xstar))
@@ -352,9 +364,8 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
 
 def sample_region_pr(signal, region: str, n: int, gen) -> list:
     """Draw n vectors whose label set contains the region."""
-    xstar = np.asarray(signal, dtype=float)
+    xstar, norm_star = _pr_signal(signal)
     dim = xstar.shape[0]
-    norm_star = float(np.linalg.norm(xstar))
 
     if region == PR_R1:
 
@@ -434,17 +445,8 @@ class RegionCheck:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "bound_kind": self.bound_kind,
-            "bound_value": float(self.bound_value),
-            "requested": self.requested,
-            "n_sampled": self.n_sampled,
-            "n_violations": self.n_violations,
-            "worst_margin": None if self.skipped else float(self.worst_margin),
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+        worst = None if self.skipped else self.worst_margin
+        return {**asdict(self), "worst_margin": worst}
 
 
 @dataclass(frozen=True)
@@ -467,12 +469,9 @@ class RegionBoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family,
-            "n_per_region": self.n_per_region,
-            "seed": self.seed,
+            **asdict(self),
             "all_clear": self.all_clear,
             "checks": [c.to_json_dict() for c in self.checks],
-            "violations": [dict(v) for v in self.violations],
         }
 
 
@@ -645,22 +644,7 @@ class AssumptionReport:
         return all(v == "PASS" for v in self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "ball_radius": self.ball_radius,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "sup_grad_diff_est": self.sup_grad_diff_est,
-            "sup_hess_diff_est": self.sup_hess_diff_est,
-            "small_gradient_count": self.small_gradient_count,
-            "saddle_margin_violations": [
-                dict(v) for v in self.saddle_margin_violations
-            ],
-            "verdicts": dict(self.verdicts),
-            "overall_pass": self.overall_pass,
-            "caveat": self.caveat,
-        }
+        return {**asdict(self), "overall_pass": self.overall_pass}
 
 
 def _sample_ball(population, radius, gen):
@@ -761,16 +745,7 @@ class RipReport:
         return self.delta_est <= self.delta_threshold
 
     def to_json_dict(self) -> dict:
-        return {
-            "rank_bound": self.rank_bound,
-            "n_probes": self.n_probes,
-            "seed": self.seed,
-            "delta_est": self.delta_est,
-            "delta_threshold": self.delta_threshold,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "within_threshold": self.within_threshold,
-        }
+        return {**asdict(self), "within_threshold": self.within_threshold}
 
 
 def rip_delta_threshold(truth: SensingGroundTruth, epsilon: float, eta: float) -> float:

@@ -196,6 +196,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pr2d", "--grid", "0:inf:5"],
+            ["pr1d", "--grid", "0:inf:5"],
+            ["pr1d", "--grid", "-1e308:1e308:5"],
+        ],
+        ids=["pr2d-inf", "pr1d-inf", "pr1d-overflowing-span"],
+    )
+    def test_unbounded_grid_is_three(self, argv, tmp_path, capsys):
+        rc = cli.main([*argv, "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "finite span" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "experiment=pr1d\nepsilon=nan\n",
+            "experiment=pr1d\nepsilon=inf\n",
+            "experiment=pr1d\nepsilon=-1\n",
+            "experiment=pr1d\nepsilon=0\n",
+            "experiment=assumptions\nm=3\nsamples=2\neta=inf\n",
+            "experiment=assumptions\nm=3\nsamples=2\nradius=inf\n",
+        ],
+        ids=["eps-nan", "eps-inf", "eps-negative", "eps-zero", "eta-inf", "radius-inf"],
+    )
+    def test_non_finite_or_non_positive_tolerance_is_three(self, lines, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(lines)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.json").exists()
+
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])
         assert rc == cli.EXIT_INVALID_CONFIG

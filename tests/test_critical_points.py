@@ -65,9 +65,10 @@ class TestDampedNewton:
         assert grad_norm == 0.0
         np.testing.assert_array_equal(point, np.zeros(2))
 
-    def test_zero_iteration_budget_reports_failure(self):
+    def test_zero_iteration_budget_reports_failure(self, monkeypatch):
+        monkeypatch.setattr(critical_points, "MAX_NEWTON_ITER", 0)
         model = PrPopulationRisk(XSTAR_2D)
-        _, _, _, converged = damped_newton(model, np.array([1.7, 0.4]), max_iter=0)
+        _, _, _, converged = damped_newton(model, np.array([1.7, 0.4]))
         assert not converged
 
     def test_saddles_are_reachable(self):
@@ -158,11 +159,10 @@ class TestGridSearch:
         assert len(deficient) == 4
         assert all("ambient" in r.note for r in deficient)
 
-    def test_failed_seeds_are_counted_not_fatal(self):
+    def test_failed_seeds_are_counted_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(critical_points, "MAX_NEWTON_ITER", 0)
         model = PrPopulationRisk(XSTAR_2D)
-        result = find_critical_points(
-            model, [np.array([1.7, 0.4]), XSTAR_2D], max_iter=0
-        )
+        result = find_critical_points(model, [np.array([1.7, 0.4]), XSTAR_2D])
         assert result.n_failed == 1
         assert result.n_converged == 1
 

@@ -376,6 +376,76 @@ class TestVerificationRunners:
         assert Path(a.paths[0]).read_bytes() == Path(b.paths[0]).read_bytes()
 
 
+def as_csv_cell(value):
+    """A JSON cell as write_csv renders it."""
+    return experiments.format_float(value) if isinstance(value, float) else str(value)
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+TABLE_CASES = {
+    "pr1d": dict(grid=(-1.0, 1.0, 9), m=(10,)),
+    "pr2d": dict(grid=(-1.0, 1.0, 5), m=(20,)),
+    "ms2d_rank1": dict(grid=(-0.5, 0.5, 3), m=(20,)),
+    "ms_rank2_dist": dict(m=(50,), trials=2),
+}
+
+
+class TestSingleWriter:
+    """CSV and JSON are two renderings of the same runner tables."""
+
+    @pytest.mark.parametrize("experiment", sorted(TABLE_CASES))
+    def test_csv_and_json_carry_the_same_tables(self, experiment, tmp_path):
+        kwargs = TABLE_CASES[experiment]
+        csv_base = str(tmp_path / "c")
+        csv_outcome = run_config(experiment=experiment, out=csv_base, fmt="csv", **kwargs)
+        json_outcome = run_config(
+            experiment=experiment, out=str(tmp_path / "j"), fmt="json", **kwargs
+        )
+        assert json_outcome.paths == (str(tmp_path / "j") + ".json",)
+        payload = read_json(json_outcome.paths[0])
+        if "surfaces" in payload:
+            keys = [
+                (surface, kind)
+                for surface in ("population", f"m{kwargs['m'][0]}")
+                for kind in ("grid", "points")
+            ]
+            expected_paths = [f"{csv_base}_{surface}_{kind}.csv" for surface, kind in keys]
+            json_tables = [payload["surfaces"][surface][kind] for surface, kind in keys]
+        else:
+            expected_paths = [csv_base + ".csv"]
+            json_tables = [payload["rows"]]
+        assert list(csv_outcome.paths) == expected_paths
+        for path, json_rows in zip(csv_outcome.paths, json_tables):
+            metadata, _, csv_rows = read_csv(path)
+            assert csv_rows == [[as_csv_cell(v) for v in row] for row in json_rows]
+            assert metadata["experiment"] == experiment
+            assert metadata["config_hash"] == payload["config_hash"]
+            assert int(metadata["master_seed"]) == payload["master_seed"]
+        assert csv_outcome.summary == json_outcome.summary
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(experiment="assumptions", m=(3,), samples=20),
+            dict(experiment="assumptions", family="ms", m=(100,), samples=5),
+            dict(experiment="regions_ms", k=1, r=1, samples=3),
+            dict(experiment="regions_pr", n=1, samples=10),
+            dict(experiment="rip", m=(100,), n_probes=10),
+        ],
+        ids=["assumptions_pr", "assumptions_ms", "regions_ms", "regions_pr", "rip"],
+    )
+    def test_verification_json_is_strict(self, kwargs, tmp_path):
+        outcome = run_config(out=str(tmp_path / "v"), fmt="json", **kwargs)
+        text = Path(outcome.paths[0]).read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=reject_constant)
+        assert payload["ok"] is outcome.ok
+        assert payload["config"]["experiment"] == kwargs["experiment"]
+        assert payload["config_hash"] == outcome.summary["config_hash"]
+
+
 class TestFloatFormatting:
     def test_seventeen_significant_digits(self):
         assert experiments.format_float(1.0 / 3.0) == "0.33333333333333331"

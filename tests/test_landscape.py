@@ -14,6 +14,7 @@ from landscape_lab.errors import (
     InvalidSampleCount,
     NonFiniteEntry,
     SamplerStarved,
+    ZeroTruthSignal,
 )
 from landscape_lab.landscape import (
     CURVATURE_CEILING,
@@ -58,6 +59,15 @@ from landscape_lab.risk_models import (
 )
 
 XSTAR = np.array([1.2, -0.5, 0.3])
+
+# signals the phase risks reject, with the error they raise
+BAD_PR_SIGNALS = [
+    (np.zeros(2), ZeroTruthSignal),
+    (np.ones((2, 1)), ZeroTruthSignal),
+    (np.array([np.nan, 1.0]), NonFiniteEntry),
+    (np.array([np.inf, 1.0]), NonFiniteEntry),
+]
+BAD_PR_SIGNAL_IDS = ["zero", "not-1d", "nan", "inf"]
 
 
 def strict_json(payload):
@@ -227,6 +237,13 @@ class TestClassifyPr:
         with pytest.raises(NonFiniteEntry):
             classify_region_pr(XSTAR, np.array([np.inf, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("signal, error", BAD_PR_SIGNALS, ids=BAD_PR_SIGNAL_IDS)
+    def test_rejects_signal_the_risks_reject(self, signal, error):
+        with pytest.raises(error):
+            PrPopulationRisk(signal)
+        with pytest.raises(error):
+            classify_region_pr(signal, np.ones(signal.shape))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
             classify_region_pr(np.array([1.0, -1.0]), np.ones(3))
@@ -252,6 +269,13 @@ class TestSamplers:
         gen = rng.stream(22, f"sampler-{region}", 0)
         for point in sample_region_pr(XSTAR, region, 25, gen):
             assert region in classify_region_pr(XSTAR, point).labels
+
+    @pytest.mark.parametrize("signal, error", BAD_PR_SIGNALS, ids=BAD_PR_SIGNAL_IDS)
+    def test_pr_sampler_rejects_bad_signal(self, signal, error):
+        gen = rng.stream(23, "sampler-bad-signal", 0)
+        for region in PR_REGIONS:
+            with pytest.raises(error):
+                sample_region_pr(signal, region, 3, gen)
 
     def test_unknown_region_rejected(self):
         truth = separated_truth()
