@@ -58,9 +58,10 @@ def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     """Newton step that repels saddles: eigenvalues keep their sign but
     their magnitude is floored, so the step stays finite near degeneracy."""
     eigvals, eigvecs = np.linalg.eigh(hess)
-    floor = 1e-10 * max(float(np.abs(eigvals).max()), 1e-30)
+    mags = np.abs(eigvals)
+    floor = 1e-10 * max(float(mags.max()), 1e-30)
     signs = np.where(eigvals >= 0.0, 1.0, -1.0)
-    damped = signs * np.maximum(np.abs(eigvals), floor)
+    damped = signs * np.maximum(mags, floor)
     return -eigvecs @ ((eigvecs.T @ grad_flat) / damped)
 
 

@@ -24,7 +24,7 @@ from .critical_points import (
     grid_seed_points,
     refine_minimum_horizontal,
 )
-from .errors import InvalidConfig
+from .errors import GramNotSPD, InvalidConfig
 from .landscape import (
     PR_R4,
     AssumptionConfig,
@@ -140,12 +140,9 @@ def _format_cell(value) -> str:
 
 
 def config_hash(resolved: dict) -> str:
-    """Hash of the resolved configuration, excluding output plumbing."""
-    lines = []
-    for key in sorted(resolved):
-        if key in ("out", "format"):
-            continue
-        lines.append(f"{key}={_format_cell(resolved[key])}")
+    """Hash of the resolved configuration; runners put no output plumbing
+    (out, format) in it."""
+    lines = [f"{key}={_format_cell(resolved[key])}" for key in sorted(resolved)]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -383,7 +380,12 @@ def run_ms_rank2_distance(config: ExperimentConfig, master: int):
             truth, m, seed=rng.subseed(master, f"ms-dist-m{m}", trial)
         )
         model = MsEmpiricalRisk(ensemble)
-        refined, grad_norm = refine_minimum_horizontal(model, ustar)
+        try:
+            refined, grad_norm = refine_minimum_horizontal(model, ustar)
+        except GramNotSPD:
+            # the refinement reached a rank-deficient factor, where the
+            # horizontal space is undefined: a failed trial, not a failed sweep
+            return False, math.nan
         converged = grad_norm <= 1e-6 * (1.0 + model.value_scale)
         # distance to the population minimum set: with a degenerate top
         # block the minima sweep a continuum, and the empirical minimum

@@ -16,8 +16,9 @@ Both empirical risks are quadratic in an N x N residual Z (UU^T - X, or
 xx^T - x*x*^T), through the N^2 x N^2 Gram matrix G of the rows vec(A_m),
 or vec(a_m a_m^T) / sqrt(M). Each ensemble keeps a square-root factor C with
 C^T C = G, so the risk is the sum of squares ||C vec Z||^2, never negative,
-and costs the same at every M. hess_vec takes one direction or a stack of
-them along a leading axis.
+and G itself, formed once as C^T C, so the normal image G vec Z is one
+product. Both cost the same at every M. hess_vec takes one direction or a
+stack of them along a leading axis.
 """
 
 from __future__ import annotations
@@ -48,29 +49,32 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_root(gram: np.ndarray) -> np.ndarray:
-    """C = diag(sqrt(w)) V^T from G = V diag(w) V^T, so that C^T C = G.
+def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, C^T C) with C = diag(sqrt(w)) V^T from G = V diag(w) V^T.
 
     Eigenvalue noise below zero, from a singular G, is clipped to zero.
+    The returned Gram matrix is rebuilt from C, so that G vec Z stays the
+    exact derivative of ||C vec Z||^2 / 2 after the clipping.
     """
     w, v = np.linalg.eigh(gram)
-    return _frozen(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
+    root = _frozen(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
+    return root, _frozen(root.T @ root)
 
 
-def _root_coords(root: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # C vec(Z) for one N x N matrix or a stack along leading axes
-    return z.reshape(*z.shape[:-2], -1) @ root.T
+def _vec(z: np.ndarray) -> np.ndarray:
+    # vec(Z) for one N x N matrix or a stack along leading axes
+    return z.reshape(*z.shape[:-2], -1)
 
 
 def _root_energy(root: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||C vec(Z)||^2, a sum of squares, per N x N matrix of z."""
-    coords = _root_coords(root, z)
+    coords = _vec(z) @ root.T
     return (coords * coords).sum(axis=-1)
 
 
-def _root_normal(root: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """C^T C vec(Z), reshaped like z."""
-    return (_root_coords(root, z) @ root).reshape(z.shape)
+def _gram_normal(gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """G vec(Z) for the symmetric G, reshaped like z."""
+    return (_vec(z) @ gram).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +247,9 @@ class SensingEnsemble:
     measurements the values <X, A_m>, A_m = (B_m + B_m^T) / 2. The seed fully
     determines raw, so measurements can be recomputed and checked bit-close
     from (truth, seed). gram_root is a square-root factor C of the N^2 x N^2
-    Gram matrix G = sum_m vec(A_m) vec(A_m)^T of A*A, built once, so energy
-    and normal cost the same at every M.
+    Gram matrix G = sum_m vec(A_m) vec(A_m)^T of A*A, and gram is C^T C,
+    both built once: energy is the sum of squares ||C vec Z||^2 and normal
+    the one product G vec Z, at the same cost for every M.
     """
 
     truth: SensingGroundTruth
@@ -252,6 +257,7 @@ class SensingEnsemble:
     measurements: np.ndarray
     seed: int
     gram_root: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.truth.dim
@@ -268,7 +274,9 @@ class SensingEnsemble:
         object.__setattr__(self, "measurements", y)
         # rows are 2 vec(A_m), hence the 1/4; the M x N^2 stack is not kept
         stack = (raw + np.transpose(raw, (0, 2, 1))).reshape(m, n * n)
-        object.__setattr__(self, "gram_root", _gram_root(0.25 * (stack.T @ stack)))
+        root, gram = _gram_factors(0.25 * (stack.T @ stack))
+        object.__setattr__(self, "gram_root", root)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def n_measurements(self) -> int:
@@ -283,8 +291,8 @@ class SensingEnsemble:
         return float(_root_energy(self.gram_root, z))
 
     def normal(self, z: np.ndarray) -> np.ndarray:
-        """A*A(Z) as C^T C vec(Z), for one N x N matrix or a stack."""
-        return _root_normal(self.gram_root, z)
+        """A*A(Z) as G vec(Z), for one N x N matrix or a stack."""
+        return _gram_normal(self.gram, z)
 
     def to_json_dict(self) -> dict:
         n, r = self.truth.dim, self.truth.rank
@@ -349,8 +357,9 @@ class PhaseProblem:
     Construction rechecks y against (A x*)^2, so the empirical risk may read
     x* in place of y. gram_root is a square-root factor C of the N^2 x N^2
     Gram matrix G = (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the
-    empirical fourth moment of the sensing vectors, built once, so energy
-    and normal cost the same at every M.
+    empirical fourth moment of the sensing vectors, and gram is C^T C, both
+    built once: energy is the sum of squares ||C vec Z||^2 and normal the
+    one product G vec Z, at the same cost for every M.
     """
 
     signal: np.ndarray
@@ -358,6 +367,7 @@ class PhaseProblem:
     measurements: np.ndarray
     seed: int
     gram_root: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.signal, dtype=float)
@@ -384,7 +394,9 @@ class PhaseProblem:
         object.__setattr__(self, "vectors", _frozen(a))
         object.__setattr__(self, "measurements", _frozen(y))
         stack = (a[:, :, None] * a[:, None, :]).reshape(m, n * n)
-        object.__setattr__(self, "gram_root", _gram_root((stack.T @ stack) / m))
+        root, gram = _gram_factors((stack.T @ stack) / m)
+        object.__setattr__(self, "gram_root", root)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def dim(self) -> int:
@@ -399,8 +411,8 @@ class PhaseProblem:
         return float(_root_energy(self.gram_root, z))
 
     def normal(self, z: np.ndarray) -> np.ndarray:
-        """(1/M) sum_m <a_m a_m^T, Z> a_m a_m^T as C^T C vec(Z)."""
-        return _root_normal(self.gram_root, z)
+        """(1/M) sum_m <a_m a_m^T, Z> a_m a_m^T as G vec(Z)."""
+        return _gram_normal(self.gram, z)
 
     def to_json_dict(self) -> dict:
         return {
@@ -592,6 +604,8 @@ class _PhaseRisk(RiskModel):
         if x.ndim != 1 or np.linalg.norm(x) == 0.0:
             raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
         self.signal = _frozen(x)
+        # x* x*^T, which every residual xx^T - x*x*^T subtracts
+        self._signal_outer = _frozen(np.outer(x, x))
 
     @property
     def shape(self) -> tuple[int]:
@@ -633,7 +647,7 @@ class PrPopulationRisk(_PhaseRisk):
         n = x.shape[0]
         return (
             12.0 * np.outer(x, x)
-            - 4.0 * np.outer(xs, xs)
+            - 4.0 * self._signal_outer
             + (6.0 * float(x @ x) - 2.0 * float(xs @ xs)) * np.eye(n)
         )
 
@@ -663,7 +677,7 @@ class PrEmpiricalRisk(_PhaseRisk):
         self.problem = problem
 
     def _residual(self, x: np.ndarray) -> np.ndarray:
-        return np.outer(x, x) - np.outer(self.signal, self.signal)
+        return np.outer(x, x) - self._signal_outer
 
     def value(self, point) -> float:
         x = self._coerce(point)

@@ -3,8 +3,10 @@
 Hessians are never formed by the risk models themselves; this module
 assembles them densely from one hess_vec call on a stack of basis
 directions, either the canonical ambient basis or an orthonormal horizontal
-basis at a factor point. Problem sizes here are small by design, so dense
-eigh is the right tool.
+basis at a factor point. The canonical stack is built once per model shape
+and shared read-only, so a hess_vec that wrote into its directions would
+raise instead of corrupting the next Hessian. Problem sizes here are small
+by design, so dense eigh is the right tool.
 
 uses_quotient alone picks which of the two a model's curvature is read in:
 factors with k >= 2 columns carry the O(k) gauge zeros in their ambient
@@ -14,6 +16,8 @@ basis is the identity and the two forms agree bit for bit.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +50,20 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
         raise NonFiniteEntry(f"{label} produced a non-finite entry")
 
 
+@functools.lru_cache(maxsize=16)
+def _canonical_basis(shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, *shape) stack of canonical basis directions, read-only."""
+    n = math.prod(shape)
+    basis = np.eye(n).reshape(n, *shape)
+    basis.setflags(write=False)
+    return basis
+
+
 def dense_euclidean_hessian(model, point) -> np.ndarray:
     """Assemble the ambient Hessian from hess_vec on the canonical basis stack."""
-    shape = model.shape
-    n = int(np.prod(shape))
-    images = model.hess_vec(point, np.eye(n).reshape(n, *shape))
+    basis = _canonical_basis(model.shape)
+    n = len(basis)
+    images = model.hess_vec(point, basis)
     _check_finite(images, "hess_vec")
     # row j is the image of the j-th basis direction, the j-th column
     rows = images.reshape(n, n)

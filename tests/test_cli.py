@@ -189,6 +189,19 @@ class TestExitCodes:
         assert r2p["bound_kind"] == "curvature_ceiling"
         assert r2p["worst_margin"] is None
 
+    def test_singular_gram_fails_one_trial_not_the_sweep(self, tmp_path):
+        # at M = 3 one refinement reaches a rank-deficient factor, where
+        # horizontal_basis raises GramNotSPD; it counts as a failed trial
+        out = tmp_path / "d"
+        argv = ["ms_rank2_dist", "--m", "3", "--trials", "2", "--format", "json"]
+        rc = cli.main([*argv, "--seed", "20250817", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        payload = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+        per_m = payload["per_m"]["3"]
+        assert per_m["failed_trials"] >= 1
+        assert per_m["failed_trials"] + len(per_m["distances"]) == 2
+        assert payload["rows"][0][1] == len(per_m["distances"])
+
     def test_invalid_config_is_three(self, tmp_path, capsys):
         assert cli.main(["pr1d", "--n", "4"]) == cli.EXIT_INVALID_CONFIG
         assert cli.main(["nope"]) == cli.EXIT_INVALID_CONFIG

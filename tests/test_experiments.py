@@ -63,11 +63,34 @@ class TestConfigValidation:
 
 
 class TestConfigHash:
-    def test_ignores_output_plumbing(self):
-        base = {"experiment": "pr1d", "m": 30, "master_seed": 1}
-        a = experiments.config_hash({**base, "out": "a", "format": "csv"})
-        b = experiments.config_hash({**base, "out": "b", "format": "json"})
-        assert a == b
+    def test_run_never_hashes_output_plumbing(self, tmp_path, monkeypatch):
+        # config_hash hashes every key it gets, so run must hand it
+        # substance only, whichever format is written
+        hashed = []
+        real = experiments.config_hash
+
+        def spy(resolved):
+            hashed.append(dict(resolved))
+            return real(resolved)
+
+        monkeypatch.setattr(experiments, "config_hash", spy)
+        cases = [
+            ("pr1d", "csv", {"grid": (-1.0, 1.0, 5)}),
+            ("pr1d", "json", {"grid": (-1.0, 1.0, 5)}),
+            ("pr2d", "csv", {"m": (3,), "grid": (-0.2, 0.2, 3)}),
+            ("pr2d", "json", {"m": (3,), "grid": (-0.2, 0.2, 3)}),
+            ("ms_rank2_dist", "csv", {"m": (20,), "trials": 1}),
+            ("ms_rank2_dist", "json", {"m": (20,), "trials": 1}),
+            ("regions_pr", "json", {"samples": 3}),
+        ]
+        for experiment, fmt, extra in cases:
+            out = tmp_path / f"{experiment}-{fmt}"
+            run_config(experiment=experiment, out=str(out), fmt=fmt, **extra)
+        assert len(hashed) == len(cases)
+        for (experiment, _, _), resolved in zip(cases, hashed):
+            assert resolved["experiment"] == experiment
+            assert "out" not in resolved
+            assert "format" not in resolved
 
     def test_sensitive_to_substance(self):
         base = {"experiment": "pr1d", "m": 30, "master_seed": 1}

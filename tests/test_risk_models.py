@@ -144,6 +144,21 @@ def test_ensemble_rejects_bad_measurement_count():
         generate_sensing_ensemble(default_truth(), 0, 1)
 
 
+def assert_normal_is_root_product(container, gen, n):
+    # one product against G = C^T C gives C^T (C vec Z) to 1e-13, on one
+    # N x N matrix and on a stack
+    root = container.gram_root
+    for shape in ((n, n), (4, n, n)):
+        z = rng.normal(gen, shape)
+        z = z + np.swapaxes(z, -1, -2)
+        flat = z.reshape(-1, n * n)
+        expected = ((root.T @ (root @ flat.T)).T).reshape(shape)
+        got = container.normal(z)
+        assert got.shape == shape
+        for g, e in zip(got.reshape(-1, n, n), expected.reshape(-1, n, n)):
+            assert np.linalg.norm(g - e) <= 1e-13 * np.linalg.norm(e)
+
+
 def test_ensemble_measurements_recomputable():
     # N = 6: M = 30 lies above N(N+1)/2 = 21, M = 12 below, where the Gram
     # matrix of the normal operator is singular
@@ -165,6 +180,7 @@ def test_ensemble_measurements_recomputable():
             assert np.linalg.norm(ensemble.normal(z) - summed) <= 1e-12 * np.linalg.norm(
                 summed
             )
+        assert_normal_is_root_product(ensemble, gen, 6)
     # along every eigenvector of the singular Gram matrix at M = 12, null
     # directions included, the energy is a sum of squares and never negative
     flat = sym_stack.reshape(12, 36)
@@ -251,6 +267,7 @@ def test_phase_gram_form_matches_the_sums_over_measurements(xstar, m):
         assert np.linalg.norm(model.hess_vec(x, d) - hvp) <= (
             1e-12 * s ** 0.5 * np.linalg.norm(d)
         )
+    assert_normal_is_root_product(problem, gen, xstar.shape[0])
 
 
 def test_sensing_operator_is_isotropic_on_rank2_probes():

@@ -68,6 +68,36 @@ def test_min_eig_raises_on_non_finite_hessian():
         min_eig(Broken(XSTAR), XSTAR)
 
 
+def test_dense_hessian_matches_fresh_basis_across_shapes():
+    # the cached canonical stack gives the bits of a freshly built one, for
+    # two shapes called in alternation
+    truth = separated_truth()
+    models = [
+        (PrPopulationRisk(XSTAR), XSTAR + 0.3),
+        (MsPopulationRisk(truth), truth.canonical_minimum() + 0.05),
+    ]
+    for _ in range(2):
+        for model, point in models:
+            n = int(np.prod(model.shape))
+            images = model.hess_vec(point, np.eye(n).reshape(n, *model.shape))
+            rows = images.reshape(n, n)
+            fresh = 0.5 * (rows + rows.T)
+            assert np.array_equal(dense_euclidean_hessian(model, point), fresh)
+
+
+def test_dense_hessian_basis_is_read_only():
+    class Scribbler(PrPopulationRisk):
+        def hess_vec(self, point, direction):
+            direction[...] = 7.0
+            return super().hess_vec(point, direction)
+
+    point = XSTAR + 0.3
+    clean = dense_euclidean_hessian(PrPopulationRisk(XSTAR), point)
+    with pytest.raises(ValueError):
+        dense_euclidean_hessian(Scribbler(XSTAR), point)
+    assert np.array_equal(dense_euclidean_hessian(PrPopulationRisk(XSTAR), point), clean)
+
+
 # ---- horizontal probe ---------------------------------------------------
 
 
