@@ -4,12 +4,14 @@ Grammar:
 
     landscape-lab <experiment> [--n N] [--k K] [--r R] [--m M[,M...]]
                   [--trials T] [--seed S] [--grid min:max:points]
-                  [--out path] [--format csv|json] [--config path]
+                  [--out path] [--format csv|json] [--samples S]
+                  [--epsilon E] [--eta E] [--radius R] [--n_probes P]
+                  [--rank_bound B] [--family pr|ms] [--config path]
 
-A config file holds flat ``key=value`` lines (``#`` starts a comment);
-command-line flags override file entries. Keys beyond the flag set
-(samples, epsilon, eta, radius, n_probes, rank_bound, family) are only
-reachable through the file.
+A config file holds flat ``key=value`` lines (``#`` starts a comment). Its
+keys are ``experiment`` and the flag names without the leading dashes. The
+file's entries become the parser's defaults, so a file value is typed as
+the flag's value is, and a flag given on the command line overrides it.
 
 Exit codes: 0 success, 2 verification failure, 3 invalid configuration,
 4 numerical failure.
@@ -23,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, rng
+from . import experiments
 from .errors import (
     DimensionMismatch,
     GramNotSPD,
@@ -60,12 +62,6 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-_INT_KEYS = ("n", "k", "r", "trials", "seed", "samples", "n_probes", "rank_bound")
-_FLOAT_KEYS = ("epsilon", "eta", "radius")
-_STR_KEYS = ("out", "format", "family")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + ("m", "grid", "experiment")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; that slot is taken."""
 
@@ -93,7 +89,8 @@ def parse_grid(text: str):
         raise InvalidConfig(f"bad grid {text!r}") from None
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, keys) -> dict:
+    """Read ``key=value`` lines; every key must be one of ``keys``."""
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -107,29 +104,12 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in keys:
             raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
         if not value:
             raise InvalidConfig(f"{path}:{lineno}: empty value for {key!r}")
         entries[key] = value
     return entries
-
-
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        raise InvalidConfig(f"bad value {value!r} for {key}") from None
-    if key == "m":
-        return parse_m(value)
-    if key == "grid":
-        return parse_grid(value)
-    return value
 
 
 def _glue_dash_values(argv):
@@ -150,6 +130,7 @@ def _glue_dash_values(argv):
 
 
 def build_config(argv) -> experiments.ExperimentConfig:
+    argv = _glue_dash_values(argv)
     parser = _Parser(
         prog="landscape-lab",
         description="Landscape experiments and verification suites.",
@@ -158,36 +139,31 @@ def build_config(argv) -> experiments.ExperimentConfig:
     parser.add_argument("--n", type=int)
     parser.add_argument("--k", type=int)
     parser.add_argument("--r", type=int)
-    parser.add_argument("--m", type=parse_m)
+    parser.add_argument("--m", type=parse_m, default=())
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--grid", type=parse_grid)
     parser.add_argument("--out")
     parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--eta", type=float)
+    parser.add_argument("--radius", type=float)
+    parser.add_argument("--n_probes", type=int)
+    parser.add_argument("--rank_bound", type=int)
+    parser.add_argument("--family")
     parser.add_argument("--config")
-    args = parser.parse_args(_glue_dash_values(argv))
-
-    merged = {}
-    if args.config:
-        merged.update(load_config_file(args.config))
-    for key in ("experiment", "n", "k", "r", "m", "trials", "seed", "grid", "out", "format"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-
-    experiment = merged.pop("experiment", None)
-    if experiment is None:
+    args = vars(parser.parse_args(argv))
+    if args["config"]:
+        # argparse types string defaults as it types flag values
+        keys = args.keys() - {"config"}
+        parser.set_defaults(**load_config_file(args["config"], keys))
+        args = vars(parser.parse_args(argv))
+    del args["config"]
+    if args["experiment"] is None:
         raise InvalidConfig("no experiment named on the command line or in the config file")
-    coerced = {key: _coerce(key, value) for key, value in merged.items()}
-    seed = coerced.pop("seed", None)
-    fmt = coerced.pop("format", None)
-    if fmt is None:
-        fmt = "json" if experiment in experiments.VERIFICATION_EXPERIMENTS else "csv"
     return experiments.ExperimentConfig(
-        experiment=experiment,
-        master_seed=rng.resolve_master_seed(seed),
-        fmt=fmt,
-        **{key: coerced[key] for key in coerced if key != "experiment"},
+        master_seed=args.pop("seed"), fmt=args.pop("format"), **args
     )
 
 

@@ -243,6 +243,12 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
             if _dedupe_distance(model, record.location, point) <= tol:
                 keeper = i
                 break
+        # the smaller gradient wins, not the first seed: at a degenerate
+        # point the gradient grows only cubically along the null direction
+        # (the ms2d_rank1 population origin, Hessian eigenvalues -2 and 0,
+        # along (1, 1)), so a converged seed can stop micro-units away; the
+        # first seed there kept a point 2.6e-6 from the origin with gradient
+        # norm 1.7e-17, outside a 1e-6 match to the analytic point
         if keeper is not None and grad_norm >= found[keeper].grad_norm:
             continue
         lam, kind, note = _classify(model, point)

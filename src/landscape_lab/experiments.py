@@ -1,11 +1,12 @@
 """Experiment runners with seeded reproducibility and structured output.
 
-A runner only computes: it resolves its defaults, derives every random
-stream from the master seed it is handed, and returns its resolved
+``ExperimentConfig`` resolves the master seed and the output format once,
+when it is built. A runner only computes: it resolves its defaults, derives
+every random stream from the master seed, and returns its resolved
 configuration, its tables, its JSON body and its summary. ``run`` is the
-one place that writes: it resolves the master seed, stamps the outputs
-with it, a hash of the resolved configuration and the package version, and
-writes either one CSV file per table or one JSON file. Re-running with an
+one place that writes: it stamps the outputs with the master seed, a hash
+of the resolved configuration and the package version, and writes either
+one CSV file per table or one JSON file. Re-running with an
 identical configuration reproduces identical bytes.
 """
 
@@ -77,7 +78,7 @@ class ExperimentConfig:
     master_seed: int | None = None
     grid: tuple | None = None
     out: str | None = None
-    fmt: str = "csv"
+    fmt: str | None = None
     samples: int | None = None
     epsilon: float | None = None
     eta: float | None = None
@@ -87,11 +88,17 @@ class ExperimentConfig:
     family: str | None = None
 
     def __post_init__(self):
+        # the seed and the format resolve here, once: an explicit seed, else
+        # the environment, else the default; JSON for verification, else CSV
+        object.__setattr__(self, "master_seed", rng.resolve_master_seed(self.master_seed))
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfig(
                 f"unknown experiment {self.experiment!r}; choose one of "
                 + ", ".join(EXPERIMENTS)
             )
+        if self.fmt is None:
+            default = "json" if self.experiment in VERIFICATION_EXPERIMENTS else "csv"
+            object.__setattr__(self, "fmt", default)
         if self.fmt not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.fmt!r}")
         if self.grid is not None:
@@ -398,7 +405,7 @@ def run_ms_rank2_distance(config: ExperimentConfig, master: int):
         outcomes = [one_trial(m, t) for t in range(trials)]
         distances = [d for ok, d in outcomes if ok]
         trials_ok = len(distances)
-        mean = float(np.mean(distances)) if distances else math.nan
+        mean = float(np.mean(distances)) if distances else None
         std = float(np.std(distances, ddof=1)) if trials_ok >= 2 else 0.0
         rows.append((m, trials_ok, mean, std))
         detail[str(m)] = {
@@ -416,7 +423,11 @@ def run_ms_rank2_distance(config: ExperimentConfig, master: int):
     columns = ("M", "trials_ok", "mean_dist", "std_dist")
     body = {"columns": columns, "rows": rows, "per_m": detail}
     summary = {"means": {str(m): mean for m, _, mean, _ in rows}}
-    return resolved, [("", columns, rows, {"trials": trials})], body, summary, True
+    # a mean over no converged trial is null in JSON and nan in its CSV cell
+    csv_rows = [
+        (m, ok, math.nan if mean is None else mean, std) for m, ok, mean, std in rows
+    ]
+    return resolved, [("", columns, csv_rows, {"trials": trials})], body, summary, True
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +558,10 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     - ``ok``: the verdict, which sets the exit code.
 
     CSV writes one file per table; JSON writes one file holding the config,
-    the stamp and the body.
+    the stamp and the body. The master seed and the format are the ones
+    ``config`` resolved when it was built.
     """
-    master = rng.resolve_master_seed(config.master_seed)
+    master = config.master_seed
     resolved, tables, body, summary, ok = RUNNERS[config.experiment](config, master)
     resolved = {"experiment": config.experiment, "master_seed": master, **resolved}
     stamp = _stamp(resolved)

@@ -1,5 +1,6 @@
 """CLI tests: grammar, config file handling, seed resolution, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,28 @@ class TestParsing:
         assert config.fmt == "csv"
 
 
+# every config key: its value as written, the ExperimentConfig field it
+# sets and the typed value that field gets
+KEY_CASES = {
+    "n": ("2", "n", 2),
+    "k": ("2", "k", 2),
+    "r": ("3", "r", 3),
+    "m": ("50,100", "m", (50, 100)),
+    "trials": ("7", "trials", 7),
+    "seed": ("99", "master_seed", 99),
+    "grid": ("-1:1:5", "grid", (-1.0, 1.0, 5)),
+    "out": ("here", "out", "here"),
+    "format": ("json", "fmt", "json"),
+    "samples": ("10", "samples", 10),
+    "epsilon": ("0.5", "epsilon", 0.5),
+    "eta": ("0.25", "eta", 0.25),
+    "radius": ("1.2", "radius", 1.2),
+    "n_probes": ("30", "n_probes", 30),
+    "rank_bound": ("2", "rank_bound", 2),
+    "family": ("ms", "family", "ms"),
+}
+
+
 class TestConfigFile:
     def test_file_drives_run(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -94,7 +117,7 @@ class TestConfigFile:
         assert config.master_seed == 9
         assert config.m == (20,)
 
-    def test_extended_keys_only_in_file(self, tmp_path):
+    def test_extended_keys_in_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
             "experiment=assumptions\nfamily=pr\nsamples=10\nepsilon=0.5\n"
@@ -128,6 +151,20 @@ class TestConfigFile:
         path.write_text("experiment=pr1d\ntrials=two\n")
         with pytest.raises(InvalidConfig):
             cli.build_config(["--config", str(path)])
+
+    def test_every_config_field_has_a_key(self):
+        fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+        assert fields - {"experiment"} == {field for _, field, _ in KEY_CASES.values()}
+
+    @pytest.mark.parametrize("key", sorted(KEY_CASES))
+    def test_flag_and_file_set_the_same_field(self, key, tmp_path):
+        text, field, expected = KEY_CASES[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment=pr1d\n{key}={text}\n")
+        by_file = getattr(cli.build_config(["--config", str(path)]), field)
+        by_flag = getattr(cli.build_config(["pr1d", f"--{key}", text]), field)
+        assert by_file == by_flag == expected
+        assert type(by_file) is type(by_flag) is type(expected)
 
 
 class TestSeedResolution:
@@ -244,6 +281,14 @@ class TestExitCodes:
         assert "must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.json").exists()
+
+    def test_non_numeric_float_in_file_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("experiment=pr1d\nepsilon=abc\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])

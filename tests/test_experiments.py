@@ -61,6 +61,27 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             experiments.ExperimentConfig(experiment="pr1d", m=(30, 0))
 
+    def test_format_defaults_by_experiment(self):
+        for experiment in experiments.EXPERIMENTS:
+            config = experiments.ExperimentConfig(experiment=experiment)
+            verification = experiment in experiments.VERIFICATION_EXPERIMENTS
+            assert config.fmt == ("json" if verification else "csv")
+
+    def test_master_seed_resolves_on_construction(self, monkeypatch):
+        monkeypatch.delenv(rng.SEED_ENV_VAR, raising=False)
+        config = experiments.ExperimentConfig(experiment="pr1d")
+        assert config.master_seed == rng.DEFAULT_MASTER_SEED
+        monkeypatch.setenv(rng.SEED_ENV_VAR, "777")
+        assert experiments.ExperimentConfig(experiment="pr1d").master_seed == 777
+        config = experiments.ExperimentConfig(experiment="pr1d", master_seed=3)
+        assert config.master_seed == 3
+
+    def test_verification_run_writes_json_by_default(self, tmp_path):
+        out = tmp_path / "rp"
+        outcome = run_config(experiment="regions_pr", samples=5, out=str(out))
+        assert outcome.paths == (f"{out}.json",)
+        assert read_json(outcome.paths[0])["config"]["experiment"] == "regions_pr"
+
 
 class TestConfigHash:
     def test_run_never_hashes_output_plumbing(self, tmp_path, monkeypatch):
@@ -292,6 +313,20 @@ class TestDistanceExperiment:
     def test_rank_budget_gate(self):
         with pytest.raises(InvalidConfig):
             run_config(experiment="ms_rank2_dist", k=4, r=3)
+
+    def test_all_failed_mean_is_strict_json_null(self, tmp_path):
+        # at M = 3 the single trial fails, so its mean is over nothing
+        kwargs = dict(experiment="ms_rank2_dist", m=(3,), trials=1, master_seed=20250817)
+        outcome = run_config(out=str(tmp_path / "d"), fmt="json", **kwargs)
+        text = Path(outcome.paths[0]).read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=reject_constant)
+        assert payload["per_m"]["3"]["failed_trials"] == 1
+        assert payload["rows"][0][2] is None
+        assert outcome.summary["means"] == {"3": None}
+        json.loads(json.dumps(outcome.summary), parse_constant=reject_constant)
+        csv_outcome = run_config(out=str(tmp_path / "c"), fmt="csv", **kwargs)
+        _, _, rows = read_csv(csv_outcome.paths[0])
+        assert rows[0][2] == "nan"
 
 
 class TestVerificationRunners:
