@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -541,6 +541,36 @@ RUNNERS = {
     "rip": run_verification,
 }
 
+# the config fields each experiment reads besides master_seed, out and fmt,
+# which every experiment reads; the pr family of assumptions reads no k or r
+READS = {
+    "pr1d": ("n", "m", "grid", "epsilon"),
+    "pr2d": ("n", "m", "grid"),
+    "ms2d_rank1": ("n", "m", "grid"),
+    "ms_rank2_dist": ("n", "k", "r", "m", "trials"),
+    "assumptions": ("family", "n", "k", "r", "m", "samples", "epsilon", "eta", "radius"),
+    "regions_ms": ("n", "k", "r", "samples"),
+    "regions_pr": ("n", "samples"),
+    "rip": ("n", "k", "r", "m", "rank_bound", "n_probes", "epsilon", "eta"),
+}
+_READ_BY_ALL = ("experiment", "master_seed", "out", "fmt")
+
+
+def _reject_unread_keys(config: ExperimentConfig) -> None:
+    """A key that is set but that the experiment does not read is an error."""
+    reads = set(READS[config.experiment])
+    if config.experiment == "assumptions" and config.family in (None, "pr"):
+        reads -= {"k", "r"}
+    unread = [
+        f.name
+        for f in fields(config)
+        if f.name not in _READ_BY_ALL
+        and f.name not in reads
+        and getattr(config, f.name) != f.default
+    ]
+    if unread:
+        raise InvalidConfig(f"{config.experiment} does not read {', '.join(unread)}")
+
 
 def run(config: ExperimentConfig) -> ExperimentOutcome:
     """Run one experiment and write its outputs.
@@ -557,10 +587,14 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     - ``summary``: the summary keys beyond the stamp;
     - ``ok``: the verdict, which sets the exit code.
 
+    A key ``config`` sets that ``READS`` does not list for the experiment
+    raises ``InvalidConfig`` before anything runs or is written.
+
     CSV writes one file per table; JSON writes one file holding the config,
     the stamp and the body. The master seed and the format are the ones
     ``config`` resolved when it was built.
     """
+    _reject_unread_keys(config)
     master = config.master_seed
     resolved, tables, body, summary, ok = RUNNERS[config.experiment](config, master)
     resolved = {"experiment": config.experiment, "master_seed": master, **resolved}

@@ -19,10 +19,18 @@ C^T C = G, so the risk is the sum of squares ||C vec Z||^2, never negative,
 and G itself, formed once as C^T C, so the normal image G vec Z is one
 product. Both cost the same at every M. hess_vec takes one direction or a
 stack of them along a leading axis.
+
+An ensemble is (truth or signal, M, seed) plus those two factors. G is
+accumulated over blocks of CHUNK measurements of the seeded draw, so memory
+does not depend on M. The draw itself (raw, vectors) and the measurements
+are regenerated from (seed, M), block by block, whenever they are read; the
+blocks consume the stream in order, so they equal a one-shot draw bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +49,7 @@ from .manifold import procrustes_distance
 
 MEASUREMENT_RECOMPUTE_RTOL = 1e-12
 EIGENVALUE_CLUSTER_RTOL = 1e-9
+CHUNK = 2048  # measurements per block of a seeded draw
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -59,6 +68,39 @@ def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(gram)
     root = _frozen(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
     return root, _frozen(root.T @ root)
+
+
+def _normal_blocks(seed: int, tag: str, m: int, shape: tuple):
+    """M standard normal draws of the given shape from stream (seed, tag),
+    in consecutive blocks of at most CHUNK; concatenated, they are the
+    one-shot draw of shape (M, *shape) bit for bit."""
+    gen = rng.stream(seed, tag, 0)
+    for start in range(0, m, CHUNK):
+        yield rng.normal(gen, (min(CHUNK, m - start), *shape))
+
+
+def _summed_gram(stacks) -> np.ndarray:
+    """sum_c S_c^T S_c over blocks of rows; one block gives S^T S exactly."""
+    return functools.reduce(np.add, (s.T @ s for s in stacks))
+
+
+def _check_regenerated(stored_draw, draw, stored_y, y) -> None:
+    """A document must hold the regenerated draw bit for bit and its
+    measurements to MEASUREMENT_RECOMPUTE_RTOL; a NaN anywhere fails."""
+    if stored_draw.shape != draw.shape or stored_y.shape != y.shape:
+        raise DimensionMismatch("stored draw or measurements have the wrong shape")
+    if not np.array_equal(stored_draw, draw):
+        raise NonFiniteEntry(
+            "stored draw is non-finite or differs from the one regenerated "
+            "from the seed"
+        )
+    scale = max(np.linalg.norm(y), 1e-300)
+    # negated <= so that a NaN fails the check
+    if not np.linalg.norm(stored_y - y) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
+        raise NonFiniteEntry(
+            "stored measurements are non-finite or disagree with the "
+            "regenerated values"
+        )
 
 
 def _vec(z: np.ndarray) -> np.ndarray:
@@ -241,50 +283,67 @@ class SensingGroundTruth:
 
 @dataclass(frozen=True)
 class SensingEnsemble:
-    """A batch of Gaussian sensing matrices and their measurements.
+    """M Gaussian sensing matrices, held as (truth, M, seed) and a Gram factor.
 
-    raw holds the unsymmetrized B_m with i.i.d. N(0, 1/M) entries and
-    measurements the values <X, A_m>, A_m = (B_m + B_m^T) / 2. The seed fully
-    determines raw, so measurements can be recomputed and checked bit-close
-    from (truth, seed). gram_root is a square-root factor C of the N^2 x N^2
-    Gram matrix G = sum_m vec(A_m) vec(A_m)^T of A*A, and gram is C^T C,
-    both built once: energy is the sum of squares ||C vec Z||^2 and normal
-    the one product G vec Z, at the same cost for every M.
+    The draw is the unsymmetrized B_m with i.i.d. N(0, 1/M) entries, and the
+    measurements are <X, A_m> with A_m = (B_m + B_m^T) / 2. gram_root is a
+    square-root factor C of the N^2 x N^2 Gram matrix
+    G = sum_m vec(A_m) vec(A_m)^T of A*A, and gram is C^T C, both built once
+    from CHUNK-sized blocks of the seeded draw: energy is the sum of squares
+    ||C vec Z||^2 and normal the one product G vec Z, at the same cost and
+    memory for every M. raw and measurements are regenerated from (seed, M)
+    when read; apply streams the same blocks.
     """
 
     truth: SensingGroundTruth
-    raw: np.ndarray
-    measurements: np.ndarray
+    n_measurements: int
     seed: int
     gram_root: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        m = int(self.n_measurements)
+        if m < 1:
+            raise InvalidSampleCount(f"need at least one measurement, got {m}")
+        object.__setattr__(self, "n_measurements", m)
+        object.__setattr__(self, "seed", int(self.seed))
         n = self.truth.dim
-        raw = _frozen(self.raw)
-        y = _frozen(self.measurements)
-        m = raw.shape[0] if raw.ndim == 3 else -1
-        if raw.shape != (m, n, n) or m < 1:
-            raise DimensionMismatch(f"raw must be (M, {n}, {n}), got {raw.shape}")
-        if y.shape != (m,):
-            raise DimensionMismatch(f"measurements must be ({m},)")
-        if not (np.isfinite(raw).all() and np.isfinite(y).all()):
-            raise NonFiniteEntry("sensing matrices and measurements must be finite")
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "measurements", y)
-        # rows are 2 vec(A_m), hence the 1/4; the M x N^2 stack is not kept
-        stack = (raw + np.transpose(raw, (0, 2, 1))).reshape(m, n * n)
-        root, gram = _gram_factors(0.25 * (stack.T @ stack))
+        # rows are 2 vec(A_m), hence the 1/4
+        stacks = (
+            (raw + np.transpose(raw, (0, 2, 1))).reshape(-1, n * n)
+            for raw in self._raw_blocks()
+        )
+        root, gram = _gram_factors(0.25 * _summed_gram(stacks))
         object.__setattr__(self, "gram_root", root)
         object.__setattr__(self, "gram", gram)
 
+    def _raw_blocks(self):
+        n = self.truth.dim
+        scale = np.sqrt(self.n_measurements)
+        for block in _normal_blocks(
+            self.seed, "sensing-ensemble", self.n_measurements, (n, n)
+        ):
+            yield block / scale
+
+    def _contract(self, w: np.ndarray) -> np.ndarray:
+        # (<B_m, W>)_m, block by block
+        return np.concatenate(
+            [np.einsum("mij,ij->m", raw, w) for raw in self._raw_blocks()]
+        )
+
     @property
-    def n_measurements(self) -> int:
-        return self.raw.shape[0]
+    def raw(self) -> np.ndarray:
+        """The M x N x N draw B_m, regenerated from (seed, M)."""
+        return np.concatenate(list(self._raw_blocks()))
+
+    @property
+    def measurements(self) -> np.ndarray:
+        """<X, A_m> for every m, regenerated from (seed, M)."""
+        return self._contract(self.truth.matrix)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """A(Z) = (<A_m, Z>)_m, the exact sum over the stored stack."""
-        return np.einsum("mij,ij->m", self.raw, 0.5 * (z + z.T))
+        """A(Z) = (<A_m, Z>)_m, the exact sum over the regenerated draw."""
+        return self._contract(0.5 * (z + z.T))
 
     def energy(self, z: np.ndarray) -> float:
         """||A(Z)||^2 as ||C vec(Z)||^2."""
@@ -298,7 +357,7 @@ class SensingEnsemble:
         n, r = self.truth.dim, self.truth.rank
         return {
             "kind": "sensing_ensemble",
-            "seed": int(self.seed),
+            "seed": self.seed,
             "dims": {
                 "n": n,
                 "r": r,
@@ -313,6 +372,8 @@ class SensingEnsemble:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SensingEnsemble":
+        """Rebuild from (truth, m, seed); the stored draw and measurements
+        must match the regenerated ones, else NonFiniteEntry."""
         dims = doc["dims"]
         truth = SensingGroundTruth(
             np.array(doc["eigvecs_row_major"], dtype=float).reshape(
@@ -321,90 +382,85 @@ class SensingEnsemble:
             np.array(doc["eigvals"], dtype=float),
             dims["k"],
         )
-        raw = np.array(doc["raw_row_major"], dtype=float).reshape(
-            dims["m"], dims["n"], dims["n"]
+        ensemble = cls(truth, dims["m"], doc["seed"])
+        _check_regenerated(
+            np.array(doc["raw_row_major"], dtype=float),
+            ensemble.raw.ravel(),
+            np.array(doc["measurements"], dtype=float),
+            ensemble.measurements,
         )
-        stored = np.array(doc["measurements"], dtype=float)
-        ensemble = cls(truth, raw, stored, doc["seed"])
-        recomputed = ensemble.apply(truth.matrix)
-        scale = max(np.linalg.norm(stored), 1e-300)
-        # negated <= so that a NaN anywhere in the document fails the check
-        if not np.linalg.norm(recomputed - stored) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
-            raise NonFiniteEntry(
-                "stored measurements are non-finite or disagree with the "
-                "recomputed values"
-            )
         return ensemble
 
 
 def generate_sensing_ensemble(
     truth: SensingGroundTruth, n_measurements: int, seed: int
 ) -> SensingEnsemble:
-    """Draw B_m with N(0, 1/M) entries, symmetrize, and measure the truth."""
-    m = int(n_measurements)
-    if m < 1:
-        raise InvalidSampleCount(f"need at least one measurement, got {n_measurements}")
-    gen = rng.stream(seed, "sensing-ensemble", 0)
-    raw = rng.normal(gen, (m, truth.dim, truth.dim)) / np.sqrt(m)
-    measurements = np.einsum("mij,ij->m", raw, truth.matrix)
-    return SensingEnsemble(truth, raw, measurements, int(seed))
+    """B_m with N(0, 1/M) entries from the seed; see SensingEnsemble."""
+    return SensingEnsemble(truth, n_measurements, seed)
 
 
 @dataclass(frozen=True)
 class PhaseProblem:
     """Phaseless measurements y_m = <a_m, x*>^2 of a nonzero signal.
 
-    Construction rechecks y against (A x*)^2, so the empirical risk may read
-    x* in place of y. gram_root is a square-root factor C of the N^2 x N^2
-    Gram matrix G = (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the
-    empirical fourth moment of the sensing vectors, and gram is C^T C, both
-    built once: energy is the sum of squares ||C vec Z||^2 and normal the
-    one product G vec Z, at the same cost for every M.
+    Held as (signal, M, seed) and a Gram factor: the standard normal sensing
+    vectors a_m and the measurements are regenerated from (seed, M) when
+    read, and the empirical risk reads x* in place of y. gram_root is a
+    square-root factor C of the N^2 x N^2 Gram matrix
+    G = (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the empirical fourth
+    moment of the sensing vectors, and gram is C^T C, both built once from
+    CHUNK-sized blocks of the seeded draw: energy is the sum of squares
+    ||C vec Z||^2 and normal the one product G vec Z, at the same cost and
+    memory for every M.
     """
 
     signal: np.ndarray
-    vectors: np.ndarray
-    measurements: np.ndarray
+    n_measurements: int
     seed: int
     gram_root: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.signal, dtype=float)
-        a = np.asarray(self.vectors, dtype=float)
-        y = np.asarray(self.measurements, dtype=float)
-        if x.ndim != 1:
-            raise DimensionMismatch(f"signal must be 1-d, got shape {x.shape}")
-        if np.linalg.norm(x) == 0.0:
-            raise ZeroTruthSignal("phase retrieval needs a nonzero signal")
-        n = x.shape[0]
-        m = a.shape[0] if a.ndim == 2 else -1
-        if a.shape != (m, n) or m < 1:
-            raise DimensionMismatch(f"vectors must be (M, {n}), got {a.shape}")
-        if y.shape != (m,):
-            raise DimensionMismatch("measurements must be (M,)")
-        recomputed = (a @ x) ** 2
-        scale = max(np.linalg.norm(y), 1e-300)
-        # negated <= so that a NaN anywhere fails the check
-        if not np.linalg.norm(recomputed - y) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
-            raise NonFiniteEntry(
-                "measurements are non-finite or disagree with (A x*)^2"
-            )
+        if not np.isfinite(x).all():
+            raise NonFiniteEntry("signal entries must be finite")
+        if x.ndim != 1 or np.linalg.norm(x) == 0.0:
+            raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
+        m = int(self.n_measurements)
+        if m < 1:
+            raise InvalidSampleCount(f"need at least one measurement, got {m}")
         object.__setattr__(self, "signal", _frozen(x))
-        object.__setattr__(self, "vectors", _frozen(a))
-        object.__setattr__(self, "measurements", _frozen(y))
-        stack = (a[:, :, None] * a[:, None, :]).reshape(m, n * n)
-        root, gram = _gram_factors((stack.T @ stack) / m)
+        object.__setattr__(self, "n_measurements", m)
+        object.__setattr__(self, "seed", int(self.seed))
+        n = x.shape[0]
+        stacks = (
+            (a[:, :, None] * a[:, None, :]).reshape(-1, n * n)
+            for a in self._vector_blocks()
+        )
+        root, gram = _gram_factors(_summed_gram(stacks) / m)
         object.__setattr__(self, "gram_root", root)
         object.__setattr__(self, "gram", gram)
+
+    def _vector_blocks(self):
+        return _normal_blocks(
+            self.seed, "phase-problem", self.n_measurements, (self.dim,)
+        )
 
     @property
     def dim(self) -> int:
         return self.signal.shape[0]
 
     @property
-    def n_measurements(self) -> int:
-        return self.vectors.shape[0]
+    def vectors(self) -> np.ndarray:
+        """The M x N sensing vectors, regenerated from (seed, M)."""
+        return np.concatenate(list(self._vector_blocks()))
+
+    @property
+    def measurements(self) -> np.ndarray:
+        """<a_m, x*>^2 for every m, regenerated from (seed, M)."""
+        return np.concatenate(
+            [(a @ self.signal) ** 2 for a in self._vector_blocks()]
+        )
 
     def energy(self, z: np.ndarray) -> float:
         """(1/M) sum_m <a_m a_m^T, Z>^2 as ||C vec(Z)||^2."""
@@ -417,7 +473,7 @@ class PhaseProblem:
     def to_json_dict(self) -> dict:
         return {
             "kind": "phase_problem",
-            "seed": int(self.seed),
+            "seed": self.seed,
             "dims": {"n": self.dim, "m": self.n_measurements},
             "signal": self.signal.tolist(),
             "vectors_row_major": self.vectors.ravel().tolist(),
@@ -426,30 +482,25 @@ class PhaseProblem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PhaseProblem":
+        """Rebuild from (signal, m, seed); the stored vectors and
+        measurements must match the regenerated ones, else NonFiniteEntry."""
         dims = doc["dims"]
-        vectors = np.array(doc["vectors_row_major"], dtype=float).reshape(
-            dims["m"], dims["n"]
-        )
-        return cls(
-            np.array(doc["signal"], dtype=float),
-            vectors,
+        signal = np.array(doc["signal"], dtype=float)
+        if signal.shape != (dims["n"],):
+            raise DimensionMismatch(f"signal must have length {dims['n']}")
+        problem = cls(signal, dims["m"], doc["seed"])
+        _check_regenerated(
+            np.array(doc["vectors_row_major"], dtype=float),
+            problem.vectors.ravel(),
             np.array(doc["measurements"], dtype=float),
-            doc["seed"],
+            problem.measurements,
         )
+        return problem
 
 
 def generate_phase_problem(signal, n_measurements: int, seed: int) -> PhaseProblem:
-    """Draw standard normal sensing vectors and square the projections."""
-    x = np.asarray(signal, dtype=float)
-    m = int(n_measurements)
-    if m < 1:
-        raise InvalidSampleCount(f"need at least one measurement, got {n_measurements}")
-    if x.ndim != 1 or np.linalg.norm(x) == 0.0:
-        raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
-    gen = rng.stream(seed, "phase-problem", 0)
-    vectors = rng.normal(gen, (m, x.shape[0]))
-    measurements = (vectors @ x) ** 2
-    return PhaseProblem(x, vectors, measurements, int(seed))
+    """Standard normal sensing vectors from the seed; see PhaseProblem."""
+    return PhaseProblem(signal, n_measurements, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +720,8 @@ class PrEmpiricalRisk(_PhaseRisk):
     risk is energy(R) / 2 through the problem's Gram factor: value, gradient
     and hess_vec read x* and gram_root, never the vectors or measurements.
     R is formed first, so nothing cancels at the minimum. hess_matrix stays
-    the exact sum over the M vectors, as an independent oracle.
+    the exact sum over the M vectors, regenerated from the seed, as an
+    independent oracle.
     """
 
     def __init__(self, problem: PhaseProblem):

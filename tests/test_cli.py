@@ -167,6 +167,33 @@ class TestConfigFile:
         assert type(by_file) is type(by_flag) is type(expected)
 
 
+class TestKeysRead:
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_each_unread_key_is_rejected_before_running(self, experiment, tmp_path):
+        reads = set(experiments.READS[experiment])
+        if experiment == "assumptions":
+            reads -= {"k", "r"}  # the default family, pr, reads neither
+        for key, (text, field, value) in KEY_CASES.items():
+            if field in reads or key in ("seed", "out", "format"):
+                continue
+            config = experiments.ExperimentConfig(
+                experiment=experiment, out=str(tmp_path / key), **{field: value}
+            )
+            with pytest.raises(InvalidConfig, match=f"does not read {field}"):
+                experiments.run(config)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_every_key_read_is_accepted(self, experiment):
+        # family is ms here, which reads k and r
+        values = {field: value for _, field, value in KEY_CASES.values()}
+        config = experiments.ExperimentConfig(
+            experiment=experiment,
+            **{f: values[f] for f in experiments.READS[experiment]},
+        )
+        experiments._reject_unread_keys(config)
+
+
 class TestSeedResolution:
     def test_environment_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(rng.SEED_ENV_VAR, "777")
@@ -289,6 +316,21 @@ class TestExitCodes:
         assert rc == cli.EXIT_INVALID_CONFIG
         assert "'abc'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_unread_key_is_three_and_writes_nothing(self, tmp_path, capsys):
+        argv = ["pr1d", "--grid", "-1:1:5", "--n_probes", "5", "--family", "zz"]
+        rc = cli.main([*argv, "--samples", "3", "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "pr1d does not read samples, n_probes, family" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unread_key_in_file_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("experiment=rip\nsamples=5\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "rip does not read samples" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])

@@ -3,6 +3,12 @@ Monte-Carlo expectations, plus container validation and serialization."""
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +23,7 @@ from landscape_lab.errors import (
 )
 from landscape_lab.manifold import horizontal_project, procrustes_distance
 from landscape_lab.risk_models import (
+    CHUNK,
     MsEmpiricalRisk,
     MsPopulationRisk,
     PhaseProblem,
@@ -24,6 +31,7 @@ from landscape_lab.risk_models import (
     PrPopulationRisk,
     SensingEnsemble,
     SensingGroundTruth,
+    _gram_factors,
     generate_phase_problem,
     generate_sensing_ensemble,
 )
@@ -196,17 +204,9 @@ def test_ensemble_json_round_trip_is_exact():
     back = SensingEnsemble.from_json_dict(ensemble.to_json_dict())
     assert np.array_equal(back.raw, ensemble.raw)
     assert np.array_equal(back.measurements, ensemble.measurements)
+    assert np.array_equal(back.gram, ensemble.gram)
     assert back.seed == ensemble.seed
-    corrupted = ensemble.to_json_dict()
-    corrupted["measurements"][3] = float("nan")
-    with pytest.raises(NonFiniteEntry):
-        SensingEnsemble.from_json_dict(corrupted)
-    with pytest.raises(NonFiniteEntry):
-        SensingEnsemble(ensemble.truth, ensemble.raw, corrupted["measurements"], 5)
-    bad_raw = np.array(ensemble.raw)
-    bad_raw[0, 1, 2] = float("nan")
-    with pytest.raises(NonFiniteEntry):
-        SensingEnsemble(ensemble.truth, bad_raw, ensemble.measurements, 5)
+    assert_json_rejects_corruption(SensingEnsemble, ensemble, "raw_row_major")
 
 
 def test_phase_problem_json_round_trip_and_validation():
@@ -214,19 +214,132 @@ def test_phase_problem_json_round_trip_and_validation():
     assert np.all(problem.measurements >= 0.0)
     back = PhaseProblem.from_json_dict(problem.to_json_dict())
     assert np.array_equal(back.vectors, problem.vectors)
-    corrupted = problem.to_json_dict()
-    corrupted["measurements"][3] = float("nan")
-    with pytest.raises(NonFiniteEntry):
-        PhaseProblem.from_json_dict(corrupted)
-    with pytest.raises(NonFiniteEntry):
-        PhaseProblem(problem.signal, problem.vectors, corrupted["measurements"], 3)
-    # the empirical risk reads x*, not y, so construction rechecks y itself
-    with pytest.raises(NonFiniteEntry):
-        PhaseProblem(problem.signal, problem.vectors, 1.01 * problem.measurements, 3)
+    assert np.array_equal(back.gram, problem.gram)
+    assert_json_rejects_corruption(PhaseProblem, problem, "vectors_row_major")
     with pytest.raises(ZeroTruthSignal):
         generate_phase_problem(np.zeros(3), 10, 3)
+    with pytest.raises(NonFiniteEntry):
+        generate_phase_problem(np.array([np.nan, 1.0]), 10, 3)
     with pytest.raises(InvalidSampleCount):
         generate_phase_problem(np.array([1.0]), 0, 3)
+
+
+def assert_json_rejects_corruption(cls, container, draw_key):
+    # the document is checked against the draw regenerated from its seed:
+    # one entry of the draw moved by one ulp, a measurement moved past the
+    # recompute tolerance, or a NaN in either is rejected
+    def corrupted(key, index, value):
+        doc = container.to_json_dict()
+        doc[key][index] = value(doc[key][index])
+        return doc
+
+    cls.from_json_dict(corrupted(draw_key, 5, lambda v: v))  # untouched
+    for doc in (
+        corrupted(draw_key, 5, lambda v: float(np.nextafter(v, 2.0 * v))),
+        corrupted(draw_key, 5, lambda v: float("nan")),
+        corrupted("measurements", 3, lambda v: v + 1e-6),
+        corrupted("measurements", 3, lambda v: float("nan")),
+    ):
+        with pytest.raises(NonFiniteEntry):
+            cls.from_json_dict(doc)
+    short = container.to_json_dict()
+    short[draw_key] = short[draw_key][:-1]
+    with pytest.raises(DimensionMismatch):
+        cls.from_json_dict(short)
+
+
+# ---- streamed Gram accumulation ----------------------------------------
+
+
+def array_field_bytes(container) -> int:
+    return sum(
+        getattr(container, f.name).nbytes
+        for f in dataclasses.fields(container)
+        if isinstance(getattr(container, f.name), np.ndarray)
+    )
+
+
+def test_ensembles_keep_no_array_that_grows_with_m():
+    truth = default_truth()
+    xstar = np.array([1.2, -0.5, 0.3])
+    small, large = 10, 10 * CHUNK + 1
+    assert array_field_bytes(generate_sensing_ensemble(truth, small, 8)) == (
+        array_field_bytes(generate_sensing_ensemble(truth, large, 8))
+    )
+    assert array_field_bytes(generate_phase_problem(xstar, small, 8)) == (
+        array_field_bytes(generate_phase_problem(xstar, large, 8))
+    )
+
+
+PEAK_RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+from landscape_lab.risk_models import generate_phase_problem
+generate_phase_problem(np.array([1.0, -1.0]), int(sys.argv[1]), 7)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_rss_kb(n_measurements: int) -> int:
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(n_measurements)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return int(done.stdout.split()[-1])
+
+
+def test_phase_problem_peak_memory_is_flat_in_m():
+    # a one-shot draw at M = 3e6 would hold 48 MB of vectors and a 96 MB
+    # stack of their outer products
+    small = peak_rss_kb(10_000)
+    large = peak_rss_kb(3_000_000)
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_regenerated_draw_is_the_one_shot_draw():
+    # 2.5 blocks: two full ones and a ragged last one
+    m = 5 * CHUNK // 2
+    truth = default_truth(n=3, r=2, k=1, eigvals=(1.0, 0.4))
+    ensemble = generate_sensing_ensemble(truth, m, 21)
+    one_shot = rng.normal(rng.stream(21, "sensing-ensemble", 0), (m, 3, 3)) / np.sqrt(m)
+    assert np.array_equal(ensemble.raw, one_shot)
+    problem = generate_phase_problem(np.array([1.2, -0.5, 0.3]), m, 21)
+    one_shot = rng.normal(rng.stream(21, "phase-problem", 0), (m, 3))
+    assert np.array_equal(problem.vectors, one_shot)
+
+
+def one_shot_grams(m: int, seed: int):
+    # the Gram matrices of both ensembles from the whole draw at once
+    truth = default_truth(n=3, r=2, k=1, eigvals=(1.0, 0.4))
+    raw = rng.normal(rng.stream(seed, "sensing-ensemble", 0), (m, 3, 3)) / np.sqrt(m)
+    stack = (raw + np.transpose(raw, (0, 2, 1))).reshape(m, 9)
+    a = rng.normal(rng.stream(seed, "phase-problem", 0), (m, 3))
+    outer = (a[:, :, None] * a[:, None, :]).reshape(m, 9)
+    return (
+        (generate_sensing_ensemble(truth, m, seed), _gram_factors(0.25 * (stack.T @ stack))),
+        (
+            generate_phase_problem(np.array([1.2, -0.5, 0.3]), m, seed),
+            _gram_factors((outer.T @ outer) / m),
+        ),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 45, CHUNK])
+def test_gram_is_the_one_shot_gram_bit_for_bit_within_one_block(m):
+    for container, (root, gram) in one_shot_grams(m, 22):
+        assert np.array_equal(container.gram_root, root)
+        assert np.array_equal(container.gram, gram)
+
+
+@pytest.mark.parametrize("m", [CHUNK + 1, 5 * CHUNK // 2, 4 * CHUNK])
+def test_gram_summed_over_blocks_is_the_one_shot_gram_to_rounding(m):
+    for container, (_, gram) in one_shot_grams(m, 23):
+        assert np.linalg.norm(container.gram - gram) <= 1e-13 * np.linalg.norm(gram)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
