@@ -41,6 +41,7 @@ MAX_POLISH_ITER = 40
 MAX_BACKTRACKS = 20
 MAX_STALLS = 5
 MAX_SEARCH_DIM = 64
+MAX_GRID_POINTS = 10**6  # seeds of a seed grid, values of a line or plane grid
 
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
@@ -147,7 +148,6 @@ class CriticalPointRecord:
     grad_norm: float
     lambda_min: float
     kind: str
-    basin_seed: int
     note: str = ""
 
     def to_json_dict(self) -> dict:
@@ -157,7 +157,6 @@ class CriticalPointRecord:
             "grad_norm": self.grad_norm,
             "lambda_min": self.lambda_min,
             "kind": self.kind,
-            "basin_seed": self.basin_seed,
             "note": self.note,
         }
 
@@ -231,7 +230,7 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
     n_converged = 0
     n_failed = 0
     n_seeds = 0
-    for seed_index, seed in enumerate(seed_points):
+    for seed in seed_points:
         n_seeds += 1
         point, grad_norm, _, converged = damped_newton(model, seed)
         if not converged:
@@ -257,7 +256,6 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
             grad_norm=grad_norm,
             lambda_min=lam,
             kind=kind,
-            basin_seed=seed_index,
             note=note,
         )
         if keeper is None:
@@ -278,9 +276,10 @@ def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
     if not (hi > lo and spacing > 0.0):
         raise InvalidConfig("grid needs hi > lo and positive spacing")
     count = int(round((hi - lo) / spacing)) + 1
-    axis = np.linspace(lo, hi, count)
-    if dim * math.log(count) > math.log(1e6):
+    # checked before the axis is built: a wide span would not fit in memory
+    if dim * math.log(count) > math.log(MAX_GRID_POINTS):
         raise InvalidConfig("grid would exceed a million seeds")
+    axis = np.linspace(lo, hi, count)
     return [np.array(p) for p in itertools.product(axis, repeat=dim)]
 
 

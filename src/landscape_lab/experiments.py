@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, rng
 from .critical_points import (
+    MAX_GRID_POINTS,
     find_critical_points,
     grid_seed_points,
     refine_minimum_horizontal,
@@ -106,6 +107,12 @@ class ExperimentConfig:
             # a finite span keeps linspace and the seed count finite
             if not (hi > lo and math.isfinite(hi - lo) and int(points) >= 2):
                 raise InvalidConfig("grid needs max > min, a finite span and points >= 2")
+            # a value per point of the line (pr1d) or of the plane
+            values = int(points) ** (1 if self.experiment == "pr1d" else 2)
+            if values > MAX_GRID_POINTS:
+                raise InvalidConfig(
+                    f"grid needs at most a million values, got {values}"
+                )
         if self.trials is not None and self.trials < 1:
             raise InvalidConfig("trials must be at least 1")
         if any(int(v) < 1 for v in self.m):

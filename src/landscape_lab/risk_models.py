@@ -14,13 +14,15 @@ risk is ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
 
 Both empirical risks are quadratic in an N x N residual Z (UU^T - X, or
 xx^T - x*x*^T), through the N^2 x N^2 Gram matrix G of the rows vec(A_m),
-or vec(a_m a_m^T) / sqrt(M). Each ensemble keeps a square-root factor C with
-C^T C = G, so the risk is the sum of squares ||C vec Z||^2, never negative,
-and G itself, formed once as C^T C, so the normal image G vec Z is one
-product. Both cost the same at every M. hess_vec takes one direction or a
-stack of them along a leading axis.
+or vec(a_m a_m^T) / sqrt(M). Both ensembles (SensingEnsemble, PhaseProblem)
+share one base that keeps a square-root factor C with C^T C = G, so the risk
+is the sum of squares ||C vec Z||^2, never negative, and G itself, formed
+once as C^T C, so the normal image G vec Z is one product. Both cost the
+same at every M. hess_vec takes one direction or a stack of them along a
+leading axis.
 
-An ensemble is (truth or signal, M, seed) plus those two factors. G is
+An ensemble is (truth or signal, M, seed) plus those two factors; each
+supplies only how its G is summed and how its draw is read. G is
 accumulated over blocks of CHUNK measurements of the seeded draw, so memory
 does not depend on M. The draw itself (raw, vectors) and the measurements
 are regenerated from (seed, M), block by block, whenever they are read; the
@@ -47,7 +49,6 @@ from .errors import (
 )
 from .manifold import procrustes_distance
 
-MEASUREMENT_RECOMPUTE_RTOL = 1e-12
 EIGENVALUE_CLUSTER_RTOL = 1e-9
 CHUNK = 2048  # measurements per block of a seeded draw
 
@@ -70,53 +71,14 @@ def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, _frozen(root.T @ root)
 
 
-def _normal_blocks(seed: int, tag: str, m: int, shape: tuple):
-    """M standard normal draws of the given shape from stream (seed, tag),
-    in consecutive blocks of at most CHUNK; concatenated, they are the
-    one-shot draw of shape (M, *shape) bit for bit."""
-    gen = rng.stream(seed, tag, 0)
-    for start in range(0, m, CHUNK):
-        yield rng.normal(gen, (min(CHUNK, m - start), *shape))
-
-
 def _summed_gram(stacks) -> np.ndarray:
     """sum_c S_c^T S_c over blocks of rows; one block gives S^T S exactly."""
     return functools.reduce(np.add, (s.T @ s for s in stacks))
 
 
-def _check_regenerated(stored_draw, draw, stored_y, y) -> None:
-    """A document must hold the regenerated draw bit for bit and its
-    measurements to MEASUREMENT_RECOMPUTE_RTOL; a NaN anywhere fails."""
-    if stored_draw.shape != draw.shape or stored_y.shape != y.shape:
-        raise DimensionMismatch("stored draw or measurements have the wrong shape")
-    if not np.array_equal(stored_draw, draw):
-        raise NonFiniteEntry(
-            "stored draw is non-finite or differs from the one regenerated "
-            "from the seed"
-        )
-    scale = max(np.linalg.norm(y), 1e-300)
-    # negated <= so that a NaN fails the check
-    if not np.linalg.norm(stored_y - y) <= MEASUREMENT_RECOMPUTE_RTOL * scale:
-        raise NonFiniteEntry(
-            "stored measurements are non-finite or disagree with the "
-            "regenerated values"
-        )
-
-
 def _vec(z: np.ndarray) -> np.ndarray:
     # vec(Z) for one N x N matrix or a stack along leading axes
     return z.reshape(*z.shape[:-2], -1)
-
-
-def _root_energy(root: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """||C vec(Z)||^2, a sum of squares, per N x N matrix of z."""
-    coords = _vec(z) @ root.T
-    return (coords * coords).sum(axis=-1)
-
-
-def _gram_normal(gram: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """G vec(Z) for the symmetric G, reshaped like z."""
-    return (_vec(z) @ gram).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +244,18 @@ class SensingGroundTruth:
 
 
 @dataclass(frozen=True)
-class SensingEnsemble:
-    """M Gaussian sensing matrices, held as (truth, M, seed) and a Gram factor.
+class _GramEnsemble:
+    """M seeded measurements, held as their N^2 x N^2 Gram matrix.
 
-    The draw is the unsymmetrized B_m with i.i.d. N(0, 1/M) entries, and the
-    measurements are <X, A_m> with A_m = (B_m + B_m^T) / 2. gram_root is a
-    square-root factor C of the N^2 x N^2 Gram matrix
-    G = sum_m vec(A_m) vec(A_m)^T of A*A, and gram is C^T C, both built once
-    from CHUNK-sized blocks of the seeded draw: energy is the sum of squares
+    A subclass declares its data fields (truth or signal, n_measurements,
+    seed) and _gram_matrix, the Gram matrix G of its normal operator summed
+    over the CHUNK-sized blocks of _normal_blocks. Here M >= 1 is checked and
+    G is factored once: gram_root is a square-root factor C with
+    C^T C = G, and gram is C^T C. energy is the sum of squares
     ||C vec Z||^2 and normal the one product G vec Z, at the same cost and
-    memory for every M. raw and measurements are regenerated from (seed, M)
-    when read; apply streams the same blocks.
+    memory for every M.
     """
 
-    truth: SensingGroundTruth
-    n_measurements: int
-    seed: int
     gram_root: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
 
@@ -307,22 +265,60 @@ class SensingEnsemble:
             raise InvalidSampleCount(f"need at least one measurement, got {m}")
         object.__setattr__(self, "n_measurements", m)
         object.__setattr__(self, "seed", int(self.seed))
+        root, gram = _gram_factors(self._gram_matrix())
+        object.__setattr__(self, "gram_root", root)
+        object.__setattr__(self, "gram", gram)
+
+    def _gram_matrix(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _normal_blocks(self, tag: str, shape: tuple):
+        """M standard normal draws of the given shape from stream (seed, tag),
+        in consecutive blocks of at most CHUNK; concatenated, they are the
+        one-shot draw of shape (M, *shape) bit for bit."""
+        gen = rng.stream(self.seed, tag, 0)
+        m = self.n_measurements
+        for start in range(0, m, CHUNK):
+            yield rng.normal(gen, (min(CHUNK, m - start), *shape))
+
+    def energy(self, z: np.ndarray) -> float:
+        """||C vec(Z)||^2, a sum of squares."""
+        coords = _vec(z) @ self.gram_root.T
+        return float((coords * coords).sum(axis=-1))
+
+    def normal(self, z: np.ndarray) -> np.ndarray:
+        """G vec(Z), reshaped like z, for one N x N matrix or a stack."""
+        return (_vec(z) @ self.gram).reshape(z.shape)
+
+
+@dataclass(frozen=True)
+class SensingEnsemble(_GramEnsemble):
+    """M Gaussian sensing matrices, held as (truth, M, seed) and a Gram factor.
+
+    The draw is the unsymmetrized B_m with i.i.d. N(0, 1/M) entries, and the
+    measurements are <X, A_m> with A_m = (B_m + B_m^T) / 2. G is
+    sum_m vec(A_m) vec(A_m)^T, the Gram matrix of A*A, so energy(Z) is
+    ||A(Z)||^2 and normal(Z) is A*A(Z). raw and measurements are regenerated
+    from (seed, M) when read; apply streams the same blocks.
+    """
+
+    truth: SensingGroundTruth
+    n_measurements: int
+    seed: int
+
+    def _gram_matrix(self) -> np.ndarray:
         n = self.truth.dim
         # rows are 2 vec(A_m), hence the 1/4
         stacks = (
             (raw + np.transpose(raw, (0, 2, 1))).reshape(-1, n * n)
             for raw in self._raw_blocks()
         )
-        root, gram = _gram_factors(0.25 * _summed_gram(stacks))
-        object.__setattr__(self, "gram_root", root)
-        object.__setattr__(self, "gram", gram)
+        return 0.25 * _summed_gram(stacks)
 
     def _raw_blocks(self):
         n = self.truth.dim
         scale = np.sqrt(self.n_measurements)
-        for block in _normal_blocks(
-            self.seed, "sensing-ensemble", self.n_measurements, (n, n)
-        ):
+        for block in self._normal_blocks("sensing-ensemble", (n, n)):
             yield block / scale
 
     def _contract(self, w: np.ndarray) -> np.ndarray:
@@ -345,52 +341,6 @@ class SensingEnsemble:
         """A(Z) = (<A_m, Z>)_m, the exact sum over the regenerated draw."""
         return self._contract(0.5 * (z + z.T))
 
-    def energy(self, z: np.ndarray) -> float:
-        """||A(Z)||^2 as ||C vec(Z)||^2."""
-        return float(_root_energy(self.gram_root, z))
-
-    def normal(self, z: np.ndarray) -> np.ndarray:
-        """A*A(Z) as G vec(Z), for one N x N matrix or a stack."""
-        return _gram_normal(self.gram, z)
-
-    def to_json_dict(self) -> dict:
-        n, r = self.truth.dim, self.truth.rank
-        return {
-            "kind": "sensing_ensemble",
-            "seed": self.seed,
-            "dims": {
-                "n": n,
-                "r": r,
-                "k": self.truth.target_rank,
-                "m": self.n_measurements,
-            },
-            "eigvals": self.truth.eigvals.tolist(),
-            "eigvecs_row_major": self.truth.eigvecs.ravel().tolist(),
-            "raw_row_major": self.raw.ravel().tolist(),
-            "measurements": self.measurements.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SensingEnsemble":
-        """Rebuild from (truth, m, seed); the stored draw and measurements
-        must match the regenerated ones, else NonFiniteEntry."""
-        dims = doc["dims"]
-        truth = SensingGroundTruth(
-            np.array(doc["eigvecs_row_major"], dtype=float).reshape(
-                dims["n"], dims["r"]
-            ),
-            np.array(doc["eigvals"], dtype=float),
-            dims["k"],
-        )
-        ensemble = cls(truth, dims["m"], doc["seed"])
-        _check_regenerated(
-            np.array(doc["raw_row_major"], dtype=float),
-            ensemble.raw.ravel(),
-            np.array(doc["measurements"], dtype=float),
-            ensemble.measurements,
-        )
-        return ensemble
-
 
 def generate_sensing_ensemble(
     truth: SensingGroundTruth, n_measurements: int, seed: int
@@ -399,52 +349,48 @@ def generate_sensing_ensemble(
     return SensingEnsemble(truth, n_measurements, seed)
 
 
+def _phase_signal(signal) -> np.ndarray:
+    """The phase-retrieval signal x* as a frozen vector: finite, 1-d and
+    nonzero, else NonFiniteEntry or ZeroTruthSignal."""
+    x = np.asarray(signal, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteEntry("signal entries must be finite")
+    if x.ndim != 1 or np.linalg.norm(x) == 0.0:
+        raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
+    return _frozen(x)
+
+
 @dataclass(frozen=True)
-class PhaseProblem:
+class PhaseProblem(_GramEnsemble):
     """Phaseless measurements y_m = <a_m, x*>^2 of a nonzero signal.
 
     Held as (signal, M, seed) and a Gram factor: the standard normal sensing
     vectors a_m and the measurements are regenerated from (seed, M) when
-    read, and the empirical risk reads x* in place of y. gram_root is a
-    square-root factor C of the N^2 x N^2 Gram matrix
-    G = (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the empirical fourth
-    moment of the sensing vectors, and gram is C^T C, both built once from
-    CHUNK-sized blocks of the seeded draw: energy is the sum of squares
-    ||C vec Z||^2 and normal the one product G vec Z, at the same cost and
-    memory for every M.
+    read, and the empirical risk reads x* in place of y. G is
+    (1/M) sum_m vec(a_m a_m^T) vec(a_m a_m^T)^T, the empirical fourth
+    moment of the sensing vectors, so energy(Z) is
+    (1/M) sum_m <a_m a_m^T, Z>^2 and normal(Z) is
+    (1/M) sum_m <a_m a_m^T, Z> a_m a_m^T.
     """
 
     signal: np.ndarray
     n_measurements: int
     seed: int
-    gram_root: np.ndarray = field(init=False, repr=False)
-    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.signal, dtype=float)
-        if not np.isfinite(x).all():
-            raise NonFiniteEntry("signal entries must be finite")
-        if x.ndim != 1 or np.linalg.norm(x) == 0.0:
-            raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
-        m = int(self.n_measurements)
-        if m < 1:
-            raise InvalidSampleCount(f"need at least one measurement, got {m}")
-        object.__setattr__(self, "signal", _frozen(x))
-        object.__setattr__(self, "n_measurements", m)
-        object.__setattr__(self, "seed", int(self.seed))
-        n = x.shape[0]
+        object.__setattr__(self, "signal", _phase_signal(self.signal))
+        super().__post_init__()
+
+    def _gram_matrix(self) -> np.ndarray:
+        n = self.dim
         stacks = (
             (a[:, :, None] * a[:, None, :]).reshape(-1, n * n)
             for a in self._vector_blocks()
         )
-        root, gram = _gram_factors(_summed_gram(stacks) / m)
-        object.__setattr__(self, "gram_root", root)
-        object.__setattr__(self, "gram", gram)
+        return _summed_gram(stacks) / self.n_measurements
 
     def _vector_blocks(self):
-        return _normal_blocks(
-            self.seed, "phase-problem", self.n_measurements, (self.dim,)
-        )
+        return self._normal_blocks("phase-problem", (self.dim,))
 
     @property
     def dim(self) -> int:
@@ -461,41 +407,6 @@ class PhaseProblem:
         return np.concatenate(
             [(a @ self.signal) ** 2 for a in self._vector_blocks()]
         )
-
-    def energy(self, z: np.ndarray) -> float:
-        """(1/M) sum_m <a_m a_m^T, Z>^2 as ||C vec(Z)||^2."""
-        return float(_root_energy(self.gram_root, z))
-
-    def normal(self, z: np.ndarray) -> np.ndarray:
-        """(1/M) sum_m <a_m a_m^T, Z> a_m a_m^T as G vec(Z)."""
-        return _gram_normal(self.gram, z)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "phase_problem",
-            "seed": self.seed,
-            "dims": {"n": self.dim, "m": self.n_measurements},
-            "signal": self.signal.tolist(),
-            "vectors_row_major": self.vectors.ravel().tolist(),
-            "measurements": self.measurements.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PhaseProblem":
-        """Rebuild from (signal, m, seed); the stored vectors and
-        measurements must match the regenerated ones, else NonFiniteEntry."""
-        dims = doc["dims"]
-        signal = np.array(doc["signal"], dtype=float)
-        if signal.shape != (dims["n"],):
-            raise DimensionMismatch(f"signal must have length {dims['n']}")
-        problem = cls(signal, dims["m"], doc["seed"])
-        _check_regenerated(
-            np.array(doc["vectors_row_major"], dtype=float),
-            problem.vectors.ravel(),
-            np.array(doc["measurements"], dtype=float),
-            problem.measurements,
-        )
-        return problem
 
 
 def generate_phase_problem(signal, n_measurements: int, seed: int) -> PhaseProblem:
@@ -649,14 +560,9 @@ class _PhaseRisk(RiskModel):
     is_factor = False
 
     def __init__(self, signal):
-        x = np.asarray(signal, dtype=float)
-        if not np.isfinite(x).all():
-            raise NonFiniteEntry("signal entries must be finite")
-        if x.ndim != 1 or np.linalg.norm(x) == 0.0:
-            raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
-        self.signal = _frozen(x)
+        self.signal = _phase_signal(signal)
         # x* x*^T, which every residual xx^T - x*x*^T subtracts
-        self._signal_outer = _frozen(np.outer(x, x))
+        self._signal_outer = _frozen(np.outer(self.signal, self.signal))
 
     @property
     def shape(self) -> tuple[int]:

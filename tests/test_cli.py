@@ -289,6 +289,36 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pr1d", "--grid", "-2:2:1000000000000"],
+            ["pr2d", "--grid", "-2:2:10000000"],
+            ["ms2d_rank1", "--grid", "-2:2:1001"],
+            ["pr2d", "--grid", "-1e12:1e12:5"],
+        ],
+        ids=[
+            "pr1d-1e12",
+            "pr2d-1e7-squared",
+            "ms2d_rank1-1001-squared",
+            "pr2d-wide-seed-grid",
+        ],
+    )
+    def test_oversized_grid_is_three(self, argv, tmp_path, capsys):
+        # a million values, the cap on seed grids, bounds every grid; the
+        # last case has a small contour grid but 2e13 Newton seeds per axis
+        rc = cli.main([*argv, "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "million" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_largest_grid_is_accepted(self):
+        # a million values exactly: 1000 points per axis of the plane
+        config = experiments.ExperimentConfig("pr2d", grid=(-2.0, 2.0, 1000))
+        assert config.grid[2] == 1000
+        line = experiments.ExperimentConfig("pr1d", grid=(-2.0, 2.0, 10**6))
+        assert line.grid[2] == 10**6
+
+    @pytest.mark.parametrize(
         "lines",
         [
             "experiment=pr1d\nepsilon=nan\n",
