@@ -11,6 +11,13 @@ restricted-isometry constants of sensing ensembles.
 
 All sampled checks report Monte-Carlo evidence: a clean run certifies the
 sampled points only, never the full region.
+
+The samplers draw uniforms BLOCK rows at a time and build each proposal
+from one row, so the stream is read exactly as by one rng call per draw;
+each proposal is still classified on its own. The region checks then
+evaluate their samples in stacks of BLOCK, one min_eig or euclidean_grad
+call on the population risk per stack, each value bit for bit the
+single-point one, so the reports do not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     SamplerStarved,
     ZeroTruthSignal,
 )
-from .manifold import procrustes_distance
+from .manifold import item_norms, procrustes_distance
 from .risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
@@ -273,6 +280,8 @@ def classify_region_pr(signal, point) -> RegionLabelSet:
 
 # starvation declared below 0.1% proposal acceptance
 ATTEMPT_FACTOR = 1000
+# proposals per block of uniforms, and samples per stacked region check
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -285,13 +294,20 @@ class RegionSamplerConfig:
             raise InvalidSampleCount("n_per_region must be at least 1")
 
 
-def _scaled_gaussian_factor(gen, n, k, uut_target):
-    g = rng.normal(gen, (n, k))
+def _scaled_gaussian_factor(g, uut_target):
+    """The Gaussian factor G scaled so that ||G G^T||_F is uut_target."""
     return g * math.sqrt(uut_target / np.linalg.norm(g @ g.T))
 
 
-def _rejection_sample(propose, classify, region, n):
-    """Keep proposals whose classify(...).labels hold the region, n of them."""
+def _rejection_sample(propose, width, classify, region, n, gen):
+    """Keep proposals whose classify(...).labels hold the region, n of them.
+
+    Each proposal is propose(row) for one row of width uniforms. Rows are
+    drawn from gen BLOCK at a time (fewer where the block would pass the
+    starvation budget), so the stream is read as by one draw per proposal,
+    and every proposal is classified on its own, in order. gen may be left
+    advanced past the last accepted proposal, to the end of its block.
+    """
     budget = max(n * ATTEMPT_FACTOR, 1000)
     out = []
     attempts = 0
@@ -301,26 +317,36 @@ def _rejection_sample(propose, classify, region, n):
                 f"region {region}: {len(out)} of {n} samples after "
                 f"{attempts} proposals"
             )
-        attempts += 1
-        candidate = propose()
-        if region in classify(candidate).labels:
-            out.append(candidate)
+        for row in rng.uniform(gen, (min(BLOCK, budget - attempts), width)):
+            attempts += 1
+            candidate = propose(row)
+            if region in classify(candidate).labels:
+                out.append(candidate)
+                if len(out) == n:
+                    break
     return out
 
 
 def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> list:
-    """Draw n factor points whose label set contains the region."""
+    """Draw n factor points whose label set contains the region.
+
+    A proposal reads one row of uniforms: N k Gaussian entries then a radius
+    (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the others). gen
+    may be advanced past the last accepted proposal.
+    """
     thresholds = ms_region_thresholds(truth)
     n_dim, k = truth.dim, truth.target_rank
+    nk = n_dim * k
 
     if region == MS_R1:
         anchor = truth.canonical_minimum()
 
-        def propose():
-            direction = rng.normal(gen, (n_dim, k))
-            direction /= np.linalg.norm(direction)
-            radius = thresholds["r1_radius"] * float(rng.uniform(gen))
+        def propose(row):
+            direction = rng.direction(row[:nk]).reshape(n_dim, k)
+            radius = thresholds["r1_radius"] * float(row[nk])
             return anchor + radius * direction
+
+        width = nk + 1
 
     elif region == MS_R2P:
         # the first k-subset, in lexicographic order, is the minimum itself
@@ -338,56 +364,72 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
         radius = thresholds["grad_split"] / rate
         cycle = itertools.cycle(selections)
 
-        def propose():
+        def propose(row):
             anchor = truth.canonical_point(next(cycle))
-            direction = rng.normal(gen, (n_dim, k))
-            direction /= np.linalg.norm(direction)
-            return anchor + radius * float(rng.uniform(gen)) * direction
+            direction = rng.direction(row[:nk]).reshape(n_dim, k)
+            return anchor + radius * float(row[nk]) * direction
+
+        width = nk + 1
 
     elif region in (MS_R2PP, MS_R3P):
 
-        def propose():
-            target = thresholds["ball_cap"] * float(rng.uniform(gen))
-            return _scaled_gaussian_factor(gen, n_dim, k, target)
+        def propose(row):
+            target = thresholds["ball_cap"] * float(row[0])
+            return _scaled_gaussian_factor(rng.gaussian(row[1:]).reshape(n_dim, k), target)
+
+        width = 1 + nk
 
     elif region == MS_R3PP:
 
-        def propose():
-            target = thresholds["ball_cap"] * (1.0 + 3.0 * float(rng.uniform(gen)))
-            return _scaled_gaussian_factor(gen, n_dim, k, target)
+        def propose(row):
+            target = thresholds["ball_cap"] * (1.0 + 3.0 * float(row[0]))
+            return _scaled_gaussian_factor(rng.gaussian(row[1:]).reshape(n_dim, k), target)
+
+        width = 1 + nk
 
     else:
         raise InvalidConfig(f"unknown matrix-sensing region {region!r}")
 
-    return _rejection_sample(propose, partial(classify_region_ms, truth), region, n)
+    classify = partial(classify_region_ms, truth)
+    return _rejection_sample(propose, width, classify, region, n, gen)
 
 
 def sample_region_pr(signal, region: str, n: int, gen) -> list:
-    """Draw n vectors whose label set contains the region."""
+    """Draw n vectors whose label set contains the region.
+
+    A proposal reads one row of uniforms: a radius then N for a direction
+    (PR_R1, PR_R4); a sign, a radius and N (PR_R2); N for the saddle
+    direction, a radius and N (PR_R3). gen may be advanced past the last
+    accepted proposal.
+    """
     xstar, norm_star = _pr_signal(signal)
     dim = xstar.shape[0]
 
     if region == PR_R1:
 
-        def propose():
+        def propose(row):
             return (
                 PR_R1_RADIUS_FACTOR
                 * norm_star
-                * float(rng.uniform(gen))
-                * rng.unit_vector(gen, dim)
+                * float(row[0])
+                * rng.direction(row[1:])
             )
+
+        width = 1 + dim
 
     elif region == PR_R2:
 
-        def propose():
-            sign = 1.0 if float(rng.uniform(gen)) < 0.5 else -1.0
+        def propose(row):
+            sign = 1.0 if float(row[0]) < 0.5 else -1.0
             offset = (
                 PR_R2_RADIUS_FACTOR
                 * norm_star
-                * float(rng.uniform(gen))
-                * rng.unit_vector(gen, dim)
+                * float(row[1])
+                * rng.direction(row[2:])
             )
             return sign * xstar + offset
+
+        width = 2 + dim
 
     elif region == PR_R3:
         if dim < 2:
@@ -395,28 +437,33 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
                 f"region {region}: the saddle sphere is empty in dimension one"
             )
 
-        def propose():
-            raw = rng.normal(gen, (dim,))
+        def propose(row):
+            raw = rng.gaussian(row[:dim])
             raw -= (raw @ xstar) / norm_star ** 2 * xstar
             w = raw / np.linalg.norm(raw)
             offset = (
                 PR_R3_RADIUS_FACTOR
                 * norm_star
-                * float(rng.uniform(gen))
-                * rng.unit_vector(gen, dim)
+                * float(row[dim])
+                * rng.direction(row[dim + 1:])
             )
             return (norm_star / math.sqrt(3.0)) * w + offset
 
+        width = 2 * dim + 1
+
     elif region == PR_R4:
 
-        def propose():
-            radius = 1.5 * norm_star * float(rng.uniform(gen)) ** (1.0 / dim)
-            return radius * rng.unit_vector(gen, dim)
+        def propose(row):
+            radius = 1.5 * norm_star * float(row[0]) ** (1.0 / dim)
+            return radius * rng.direction(row[1:])
+
+        width = 1 + dim
 
     else:
         raise InvalidConfig(f"unknown phase-retrieval region {region!r}")
 
-    return _rejection_sample(propose, partial(classify_region_pr, xstar), region, n)
+    classify = partial(classify_region_pr, xstar)
+    return _rejection_sample(propose, width, classify, region, n, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +522,20 @@ class RegionBoundReport:
         }
 
 
+def _check_values(model, kind, stack):
+    """The checked quantity at each point of a stack, from one call: the
+    Euclidean gradient norm for a gradient floor, else min_eig. Each equals
+    the value at that point alone, bit for bit."""
+    if kind == GRADIENT_FLOOR:
+        return item_norms(model.euclidean_grad(stack), len(model.shape))
+    return min_eig(model, stack)
+
+
 def _run_region_checks(family, model, bounds, sample, config):
     """Check each tabled bound on samples of its region: min_eig against a
-    curvature bound, the Euclidean gradient norm against a gradient floor."""
+    curvature bound, the Euclidean gradient norm against a gradient floor.
+    The samples are checked in stacks of BLOCK, one population-risk call per
+    stack."""
     checks = []
     violations = []
     for region, (kind, bound) in bounds.items():
@@ -499,13 +557,16 @@ def _run_region_checks(family, model, bounds, sample, config):
                 )
             )
             continue
-        if kind == GRADIENT_FLOOR:
-            vals = [float(np.linalg.norm(model.euclidean_grad(p))) for p in samples]
-        else:
-            vals = [min_eig(model, p) for p in samples]
-        margins = [bound - v if kind == CURVATURE_CEILING else v - bound for v in vals]
+        stack = np.stack(samples)
+        vals = np.concatenate(
+            [
+                _check_values(model, kind, stack[start:start + BLOCK])
+                for start in range(0, len(stack), BLOCK)
+            ]
+        )
+        margins = bound - vals if kind == CURVATURE_CEILING else vals - bound
         worst = int(np.argmin(margins))
-        bad = [i for i, m in enumerate(margins) if m < 0.0]
+        bad = np.flatnonzero(margins < 0.0)
         for i in bad:
             violations.append(
                 {
@@ -652,7 +713,7 @@ def _sample_ball(population, radius, gen):
         n, k = population.shape
         while True:
             target = radius * float(rng.uniform(gen))
-            draw = _scaled_gaussian_factor(gen, n, k, target)
+            draw = _scaled_gaussian_factor(rng.normal(gen, (n, k)), target)
             sigma = np.linalg.svd(draw, compute_uv=False)
             if sigma[-1] > 1e-12 * max(sigma[0], 1.0):
                 return draw

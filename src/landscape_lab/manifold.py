@@ -9,6 +9,7 @@ Procrustes distance min_Q ||U - VQ||_F is the natural quotient metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,6 +220,20 @@ def procrustes_align(u, v) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(u_mat - v_mat @ q_opt)), q_opt
 
 
+def item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
+    """Frobenius norm of each item of a stack whose items have item_ndim
+    axes, rounded exactly as np.linalg.norm of the item alone.
+
+    Each is the square root of a row-times-column product, the dot product
+    np.linalg.norm takes of one raveled item; a norm over axis= sums in
+    another order and differs in the last bit on many items.
+    """
+    arr = np.asarray(stack, dtype=float)
+    lead = arr.shape[: arr.ndim - item_ndim]
+    flat = arr.reshape(-1, math.prod(arr.shape[len(lead):]))
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).reshape(lead)
+
+
 def horizontal_basis(u) -> np.ndarray:
     """Orthonormal basis of the horizontal space at U, as a (d, N, k) stack.
 
@@ -226,24 +241,36 @@ def horizontal_basis(u) -> np.ndarray:
     i < j. The trailing d = Nk - k(k-1)/2 columns of a complete QR of that
     Nk x k(k-1)/2 block are orthonormal and orthogonal to it, so they are
     the basis. For k = 1 the block is empty and the basis is canonical.
+    A (..., N, k) stack of points gives the (..., d, N, k) stack of their
+    bases, from one batched QR, each item as for that point alone.
     Raises NotHorizontal when some ||B_i^T U - U^T B_i|| exceeds
     HORIZONTAL_RTOL * ||U||, and GramNotSPD when U^T U fails the
-    GRAM_SPD_RTOL gate, where the vertical block loses rank.
+    GRAM_SPD_RTOL gate, where the vertical block loses rank; on a stack
+    the gates apply to each point.
     """
-    u_mat = _as_matrix(u)
+    u_mat = np.asarray(u, dtype=float)
+    if u_mat.ndim < 2:
+        raise DimensionMismatch(f"expected a 2-d array, got shape {u_mat.shape}")
     if not np.isfinite(u_mat).all():
         raise NonFiniteEntry("factor entries must be finite")
-    _require_spd(np.linalg.eigvalsh(u_mat.T @ u_mat))
-    n, k = u_mat.shape
+    *lead, n, k = u_mat.shape
+    for eigvals in np.linalg.eigvalsh(np.swapaxes(u_mat, -1, -2) @ u_mat).reshape(-1, k):
+        _require_spd(eigvals)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    vertical = np.zeros((len(pairs), n, k))
+    vertical = np.zeros((*lead, len(pairs), n, k))
     for t, (i, j) in enumerate(pairs):
-        vertical[t, :, j] = u_mat[:, i]
-        vertical[t, :, i] = -u_mat[:, j]
-    q_full, _ = np.linalg.qr(vertical.reshape(len(pairs), n * k).T, mode="complete")
+        vertical[..., t, :, j] = u_mat[..., :, i]
+        vertical[..., t, :, i] = -u_mat[..., :, j]
+    flat = np.swapaxes(vertical.reshape(*lead, len(pairs), n * k), -1, -2)
+    q_full, _ = np.linalg.qr(flat, mode="complete")
     # contiguous, so downstream GEMMs round the same as on a fresh stack
-    basis = np.ascontiguousarray(q_full[:, len(pairs):].T).reshape(-1, n, k)
-    skew = np.linalg.norm(basis.transpose(0, 2, 1) @ u_mat - u_mat.T @ basis, axis=(1, 2))
-    if np.any(skew > HORIZONTAL_RTOL * np.linalg.norm(u_mat)):  # unit-norm B_i
+    basis = np.ascontiguousarray(np.swapaxes(q_full[..., len(pairs):], -1, -2))
+    basis = basis.reshape(*lead, -1, n, k)
+    u_item = u_mat[..., None, :, :]
+    skew = np.linalg.norm(
+        np.swapaxes(basis, -1, -2) @ u_item - np.swapaxes(u_item, -1, -2) @ basis,
+        axis=(-2, -1),
+    )
+    if np.any(skew > HORIZONTAL_RTOL * item_norms(u_mat, 2)[..., None]):  # unit-norm B_i
         raise NotHorizontal(f"basis is not horizontal: max defect {np.max(skew):.3e}")
     return basis

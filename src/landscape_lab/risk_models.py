@@ -19,7 +19,9 @@ share one base that keeps a square-root factor C with C^T C = G, so the risk
 is the sum of squares ||C vec Z||^2, never negative, and G itself, formed
 once as C^T C, so the normal image G vec Z is one product. Both cost the
 same at every M. hess_vec takes one direction or a stack of them along a
-leading axis.
+leading axis. The two population risks also take a (B, *shape) stack of
+points in euclidean_grad and hess_vec, each item bit for bit the value at
+that point alone; the empirical risks reject a stacked point.
 
 An ensemble is (truth or signal, M, seed) plus those two factors; each
 supplies only how its G is summed and how its draw is read. G is
@@ -460,9 +462,11 @@ class RiskModel:
     def value_scale(self) -> float:
         raise NotImplementedError
 
-    def _coerce(self, point) -> np.ndarray:
+    def _coerce(self, point, stack: bool = False) -> np.ndarray:
+        """The point as a finite float array of the model's shape; with
+        stack, a (B, *shape) stack of points is accepted too."""
         arr = np.asarray(point, dtype=float)
-        if arr.shape != self.shape:
+        if arr.shape != self.shape and not (stack and arr.shape[1:] == self.shape):
             raise DimensionMismatch(
                 f"point shape {arr.shape} does not match model shape {self.shape}"
             )
@@ -497,21 +501,29 @@ class _SensingRisk(RiskModel):
 
 
 class MsPopulationRisk(_SensingRisk):
-    """g(U) = 1/4 ||UU^T - X||_F^2."""
+    """g(U) = 1/4 ||UU^T - X||_F^2.
+
+    euclidean_grad and hess_vec also take a (B, N, k) stack of points; the
+    directions of hess_vec then carry the same leading B axis.
+    """
 
     def value(self, point) -> float:
         u = self._coerce(point)
         return 0.25 * float(np.linalg.norm(u @ u.T - self._target) ** 2)
 
     def euclidean_grad(self, point) -> np.ndarray:
-        u = self._coerce(point)
-        return (u @ u.T - self._target) @ u
+        u = self._coerce(point, stack=True)
+        return (u @ u.swapaxes(-1, -2) - self._target) @ u
 
     def hess_vec(self, point, direction) -> np.ndarray:
-        u = self._coerce(point)
+        u = self._coerce(point, stack=True)
         d = np.asarray(direction, dtype=float)
-        sym = u @ np.swapaxes(d, -1, -2) + d @ u.T
-        return sym @ u + (u @ u.T - self._target) @ d
+        # (*B, m, N, k) directions against (*B, 1, N, k) points
+        dm = d.reshape(*u.shape[:-2], -1, *u.shape[-2:])
+        u = u[..., None, :, :]
+        u_t = u.swapaxes(-1, -2)
+        sym = u @ dm.swapaxes(-1, -2) + dm @ u_t
+        return (sym @ u + (u @ u_t - self._target) @ dm).reshape(d.shape)
 
     def hess_quadratic(self, point, direction) -> float:
         u = self._coerce(point)
@@ -582,7 +594,19 @@ class _PhaseRisk(RiskModel):
 
 
 class PrPopulationRisk(_PhaseRisk):
-    """g(x) = ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2."""
+    """g(x) = ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
+
+    euclidean_grad and hess_vec also take a (B, N) stack of points; the
+    directions of hess_vec then carry the same leading B axis. Inner
+    products are row-times-column products, the dot product a single
+    point takes, so each item rounds as at that point alone.
+    """
+
+    def __init__(self, signal):
+        super().__init__(signal)
+        # ||x*||^2 and x* as a column, read by every gradient and hess_vec
+        self._signal_norm2 = float(self.signal @ self.signal)
+        self._signal_col = self.signal[:, None]
 
     def value(self, point) -> float:
         x = self._coerce(point)
@@ -594,9 +618,11 @@ class PrPopulationRisk(_PhaseRisk):
         return rank_one + 0.5 * (nx2 - ns2) ** 2
 
     def euclidean_grad(self, point) -> np.ndarray:
-        x = self._coerce(point)
-        xs = self.signal
-        return 6.0 * float(x @ x) * x - 2.0 * float(xs @ xs) * x - 4.0 * float(x @ xs) * xs
+        x = self._coerce(point, stack=True)
+        row = x[..., None, :]
+        nx2 = (row @ x[..., :, None])[..., 0]
+        cross = (row @ self._signal_col)[..., 0]
+        return 6.0 * nx2 * x - 2.0 * self._signal_norm2 * x - 4.0 * cross * self.signal
 
     def hess_matrix(self, point) -> np.ndarray:
         x = self._coerce(point)
@@ -609,14 +635,17 @@ class PrPopulationRisk(_PhaseRisk):
         )
 
     def hess_vec(self, point, direction) -> np.ndarray:
-        x = self._coerce(point)
-        xs = self.signal
+        x = self._coerce(point, stack=True)
         d = np.asarray(direction, dtype=float)
+        # (*B, m, N) directions against (*B, 1, N) points
+        dm = d.reshape(*x.shape[:-1], -1, x.shape[-1])
+        row = x[..., None, :]
+        col = x[..., :, None]
         return (
-            12.0 * (d @ x)[..., None] * x
-            - 4.0 * (d @ xs)[..., None] * xs
-            + (6.0 * float(x @ x) - 2.0 * float(xs @ xs)) * d
-        )
+            12.0 * (dm @ col) * row
+            - 4.0 * (dm @ self._signal_col) * self.signal
+            + (6.0 * (row @ col) - 2.0 * self._signal_norm2) * dm
+        ).reshape(d.shape)
 
 
 class PrEmpiricalRisk(_PhaseRisk):

@@ -4,9 +4,11 @@ Every stochastic object in the package is drawn from a stream addressed by
 (master_seed, tag, index). Tags are strings describing the consumer
 ("sensing-ensemble", "regions-ms/R1", ...); they are hashed to a 64-bit word
 so unrelated consumers cannot collide by accident. Gaussians go through the
-inverse normal CDF instead of the Generator's rejection sampler, which makes
-the draw a pure function of the uniform bit stream and therefore stable
-across numpy versions and platforms.
+inverse normal CDF (gaussian) instead of the Generator's rejection sampler,
+which makes the draw a pure function of the uniform bit stream and
+therefore stable across numpy versions and platforms. A consumer may draw a
+block of uniforms at once and map its Gaussian columns through gaussian
+itself: the values come out as from one call per draw.
 """
 
 from __future__ import annotations
@@ -54,14 +56,31 @@ def subseed(master_seed: int, tag: str, index: int = 0) -> int:
 
 
 def uniform(gen: np.random.Generator, shape=()) -> np.ndarray:
-    """Uniforms on the open interval (0, 1), 53-bit resolution."""
+    """Uniforms on the open interval (0, 1), 53-bit resolution.
+
+    Each value spends one 64-bit word of the stream and none is rejected,
+    so a (rows, width) block holds, row by row, the values that rows
+    successive calls of width values each would return.
+    """
     bits = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
     return (bits + 0.5) * (2.0 ** -53)
 
 
+def gaussian(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms on (0, 1), by the inverse normal CDF."""
+    return ndtri(u)
+
+
+def direction(u: np.ndarray) -> np.ndarray:
+    """The unit vector along gaussian(u): unit_vector's point, built from
+    uniforms already drawn."""
+    v = gaussian(u)
+    return v / np.linalg.norm(v)
+
+
 def normal(gen: np.random.Generator, shape=()) -> np.ndarray:
     """Standard normals via the inverse CDF of the uniform stream."""
-    return ndtri(uniform(gen, shape))
+    return gaussian(uniform(gen, shape))
 
 
 def unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:

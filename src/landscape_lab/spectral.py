@@ -3,9 +3,12 @@
 Hessians are never formed by the risk models themselves; this module
 assembles them densely from one hess_vec call on a stack of basis
 directions, either the canonical ambient basis or an orthonormal horizontal
-basis at a factor point. The canonical stack is built once per model shape
-and shared read-only, so a hess_vec that wrote into its directions would
-raise instead of corrupting the next Hessian. Problem sizes here are small
+basis at a factor point. The Hessian probes also take a (B, *shape) stack
+of points, for models whose hess_vec does (the population risks), and then
+make one call for the whole stack; each item equals the single-point value
+bit for bit. The canonical stack is built once per model shape and stack
+size and shared read-only, so a hess_vec that wrote into its directions
+would raise instead of corrupting the next Hessian. Problem sizes here are small
 by design, so dense eigh is the right tool.
 
 uses_quotient alone picks which of the two a model's curvature is read in:
@@ -51,23 +54,28 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _canonical_basis(shape: tuple[int, ...]) -> np.ndarray:
-    """The (n, *shape) stack of canonical basis directions, read-only."""
+def _canonical_basis(shape: tuple[int, ...], lead: tuple[int, ...]) -> np.ndarray:
+    """The (n, *shape) stack of canonical basis directions, read-only, and
+    broadcast to (*lead, n, *shape) for a stack of points."""
     n = math.prod(shape)
     basis = np.eye(n).reshape(n, *shape)
     basis.setflags(write=False)
-    return basis
+    return np.broadcast_to(basis, (*lead, *basis.shape))
 
 
 def dense_euclidean_hessian(model, point) -> np.ndarray:
-    """Assemble the ambient Hessian from hess_vec on the canonical basis stack."""
-    basis = _canonical_basis(model.shape)
-    n = len(basis)
+    """Assemble the ambient Hessian from hess_vec on the canonical basis stack.
+
+    At a (B, *shape) stack of points, the (B, n, n) stack of their Hessians
+    from one hess_vec call, each as at that point alone.
+    """
+    shape = model.shape
+    basis = _canonical_basis(shape, np.asarray(point).shape[: -len(shape)])
     images = model.hess_vec(point, basis)
     _check_finite(images, "hess_vec")
     # row j is the image of the j-th basis direction, the j-th column
-    rows = images.reshape(n, n)
-    return 0.5 * (rows + rows.T)
+    rows = images.reshape(basis.shape[: -len(shape)] + (-1,))
+    return 0.5 * (rows + rows.swapaxes(-1, -2))
 
 
 def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
@@ -77,14 +85,14 @@ def restricted_hessian(model, point) -> tuple[np.ndarray, np.ndarray]:
     {E_i} from horizontal_basis, and form is the symmetrized
     d x d matrix B_ij = <hess_vec(U, E_i), E_j>, from one hess_vec call on
     the stack and one matmul of the flattened images against the flattened
-    basis.
+    basis. At a (B, N, k) stack of points both gain a leading B axis.
     """
     mats = horizontal_basis(point)
     images = model.hess_vec(point, mats)
     _check_finite(images, "hess_vec")
-    d = len(mats)
-    form = images.reshape(d, -1) @ mats.reshape(d, -1).T
-    return 0.5 * (form + form.T), mats
+    rows = mats.shape[:-2]  # (*B, d)
+    form = images.reshape(*rows, -1) @ mats.reshape(*rows, -1).swapaxes(-1, -2)
+    return 0.5 * (form + form.swapaxes(-1, -2)), mats
 
 
 def uses_quotient(model) -> bool:
@@ -95,15 +103,19 @@ def uses_quotient(model) -> bool:
 
 def hessian_form(model, point) -> np.ndarray:
     """The Hessian in the model's own tangent space: restricted_hessian's
-    form when uses_quotient, else the dense ambient Hessian."""
+    form when uses_quotient, else the dense ambient Hessian. Takes a point
+    or a (B, *shape) stack of them."""
     if uses_quotient(model):
         return restricted_hessian(model, point)[0]
     return dense_euclidean_hessian(model, point)
 
 
-def min_eig(model, point) -> float:
-    """Smallest eigenvalue of hessian_form at a point."""
-    return float(np.linalg.eigh(hessian_form(model, point))[0][0])
+def min_eig(model, point) -> float | np.ndarray:
+    """Smallest eigenvalue of hessian_form at a point, as a float; at a
+    (B, *shape) stack of points, the (B,) array of them from one batched
+    eigh, each equal to the value at that point alone."""
+    lam = np.linalg.eigh(hessian_form(model, point))[0][..., 0]
+    return lam if lam.ndim else float(lam)
 
 
 def fd_grad_check(model, point, tol: float = 1e-5) -> FdCheck:

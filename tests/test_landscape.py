@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from landscape_lab import rng
+from landscape_lab import landscape, rng
 from landscape_lab.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -30,8 +30,11 @@ from landscape_lab.landscape import (
     PR_R2,
     PR_R3,
     PR_R4,
+    PR_R3_RADIUS_FACTOR,
     PR_REGIONS,
     AssumptionConfig,
+    BLOCK,
+    RegionLabelSet,
     RegionSamplerConfig,
     check_assumptions,
     classify_region_ms,
@@ -302,6 +305,104 @@ class TestSamplers:
         b = sample_region_ms(truth, MS_R3P, 10, rng.stream(4, "det", 0))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def ms_r3p_serial(truth, n, gen):
+    """MS_R3P as sampled one proposal at a time: a uniform for the scale,
+    then an N x k Gaussian factor, each from its own rng call."""
+    cap = ms_region_thresholds(truth)["ball_cap"]
+    out = []
+    while len(out) < n:
+        target = cap * float(rng.uniform(gen))
+        g = rng.normal(gen, (truth.dim, truth.target_rank))
+        u = g * math.sqrt(target / np.linalg.norm(g @ g.T))
+        if MS_R3P in classify_region_ms(truth, u).labels:
+            out.append(u)
+    return out
+
+
+def pr_r3_serial(signal, n, gen):
+    """PR_R3 as sampled one proposal at a time: a Gaussian saddle direction,
+    a uniform radius and a unit vector, each from its own rng call."""
+    norm_star = float(np.linalg.norm(signal))
+    out = []
+    while len(out) < n:
+        raw = rng.normal(gen, (signal.shape[0],))
+        raw -= (raw @ signal) / norm_star ** 2 * signal
+        w = raw / np.linalg.norm(raw)
+        offset = (
+            PR_R3_RADIUS_FACTOR
+            * norm_star
+            * float(rng.uniform(gen))
+            * rng.unit_vector(gen, signal.shape[0])
+        )
+        x = (norm_star / math.sqrt(3.0)) * w + offset
+        if PR_R3 in classify_region_pr(signal, x).labels:
+            out.append(x)
+    return out
+
+
+class TestBlockDraws:
+    """Proposals are built from blocks of uniform rows; the samples must be
+    those of one rng call per draw, and starvation notes must count the
+    proposals actually made."""
+
+    def test_ms_sampler_reads_the_stream_as_serial_draws(self):
+        truth = separated_truth()
+        got = sample_region_ms(truth, MS_R3P, 25, rng.stream(5, "block-ms", 0))
+        want = ms_r3p_serial(truth, 25, rng.stream(5, "block-ms", 0))
+        assert len(got) == len(want) == 25
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    def test_pr_sampler_reads_the_stream_as_serial_draws(self):
+        got = sample_region_pr(XSTAR, PR_R3, 25, rng.stream(6, "block-pr", 0))
+        want = pr_r3_serial(XSTAR, 25, rng.stream(6, "block-pr", 0))
+        assert len(got) == len(want) == 25
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    def test_rejecting_everything_counts_the_whole_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            landscape, "classify_region_pr", lambda signal, point: RegionLabelSet(frozenset(), {})
+        )
+        gen = rng.stream(7, "block-starve", 0)
+        with pytest.raises(SamplerStarved, match=r": 0 of 5 samples after 5000 proposals$"):
+            sample_region_pr(XSTAR, PR_R4, 5, gen)
+
+    @staticmethod
+    def every_seventh(monkeypatch):
+        """Make classify_region_pr accept every 7th call; returns the call log."""
+        calls = []
+
+        def classify(signal, point):
+            calls.append(point)
+            labels = {PR_R4} if len(calls) % 7 == 0 else set()
+            return RegionLabelSet(frozenset(labels), {})
+
+        monkeypatch.setattr(landscape, "classify_region_pr", classify)
+        return calls
+
+    def test_budget_ending_mid_block_counts_only_to_the_budget(self, monkeypatch):
+        calls = self.every_seventh(monkeypatch)
+        monkeypatch.setattr(landscape, "ATTEMPT_FACTOR", 5)
+        n = 300
+        budget = n * 5
+        assert budget % BLOCK != 0  # the budget ends inside a block
+        gen = rng.stream(8, "block-straddle", 0)
+        with pytest.raises(SamplerStarved) as starved:
+            sample_region_pr(XSTAR, PR_R4, n, gen)
+        assert str(starved.value).endswith(
+            f": {budget // 7} of {n} samples after {budget} proposals"
+        )
+        assert len(calls) == budget
+
+    def test_classification_stops_at_the_last_accepted_proposal(self, monkeypatch):
+        calls = self.every_seventh(monkeypatch)
+        n = 10  # the 70th proposal, inside the second block, is the last
+        samples = sample_region_pr(XSTAR, PR_R4, n, rng.stream(9, "block-stop", 0))
+        assert len(samples) == n
+        assert len(calls) == 7 * n
 
 
 # ---------------------------------------------------------------------------

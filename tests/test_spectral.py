@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from landscape_lab import rng
-from landscape_lab.errors import NonFiniteEntry
-from landscape_lab.manifold import horizontal_basis
+from landscape_lab.errors import DimensionMismatch, GramNotSPD, NonFiniteEntry
+from landscape_lab.landscape import GRADIENT_FLOOR, _check_values
+from landscape_lab.manifold import horizontal_basis, item_norms
 from landscape_lab.risk_models import (
     MsPopulationRisk,
+    PrEmpiricalRisk,
     PrPopulationRisk,
     SensingGroundTruth,
+    generate_phase_problem,
     generate_sensing_ensemble,
     MsEmpiricalRisk,
 )
@@ -214,3 +217,97 @@ def test_fd_checks_catch_wrong_formulas():
     assert not fd_hess_check(WrongHess(XSTAR), x, np.ones(3)).passed
     assert fd_grad_check(PrPopulationRisk(XSTAR), x).passed
     assert fd_hess_check(PrPopulationRisk(XSTAR), x, np.ones(3)).passed
+
+
+# ---- stacks of points -----------------------------------------------------
+#
+# The region checks evaluate min_eig and the gradient norm on stacks of
+# samples. Every item must equal the single-point value bit for bit, so the
+# comparisons below use ==, not a tolerance.
+
+# label -> (model factory, point scale): MS at k = 1, 2, 3 and PR at n = 1, 3
+STACK_CASES = {
+    "ms-k1": (
+        lambda: MsPopulationRisk(
+            SensingGroundTruth.from_random_basis(8, (1.0,), 1, seed=5)
+        ),
+        1.0,
+    ),
+    "ms-k2": (lambda: MsPopulationRisk(separated_truth()), 1.0),
+    "ms-k3": (
+        lambda: MsPopulationRisk(
+            SensingGroundTruth.from_random_basis(6, (1.5, 1.0, 0.7, 0.05), 3, seed=6)
+        ),
+        1.0,
+    ),
+    "pr-n1": (lambda: PrPopulationRisk(np.array([0.8])), 1.5),
+    "pr-n3": (lambda: PrPopulationRisk(XSTAR), 1.5),
+}
+
+
+def stack_case(label, size=150):
+    make, scale = STACK_CASES[label]
+    model = make()
+    gen = rng.stream(MASTER, f"stack-{label}", 0)
+    return model, scale * rng.normal(gen, (size, *model.shape))
+
+
+@pytest.mark.parametrize("label", list(STACK_CASES))
+def test_min_eig_on_a_stack_is_per_point_bit_for_bit(label):
+    model, points = stack_case(label)
+    stacked = min_eig(model, points)
+    assert stacked.shape == (len(points),)
+    assert (stacked == np.array([min_eig(model, p) for p in points])).all()
+
+
+@pytest.mark.parametrize("label", list(STACK_CASES))
+def test_gradient_norms_on_a_stack_are_per_point_bit_for_bit(label):
+    model, points = stack_case(label)
+    per_point = np.array([float(np.linalg.norm(model.euclidean_grad(p))) for p in points])
+    grads = model.euclidean_grad(points)
+    assert (grads == np.array([model.euclidean_grad(p) for p in points])).all()
+    assert (item_norms(grads, len(model.shape)) == per_point).all()
+    assert (_check_values(model, GRADIENT_FLOOR, points) == per_point).all()
+
+
+@pytest.mark.parametrize("label", ["ms-k1", "ms-k2", "ms-k3"])
+def test_horizontal_basis_on_a_stack_is_per_point_bit_for_bit(label):
+    model, points = stack_case(label, size=40)
+    stacked = horizontal_basis(points)
+    assert stacked.shape[:2] == (len(points), len(horizontal_basis(points[0])))
+    assert (stacked == np.array([horizontal_basis(p) for p in points])).all()
+
+
+def test_horizontal_basis_gates_each_point_of_a_stack():
+    _, points = stack_case("ms-k2", size=5)
+    points[3, :, 1] = 2.0 * points[3, :, 0]  # rank one: U^T U is singular
+    with pytest.raises(GramNotSPD):
+        horizontal_basis(points)
+    points[3, 0, 0] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        horizontal_basis(points)
+
+
+def test_empirical_risks_reject_a_stacked_point():
+    truth = separated_truth()
+    models = [
+        MsEmpiricalRisk(generate_sensing_ensemble(truth, 50, 3)),
+        PrEmpiricalRisk(generate_phase_problem(XSTAR, 50, 3)),
+    ]
+    for model in models:
+        stack = np.ones((4, *model.shape))
+        with pytest.raises(DimensionMismatch):
+            model.value(stack)
+        with pytest.raises(DimensionMismatch):
+            model.euclidean_grad(stack)
+        with pytest.raises(DimensionMismatch):
+            model.hess_vec(stack, stack)
+
+
+@pytest.mark.parametrize("label", ["ms-k2", "pr-n3"])
+def test_population_risks_take_one_stack_axis_only(label):
+    model, points = stack_case(label, size=6)
+    with pytest.raises(DimensionMismatch):
+        model.euclidean_grad(points.reshape(2, 3, *model.shape))
+    with pytest.raises(DimensionMismatch):
+        model.value(points)
