@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramNotSPD, InvalidConfig
-from .manifold import procrustes_distance
+from .manifold import _norm, procrustes_distance
 from .risk_models import SensingGroundTruth
 from .spectral import (
     dense_euclidean_hessian,
@@ -46,13 +46,6 @@ MAX_GRID_POINTS = 10**6  # seeds of a seed grid, values of a line or plane grid
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
 KIND_DEGENERATE = "Degenerate"
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of all entries, by np.linalg.norm's own ord=None path
-    (ravel in memory order, dot, sqrt), so the bits match it."""
-    flat = v.ravel(order="K")
-    return math.sqrt(float(flat.dot(flat)))
 
 
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:

@@ -12,12 +12,15 @@ restricted-isometry constants of sensing ensembles.
 All sampled checks report Monte-Carlo evidence: a clean run certifies the
 sampled points only, never the full region.
 
-The samplers draw uniforms BLOCK rows at a time and build each proposal
-from one row, so the stream is read exactly as by one rng call per draw;
-each proposal is still classified on its own. The region checks then
-evaluate their samples in stacks of BLOCK, one min_eig or euclidean_grad
-call on the population risk per stack, each value bit for bit the
-single-point one, so the reports do not depend on BLOCK.
+The samplers draw uniforms BLOCK rows at a time, so the stream is read
+exactly as by one rng call per draw, and build each block into a stack of
+proposals in one pass, each bit for bit the proposal built from its row
+alone. Each proposal is still classified on its own, one classify_region_*
+call per proposal, in order; the classifiers read the values that depend
+on the truth alone from the truth, which computes them once. The region
+checks then evaluate their samples in stacks of BLOCK, one min_eig or
+euclidean_grad call on the population risk per stack, each value bit for
+bit the single-point one, so the reports do not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     SamplerStarved,
     ZeroTruthSignal,
 )
-from .manifold import item_norms, procrustes_distance
+from .manifold import _norm, item_norms, procrustes_distance
 from .risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
@@ -116,7 +119,7 @@ class RegionLabelSet:
 
 def ms_region_thresholds(truth: SensingGroundTruth) -> dict:
     lam_k = float(truth.eigvals[truth.target_rank - 1])
-    top_norm = float(np.linalg.norm(truth.eigvals[: truth.target_rank]))
+    top_norm = _norm(truth.eigvals[: truth.target_rank])
     return {
         "r1_radius": MS_R1_RADIUS_FACTOR / truth.kappa * math.sqrt(lam_k),
         "sigma_cap": MS_SIGMA_CAP_FACTOR * math.sqrt(lam_k),
@@ -167,8 +170,8 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
     u = model._coerce(point)
     thresholds = ms_region_thresholds(truth)
     sigma_k = float(np.linalg.svd(u, compute_uv=False)[-1])
-    uut_norm = float(np.linalg.norm(u @ u.T))
-    grad_norm = float(np.linalg.norm(model.euclidean_grad(u)))
+    uut_norm = _norm(u @ u.T)
+    grad_norm = _norm(model.euclidean_grad(u))
     distance = procrustes_distance(u, truth.canonical_minimum())
 
     labels = set()
@@ -199,18 +202,20 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
     return RegionLabelSet(frozenset(labels), witness, _truth_notes(truth))
 
 
-def saddle_sphere_distance(signal: np.ndarray, x: np.ndarray) -> float:
+def saddle_sphere_distance(signal, x) -> float:
     """Distance from x to the saddle set, the sphere of radius
     ||x*|| / sqrt(3) inside the hyperplane orthogonal to the signal.
-    Empty in dimension one, where the distance is infinite."""
-    if signal.shape[0] < 2:
+    Empty in dimension one, where the distance is infinite. The signal is
+    rejected as the phase risks reject it, and x must be finite and of its
+    shape."""
+    xstar, norm_star = _pr_signal(signal)
+    x = _pr_point(xstar, x)
+    if xstar.shape[0] < 2:
         return math.inf
-    norm_star = float(np.linalg.norm(signal))
     radius = norm_star / math.sqrt(3.0)
-    along = float(x @ signal) / norm_star
-    perp = x - (along / norm_star) * signal
-    perp_norm = float(np.linalg.norm(perp))
-    return math.hypot(along, perp_norm - radius)
+    along = float(x @ xstar) / norm_star
+    perp = x - (along / norm_star) * xstar
+    return math.hypot(along, _norm(perp) - radius)
 
 
 def pr_region_bounds(signal) -> dict:
@@ -230,7 +235,7 @@ def _pr_signal(signal) -> tuple:
     """The signal as an array and its norm, rejected as the phase risks
     reject it; one scalar test covers every entry."""
     xstar = np.asarray(signal, dtype=float)
-    norm_star = float(np.linalg.norm(xstar))
+    norm_star = _norm(xstar)
     if not math.isfinite(norm_star):
         raise NonFiniteEntry("signal entries must be finite")
     if xstar.ndim != 1 or norm_star == 0.0:
@@ -238,18 +243,23 @@ def _pr_signal(signal) -> tuple:
     return xstar, norm_star
 
 
-def classify_region_pr(signal, point) -> RegionLabelSet:
-    """All phase-retrieval regions containing the point."""
-    xstar, norm_star = _pr_signal(signal)
+def _pr_point(xstar, point) -> np.ndarray:
+    """The point as an array, rejected unless finite and of the signal's
+    shape."""
     x = np.asarray(point, dtype=float)
     if x.shape != xstar.shape:
         raise DimensionMismatch(f"point shape {x.shape} != signal shape {xstar.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteEntry("point entries must be finite")
-    norm_x = float(np.linalg.norm(x))
-    sign_dist = min(
-        float(np.linalg.norm(x - xstar)), float(np.linalg.norm(x + xstar))
-    )
+    return x
+
+
+def classify_region_pr(signal, point) -> RegionLabelSet:
+    """All phase-retrieval regions containing the point."""
+    xstar, norm_star = _pr_signal(signal)
+    x = _pr_point(xstar, point)
+    norm_x = _norm(x)
+    sign_dist = min(_norm(x - xstar), _norm(x + xstar))
     saddle_dist = saddle_sphere_distance(xstar, x)
 
     labels = set()
@@ -295,18 +305,29 @@ class RegionSamplerConfig:
 
 
 def _scaled_gaussian_factor(g, uut_target):
-    """The Gaussian factor G scaled so that ||G G^T||_F is uut_target."""
-    return g * math.sqrt(uut_target / np.linalg.norm(g @ g.T))
+    """The Gaussian factor G scaled so that ||G G^T||_F is uut_target; on a
+    (B, N, k) stack each item is scaled to its own target."""
+    gram_norms = item_norms(g @ np.swapaxes(g, -1, -2), 2)
+    return g * np.sqrt(uut_target / gram_norms)[..., None, None]
+
+
+def _unit_rows(g):
+    """Each row of g divided by its norm, which item_norms rounds as
+    np.linalg.norm rounds that row alone."""
+    return g / item_norms(g, 1)[:, None]
 
 
 def _rejection_sample(propose, width, classify, region, n, gen):
     """Keep proposals whose classify(...).labels hold the region, n of them.
 
-    Each proposal is propose(row) for one row of width uniforms. Rows are
-    drawn from gen BLOCK at a time (fewer where the block would pass the
-    starvation budget), so the stream is read as by one draw per proposal,
-    and every proposal is classified on its own, in order. gen may be left
-    advanced past the last accepted proposal, to the end of its block.
+    Rows of width uniforms are drawn from gen BLOCK at a time (fewer where
+    the block would pass the starvation budget), so the stream is read as
+    by one draw per proposal, and propose(rows) builds the block's (B,
+    *shape) stack of proposals, each item bit for bit the proposal built
+    from its row alone. Every proposal is classified on its own, in order,
+    until n are kept or the budget is spent; proposals after the stop are
+    built but neither classified nor counted. gen may be left advanced past
+    the last accepted proposal, to the end of its block.
     """
     budget = max(n * ATTEMPT_FACTOR, 1000)
     out = []
@@ -317,9 +338,9 @@ def _rejection_sample(propose, width, classify, region, n, gen):
                 f"region {region}: {len(out)} of {n} samples after "
                 f"{attempts} proposals"
             )
-        for row in rng.uniform(gen, (min(BLOCK, budget - attempts), width)):
+        rows = rng.uniform(gen, (min(BLOCK, budget - attempts), width))
+        for candidate in propose(rows):
             attempts += 1
-            candidate = propose(row)
             if region in classify(candidate).labels:
                 out.append(candidate)
                 if len(out) == n:
@@ -331,22 +352,18 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
     """Draw n factor points whose label set contains the region.
 
     A proposal reads one row of uniforms: N k Gaussian entries then a radius
-    (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the others). gen
-    may be advanced past the last accepted proposal.
+    (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the others). Each
+    block of rows is built into proposals in one stacked pass: one
+    rng.gaussian call, and norms from item_norms. gen may be advanced past
+    the last accepted proposal.
     """
     thresholds = ms_region_thresholds(truth)
     n_dim, k = truth.dim, truth.target_rank
     nk = n_dim * k
 
     if region == MS_R1:
-        anchor = truth.canonical_minimum()
-
-        def propose(row):
-            direction = rng.direction(row[:nk]).reshape(n_dim, k)
-            radius = thresholds["r1_radius"] * float(row[nk])
-            return anchor + radius * direction
-
-        width = nk + 1
+        anchors = truth.canonical_minimum()[None]
+        radius = thresholds["r1_radius"]
 
     elif region == MS_R2P:
         # the first k-subset, in lexicographic order, is the minimum itself
@@ -362,28 +379,27 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
             3.0 * float(truth.eigvals[0]) + float(np.linalg.norm(truth.matrix))
         )
         radius = thresholds["grad_split"] / rate
-        cycle = itertools.cycle(selections)
+        anchors = np.stack([truth.canonical_point(s) for s in selections])
 
-        def propose(row):
-            anchor = truth.canonical_point(next(cycle))
-            direction = rng.direction(row[:nk]).reshape(n_dim, k)
-            return anchor + radius * float(row[nk]) * direction
+    if region in (MS_R1, MS_R2P):
+        # proposal i perturbs anchor i mod len(anchors)
+        cycle = itertools.cycle(range(len(anchors)))
+
+        def propose(rows):
+            picked = anchors[list(itertools.islice(cycle, len(rows)))]
+            directions = _unit_rows(rng.gaussian(rows[:, :nk])).reshape(-1, n_dim, k)
+            return picked + (radius * rows[:, nk])[:, None, None] * directions
 
         width = nk + 1
 
-    elif region in (MS_R2PP, MS_R3P):
+    elif region in (MS_R2PP, MS_R3P, MS_R3PP):
+        cap = thresholds["ball_cap"]
 
-        def propose(row):
-            target = thresholds["ball_cap"] * float(row[0])
-            return _scaled_gaussian_factor(rng.gaussian(row[1:]).reshape(n_dim, k), target)
-
-        width = 1 + nk
-
-    elif region == MS_R3PP:
-
-        def propose(row):
-            target = thresholds["ball_cap"] * (1.0 + 3.0 * float(row[0]))
-            return _scaled_gaussian_factor(rng.gaussian(row[1:]).reshape(n_dim, k), target)
+        # ||U U^T||_F uniform on (0, cap), or on (cap, 4 cap) for MS_R3pp
+        def propose(rows):
+            scale = 1.0 + 3.0 * rows[:, 0] if region == MS_R3PP else rows[:, 0]
+            g = rng.gaussian(rows[:, 1:]).reshape(-1, n_dim, k)
+            return _scaled_gaussian_factor(g, cap * scale)
 
         width = 1 + nk
 
@@ -399,35 +415,28 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
 
     A proposal reads one row of uniforms: a radius then N for a direction
     (PR_R1, PR_R4); a sign, a radius and N (PR_R2); N for the saddle
-    direction, a radius and N (PR_R3). gen may be advanced past the last
-    accepted proposal.
+    direction, a radius and N (PR_R3). Each block of rows is built into
+    proposals in one stacked pass, as for sample_region_ms. gen may be
+    advanced past the last accepted proposal.
     """
     xstar, norm_star = _pr_signal(signal)
     dim = xstar.shape[0]
 
     if region == PR_R1:
 
-        def propose(row):
-            return (
-                PR_R1_RADIUS_FACTOR
-                * norm_star
-                * float(row[0])
-                * rng.direction(row[1:])
-            )
+        def propose(rows):
+            radii = PR_R1_RADIUS_FACTOR * norm_star * rows[:, 0]
+            return radii[:, None] * _unit_rows(rng.gaussian(rows[:, 1:]))
 
         width = 1 + dim
 
     elif region == PR_R2:
 
-        def propose(row):
-            sign = 1.0 if float(row[0]) < 0.5 else -1.0
-            offset = (
-                PR_R2_RADIUS_FACTOR
-                * norm_star
-                * float(row[1])
-                * rng.direction(row[2:])
-            )
-            return sign * xstar + offset
+        def propose(rows):
+            signs = np.where(rows[:, 0] < 0.5, 1.0, -1.0)
+            radii = PR_R2_RADIUS_FACTOR * norm_star * rows[:, 1]
+            offsets = radii[:, None] * _unit_rows(rng.gaussian(rows[:, 2:]))
+            return signs[:, None] * xstar + offsets
 
         width = 2 + dim
 
@@ -437,25 +446,27 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
                 f"region {region}: the saddle sphere is empty in dimension one"
             )
 
-        def propose(row):
-            raw = rng.gaussian(row[:dim])
-            raw -= (raw @ xstar) / norm_star ** 2 * xstar
-            w = raw / np.linalg.norm(raw)
-            offset = (
-                PR_R3_RADIUS_FACTOR
-                * norm_star
-                * float(row[dim])
-                * rng.direction(row[dim + 1:])
-            )
-            return (norm_star / math.sqrt(3.0)) * w + offset
+        def propose(rows):
+            # the radius column is mapped too, and not read
+            gauss = rng.gaussian(rows)
+            raw = gauss[:, :dim]
+            # row times column, as raw @ xstar rounds for one row
+            along = (raw[:, None, :] @ xstar[:, None])[:, 0, 0]
+            raw -= (along / norm_star ** 2)[:, None] * xstar
+            radii = PR_R3_RADIUS_FACTOR * norm_star * rows[:, dim]
+            offsets = radii[:, None] * _unit_rows(gauss[:, dim + 1:])
+            return (norm_star / math.sqrt(3.0)) * _unit_rows(raw) + offsets
 
         width = 2 * dim + 1
 
     elif region == PR_R4:
 
-        def propose(row):
-            radius = 1.5 * norm_star * float(row[0]) ** (1.0 / dim)
-            return radius * rng.direction(row[1:])
+        def propose(rows):
+            # the root by Python's pow, row by row: numpy's vectorised power
+            # rounds differently on some hosts
+            roots = np.array([u ** (1.0 / dim) for u in rows[:, 0].tolist()])
+            radii = 1.5 * norm_star * roots
+            return radii[:, None] * _unit_rows(rng.gaussian(rows[:, 1:]))
 
         width = 1 + dim
 

@@ -97,6 +97,10 @@ class SensingGroundTruth:
     underparameterized regime k < r is allowed on purpose; whether the
     discarded tail is small enough for a benign landscape is reported by
     well_separated (lambda_{k+1} <= lambda_k / 12, vacuously true at k = r).
+
+    The truth is frozen, so the values derived from it (matrix, kappa,
+    well_separated, boundary_multiplicity and the canonical minimum) are
+    computed on first use and kept; the kept arrays are read-only.
     """
 
     eigvecs: np.ndarray
@@ -155,15 +159,15 @@ class SensingGroundTruth:
     def rank(self) -> int:
         return self.eigvecs.shape[1]
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
+        return _frozen((self.eigvecs * self.eigvals) @ self.eigvecs.T)
 
-    @property
+    @functools.cached_property
     def kappa(self) -> float:
         return float(np.sqrt(self.eigvals[0] / self.eigvals[self.target_rank - 1]))
 
-    @property
+    @functools.cached_property
     def well_separated(self) -> bool:
         """Tail gap condition lambda_{k+1} <= lambda_k / 12, vacuous at k = r."""
         k = self.target_rank
@@ -172,9 +176,14 @@ class SensingGroundTruth:
         return bool(self.eigvals[k] <= self.eigvals[k - 1] / 12.0)
 
     def canonical_minimum(self) -> np.ndarray:
-        """The top-k selection W_k diag(sqrt(lambda_k)), gauge Q = I."""
+        """The top-k selection W_k diag(sqrt(lambda_k)), gauge Q = I;
+        read-only."""
+        return self._canonical_minimum
+
+    @functools.cached_property
+    def _canonical_minimum(self) -> np.ndarray:
         k = self.target_rank
-        return self.eigvecs[:, :k] * np.sqrt(self.eigvals[:k])
+        return _frozen(self.eigvecs[:, :k] * np.sqrt(self.eigvals[:k]))
 
     def canonical_point(self, selection) -> np.ndarray:
         """Critical factor for an arbitrary k-subset of eigendirections."""
@@ -196,7 +205,7 @@ class SensingGroundTruth:
                 clusters.append([i])
         return clusters
 
-    @property
+    @functools.cached_property
     def boundary_multiplicity(self) -> str:
         """How eigenvalue ties interact with the rank budget at index k.
 

@@ -71,13 +71,6 @@ def gaussian(u: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-def direction(u: np.ndarray) -> np.ndarray:
-    """The unit vector along gaussian(u): unit_vector's point, built from
-    uniforms already drawn."""
-    v = gaussian(u)
-    return v / np.linalg.norm(v)
-
-
 def normal(gen: np.random.Generator, shape=()) -> np.ndarray:
     """Standard normals via the inverse CDF of the uniform stream."""
     return gaussian(uniform(gen, shape))

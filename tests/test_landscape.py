@@ -1,12 +1,15 @@
 """Region classification, samplers, bound suites, proximity and isometry checks."""
 
+import itertools
 import json
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from landscape_lab import landscape, rng
+from landscape_lab import experiments, landscape, rng
 from landscape_lab.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -30,6 +33,8 @@ from landscape_lab.landscape import (
     PR_R2,
     PR_R3,
     PR_R4,
+    PR_R1_RADIUS_FACTOR,
+    PR_R2_RADIUS_FACTOR,
     PR_R3_RADIUS_FACTOR,
     PR_REGIONS,
     AssumptionConfig,
@@ -46,11 +51,13 @@ from landscape_lab.landscape import (
     ms_region_thresholds,
     pr_region_bounds,
     rip_delta_threshold,
+    saddle_sphere_distance,
     sample_region_ms,
     sample_region_pr,
     verify_region_bounds_ms,
     verify_region_bounds_pr,
 )
+from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
     MsPopulationRisk,
@@ -254,6 +261,137 @@ class TestClassifyPr:
             classify_region_pr(XSTAR, np.ones((3, 1)))
 
 
+class TestSaddleSphereDistance:
+    def test_zero_signal_is_rejected(self):
+        with pytest.raises(ZeroTruthSignal):
+            saddle_sphere_distance(np.zeros(3), np.ones(3))
+
+    def test_non_finite_signal_is_rejected(self):
+        with pytest.raises(NonFiniteEntry):
+            saddle_sphere_distance(np.array([np.nan, 1.0, 0.0]), np.ones(3))
+
+    def test_point_of_another_length_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            saddle_sphere_distance(XSTAR, np.ones(2))
+
+    def test_non_finite_point_is_rejected(self):
+        with pytest.raises(NonFiniteEntry):
+            saddle_sphere_distance(XSTAR, np.array([np.nan, 0.0, 1.0]))
+
+    def test_classifier_reports_this_distance(self):
+        x = np.array([0.4, 0.9, -0.2])
+        assert classify_region_pr(XSTAR, x).witness[
+            "saddle_distance"
+        ] == saddle_sphere_distance(XSTAR, x)
+        assert saddle_sphere_distance(np.array([2.0]), np.array([0.5])) == math.inf
+
+
+def ms_oracle(truth, point):
+    """classify_region_ms's witness and notes from numpy primitives and a
+    freshly built copy of the truth, so that nothing cached is read."""
+    fresh = SensingGroundTruth(truth.eigvecs, truth.eigvals, truth.target_rank)
+    k = fresh.target_rank
+    u = np.array(point, dtype=float)
+    target = (fresh.eigvecs * fresh.eigvals) @ fresh.eigvecs.T
+    minimum = fresh.eigvecs[:, :k] * np.sqrt(fresh.eigvals[:k])
+    witness = {
+        "sigma_k": float(np.linalg.svd(u, compute_uv=False)[-1]),
+        "uut_norm": float(np.linalg.norm(u @ u.T)),
+        "grad_norm": float(np.linalg.norm((u @ u.T - target) @ u)),
+        "minimum_distance": procrustes_distance(u, minimum),
+        **ms_region_thresholds(fresh),
+    }
+    return witness, landscape._truth_notes(fresh)
+
+
+def pr_oracle(signal, x):
+    """classify_region_pr's witness from np.linalg.norm and the saddle
+    sphere's closed form."""
+    norm_star = float(np.linalg.norm(signal))
+    if signal.shape[0] < 2:
+        saddle = math.inf
+    else:
+        along = float(x @ signal) / norm_star
+        perp = float(np.linalg.norm(x - (along / norm_star) * signal))
+        saddle = math.hypot(along, perp - norm_star / math.sqrt(3.0))
+    return {
+        "norm_x": float(np.linalg.norm(x)),
+        "sign_distance": min(
+            float(np.linalg.norm(x - signal)), float(np.linalg.norm(x + signal))
+        ),
+        "saddle_distance": saddle,
+        "r1_radius": PR_R1_RADIUS_FACTOR * norm_star,
+        "r2_radius": PR_R2_RADIUS_FACTOR * norm_star,
+        "r3_radius": PR_R3_RADIUS_FACTOR * norm_star,
+    }
+
+
+def cli_truth(**dims):
+    """The truth regions_ms builds for these --n/--k/--r values."""
+    config = experiments.ExperimentConfig("regions_ms", **dims)
+    return experiments._sensing_instance(config)[0]
+
+
+class TestClassifierOracle:
+    """Witnesses and notes equal, with ==, values built without the truth's
+    cached ones, on samples of every region, with two truths classified in
+    alternation: serving one truth's cached values to the other fails."""
+
+    def test_ms_witness_and_notes_match_the_oracle(self):
+        truths = (cli_truth(), cli_truth(n=6, k=3, r=4))
+        assert truths[1].boundary_multiplicity == "uniform_top"
+        # every swap of the uniform top block is a minimum: MS_R2p starves
+        regions = (MS_REGIONS, [r for r in MS_REGIONS if r != MS_R2P])
+        points = [
+            [
+                point
+                for region in regions[i]
+                for point in sample_region_ms(
+                    truth, region, 6, rng.stream(31, f"oracle-{region}", i)
+                )
+            ]
+            for i, truth in enumerate(truths)
+        ]
+        for pair in zip(*points):
+            for truth, point in zip(truths, pair):
+                got = classify_region_ms(truth, point)
+                witness, notes = ms_oracle(truth, point)
+                assert got.witness == witness
+                assert got.notes == notes
+        assert landscape._truth_notes(truths[0]) == ()
+        assert len(landscape._truth_notes(truths[1])) == 2
+
+    def test_cached_truth_arrays_are_read_only(self):
+        truth = cli_truth()
+        for arr in (truth.matrix, truth.canonical_minimum()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert truth.matrix is truth.matrix
+        assert truth.canonical_minimum() is truth.canonical_minimum()
+
+    def test_pr_witness_matches_the_oracle(self):
+        signals = [
+            np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)]) for n in (1, 3, 5)
+        ]
+        points = []
+        for signal in signals:
+            mine = []
+            for region in PR_REGIONS:
+                if region == PR_R3 and signal.shape[0] == 1:
+                    continue  # the saddle sphere is empty
+                gen = rng.stream(32, f"oracle-{region}", signal.shape[0])
+                mine.extend(sample_region_pr(signal, region, 6, gen))
+            points.append(mine)
+        for triple in itertools.zip_longest(*points):
+            for signal, x in zip(signals, triple):
+                if x is None:
+                    continue
+                got = classify_region_pr(signal, x)
+                assert got.witness == pr_oracle(signal, x)
+                assert got.notes == ()
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -307,60 +445,145 @@ class TestSamplers:
             np.testing.assert_array_equal(x, y)
 
 
-def ms_r3p_serial(truth, n, gen):
-    """MS_R3P as sampled one proposal at a time: a uniform for the scale,
-    then an N x k Gaussian factor, each from its own rng call."""
-    cap = ms_region_thresholds(truth)["ball_cap"]
-    out = []
-    while len(out) < n:
-        target = cap * float(rng.uniform(gen))
-        g = rng.normal(gen, (truth.dim, truth.target_rank))
-        u = g * math.sqrt(target / np.linalg.norm(g @ g.T))
-        if MS_R3P in classify_region_ms(truth, u).labels:
-            out.append(u)
-    return out
+# samples per region compared with the serial draws: in MS_R2p and PR_R2 a
+# small offset is added to an anchor, which absorbs most last-bit errors of
+# the offset, so it takes many samples before one of them shows
+SERIAL_DRAWS = 1000
 
 
-def pr_r3_serial(signal, n, gen):
-    """PR_R3 as sampled one proposal at a time: a Gaussian saddle direction,
-    a uniform radius and a unit vector, each from its own rng call."""
-    norm_star = float(np.linalg.norm(signal))
+def serial_samples(propose_one, classify, region, n, gen):
+    """The first n proposals that classify into the region, each proposal
+    built by propose_one(gen) from its own rng calls."""
     out = []
     while len(out) < n:
-        raw = rng.normal(gen, (signal.shape[0],))
-        raw -= (raw @ signal) / norm_star ** 2 * signal
-        w = raw / np.linalg.norm(raw)
-        offset = (
-            PR_R3_RADIUS_FACTOR
-            * norm_star
-            * float(rng.uniform(gen))
-            * rng.unit_vector(gen, signal.shape[0])
-        )
-        x = (norm_star / math.sqrt(3.0)) * w + offset
-        if PR_R3 in classify_region_pr(signal, x).labels:
+        x = propose_one(gen)
+        if region in classify(x).labels:
             out.append(x)
     return out
 
 
+def ms_serial_proposer(truth, region):
+    """One MS proposal from one rng call per draw, in the order of a row:
+    N k Gaussians then a radius (MS_R1, MS_R2p), or a scale then N k
+    Gaussians (the others)."""
+    thresholds = ms_region_thresholds(truth)
+    shape = (truth.dim, truth.target_rank)
+    nk = truth.dim * truth.target_rank
+
+    def scaled_gaussian(gen, target):
+        g = rng.normal(gen, shape)
+        return g * math.sqrt(target / np.linalg.norm(g @ g.T))
+
+    if region == MS_R1:
+        anchor = truth.canonical_minimum()
+
+        def propose(gen):
+            direction = rng.unit_vector(gen, nk).reshape(shape)
+            return anchor + thresholds["r1_radius"] * float(rng.uniform(gen)) * direction
+
+    elif region == MS_R2P:
+        selections = itertools.cycle(
+            list(itertools.combinations(range(truth.rank), truth.target_rank))[1:]
+        )
+        rate = 4.0 * (3.0 * float(truth.eigvals[0]) + float(np.linalg.norm(truth.matrix)))
+        radius = thresholds["grad_split"] / rate
+
+        def propose(gen):
+            anchor = truth.canonical_point(next(selections))
+            direction = rng.unit_vector(gen, nk).reshape(shape)
+            return anchor + radius * float(rng.uniform(gen)) * direction
+
+    elif region == MS_R3PP:
+
+        def propose(gen):
+            scale = 1.0 + 3.0 * float(rng.uniform(gen))
+            return scaled_gaussian(gen, thresholds["ball_cap"] * scale)
+
+    else:
+
+        def propose(gen):
+            return scaled_gaussian(gen, thresholds["ball_cap"] * float(rng.uniform(gen)))
+
+    return propose
+
+
+def pr_serial_proposer(signal, region):
+    """One PR proposal from one rng call per draw, in the order of a row: a
+    radius and a direction (PR_R1, PR_R4); a sign, a radius and a direction
+    (PR_R2); a Gaussian saddle direction, a radius and a direction (PR_R3)."""
+    dim = signal.shape[0]
+    norm_star = float(np.linalg.norm(signal))
+
+    if region == PR_R1:
+
+        def propose(gen):
+            radius = PR_R1_RADIUS_FACTOR * norm_star * float(rng.uniform(gen))
+            return radius * rng.unit_vector(gen, dim)
+
+    elif region == PR_R2:
+
+        def propose(gen):
+            sign = 1.0 if float(rng.uniform(gen)) < 0.5 else -1.0
+            radius = PR_R2_RADIUS_FACTOR * norm_star * float(rng.uniform(gen))
+            return sign * signal + radius * rng.unit_vector(gen, dim)
+
+    elif region == PR_R3:
+
+        def propose(gen):
+            raw = rng.normal(gen, (dim,))
+            raw -= (raw @ signal) / norm_star ** 2 * signal
+            w = raw / np.linalg.norm(raw)
+            radius = PR_R3_RADIUS_FACTOR * norm_star * float(rng.uniform(gen))
+            return (norm_star / math.sqrt(3.0)) * w + radius * rng.unit_vector(gen, dim)
+
+    else:
+
+        def propose(gen):
+            radius = 1.5 * norm_star * float(rng.uniform(gen)) ** (1.0 / dim)
+            return radius * rng.unit_vector(gen, dim)
+
+    return propose
+
+
 class TestBlockDraws:
-    """Proposals are built from blocks of uniform rows; the samples must be
-    those of one rng call per draw, and starvation notes must count the
-    proposals actually made."""
+    """Proposals are built a block of uniform rows at a time; the samples
+    must be those of one rng call per draw, bit for bit, in every region,
+    and starvation notes must count the proposals actually made."""
 
     def test_ms_sampler_reads_the_stream_as_serial_draws(self):
         truth = separated_truth()
-        got = sample_region_ms(truth, MS_R3P, 25, rng.stream(5, "block-ms", 0))
-        want = ms_r3p_serial(truth, 25, rng.stream(5, "block-ms", 0))
-        assert len(got) == len(want) == 25
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
+        classify = partial(classify_region_ms, truth)
+        for region in MS_REGIONS:
+            got = sample_region_ms(
+                truth, region, SERIAL_DRAWS, rng.stream(5, f"block-{region}", 0)
+            )
+            want = serial_samples(
+                ms_serial_proposer(truth, region),
+                classify,
+                region,
+                SERIAL_DRAWS,
+                rng.stream(5, f"block-{region}", 0),
+            )
+            assert len(got) == len(want) == SERIAL_DRAWS
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), region
 
     def test_pr_sampler_reads_the_stream_as_serial_draws(self):
-        got = sample_region_pr(XSTAR, PR_R3, 25, rng.stream(6, "block-pr", 0))
-        want = pr_r3_serial(XSTAR, 25, rng.stream(6, "block-pr", 0))
-        assert len(got) == len(want) == 25
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
+        classify = partial(classify_region_pr, XSTAR)
+        for region in PR_REGIONS:
+            got = sample_region_pr(
+                XSTAR, region, SERIAL_DRAWS, rng.stream(6, f"block-{region}", 0)
+            )
+            want = serial_samples(
+                pr_serial_proposer(XSTAR, region),
+                classify,
+                region,
+                SERIAL_DRAWS,
+                rng.stream(6, f"block-{region}", 0),
+            )
+            assert len(got) == len(want) == SERIAL_DRAWS
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), region
 
     def test_rejecting_everything_counts_the_whole_budget(self, monkeypatch):
         monkeypatch.setattr(
@@ -396,6 +619,25 @@ class TestBlockDraws:
             f": {budget // 7} of {n} samples after {budget} proposals"
         )
         assert len(calls) == budget
+
+    def test_ms_classifies_each_proposal_once(self, monkeypatch):
+        """One classify_region_ms call per proposal counted in the
+        starvation note: the tracer counts proposals by these calls."""
+        real = landscape.classify_region_ms
+        calls = []
+
+        def counting(truth, point):
+            calls.append(point)
+            result = real(truth, point)
+            return result if len(calls) % 7 == 0 else RegionLabelSet(frozenset(), {})
+
+        monkeypatch.setattr(landscape, "classify_region_ms", counting)
+        monkeypatch.setattr(landscape, "ATTEMPT_FACTOR", 5)
+        gen = rng.stream(10, "block-count-ms", 0)
+        with pytest.raises(SamplerStarved) as starved:
+            sample_region_ms(separated_truth(), MS_R3P, 300, gen)
+        proposals = re.search(r"after (\d+) proposals$", str(starved.value))
+        assert int(proposals.group(1)) == len(calls) == 300 * 5
 
     def test_classification_stops_at_the_last_accepted_proposal(self, monkeypatch):
         calls = self.every_seventh(monkeypatch)
