@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GramNotSPD, InvalidConfig
 from .manifold import _norm, procrustes_distance
-from .risk_models import SensingGroundTruth
+from .risk_models import SensingGroundTruth, _coerce
 from .spectral import (
     dense_euclidean_hessian,
     min_eig,
@@ -99,7 +99,7 @@ def damped_newton(model, seed_point):
     The gradient is evaluated once per point tried: an accepted point
     keeps the gradient its acceptance test computed.
     """
-    point = model._coerce(seed_point)
+    point = _coerce(seed_point, model.shape)
     tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
     grad = model.euclidean_grad(point)
     grad_norm = _norm(grad)
@@ -287,7 +287,7 @@ def refine_minimum_horizontal(model, seed_point):
     """
     if not model.is_factor:
         raise InvalidConfig("horizontal refinement needs a factor model")
-    point = model._coerce(seed_point)
+    point = _coerce(seed_point, model.shape)
     tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
     grad = model.euclidean_grad(point)
     grad_norm = _norm(grad)

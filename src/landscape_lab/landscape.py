@@ -34,13 +34,10 @@ import numpy as np
 
 from . import rng
 from .errors import (
-    DimensionMismatch,
     InvalidConfig,
     InvalidRank,
     InvalidSampleCount,
-    NonFiniteEntry,
     SamplerStarved,
-    ZeroTruthSignal,
 )
 from .manifold import _norm, item_norms, procrustes_distance
 from .risk_models import (
@@ -48,6 +45,8 @@ from .risk_models import (
     PrPopulationRisk,
     SensingEnsemble,
     SensingGroundTruth,
+    _coerce,
+    _phase_signal,
 )
 from .spectral import hessian_form, min_eig
 
@@ -167,11 +166,11 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
     resolved.
     """
     model = MsPopulationRisk(truth)
-    u = model._coerce(point)
+    u = _coerce(point, model.shape)
     thresholds = ms_region_thresholds(truth)
     sigma_k = float(np.linalg.svd(u, compute_uv=False)[-1])
     uut_norm = _norm(u @ u.T)
-    grad_norm = _norm(model.euclidean_grad(u))
+    grad_norm = _norm(model._gradient(u))
     distance = procrustes_distance(u, truth.canonical_minimum())
 
     labels = set()
@@ -208,8 +207,12 @@ def saddle_sphere_distance(signal, x) -> float:
     Empty in dimension one, where the distance is infinite. The signal is
     rejected as the phase risks reject it, and x must be finite and of its
     shape."""
-    xstar, norm_star = _pr_signal(signal)
-    x = _pr_point(xstar, x)
+    xstar = _phase_signal(signal)
+    return _saddle_distance(xstar, _norm(xstar), _coerce(x, xstar.shape))
+
+
+def _saddle_distance(xstar, norm_star, x) -> float:
+    # saddle_sphere_distance on a validated signal, its norm and point
     if xstar.shape[0] < 2:
         return math.inf
     radius = norm_star / math.sqrt(3.0)
@@ -231,36 +234,14 @@ def pr_region_bounds(signal) -> dict:
     }
 
 
-def _pr_signal(signal) -> tuple:
-    """The signal as an array and its norm, rejected as the phase risks
-    reject it; one scalar test covers every entry."""
-    xstar = np.asarray(signal, dtype=float)
-    norm_star = _norm(xstar)
-    if not math.isfinite(norm_star):
-        raise NonFiniteEntry("signal entries must be finite")
-    if xstar.ndim != 1 or norm_star == 0.0:
-        raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
-    return xstar, norm_star
-
-
-def _pr_point(xstar, point) -> np.ndarray:
-    """The point as an array, rejected unless finite and of the signal's
-    shape."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != xstar.shape:
-        raise DimensionMismatch(f"point shape {x.shape} != signal shape {xstar.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteEntry("point entries must be finite")
-    return x
-
-
 def classify_region_pr(signal, point) -> RegionLabelSet:
     """All phase-retrieval regions containing the point."""
-    xstar, norm_star = _pr_signal(signal)
-    x = _pr_point(xstar, point)
+    xstar = _phase_signal(signal)
+    x = _coerce(point, xstar.shape)
+    norm_star = _norm(xstar)
     norm_x = _norm(x)
     sign_dist = min(_norm(x - xstar), _norm(x + xstar))
-    saddle_dist = saddle_sphere_distance(xstar, x)
+    saddle_dist = _saddle_distance(xstar, norm_star, x)
 
     labels = set()
     if norm_x <= PR_R1_RADIUS_FACTOR * norm_star:
@@ -419,7 +400,8 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
     proposals in one stacked pass, as for sample_region_ms. gen may be
     advanced past the last accepted proposal.
     """
-    xstar, norm_star = _pr_signal(signal)
+    xstar = _phase_signal(signal)
+    norm_star = _norm(xstar)
     dim = xstar.shape[0]
 
     if region == PR_R1:
@@ -726,7 +708,9 @@ def _sample_ball(population, radius, gen):
             target = radius * float(rng.uniform(gen))
             draw = _scaled_gaussian_factor(rng.normal(gen, (n, k)), target)
             sigma = np.linalg.svd(draw, compute_uv=False)
-            if sigma[-1] > 1e-12 * max(sigma[0], 1.0):
+            # relative to sigma[0] alone: an absolute floor would reject
+            # every draw in a small enough ball
+            if sigma[-1] > 1e-12 * sigma[0]:
                 return draw
     dim = population.shape[0]
     return radius * float(rng.uniform(gen)) ** (1.0 / dim) * rng.unit_vector(gen, dim)

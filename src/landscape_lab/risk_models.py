@@ -12,16 +12,21 @@ N x k with ceil(r/2) <= k <= r, so UU^T can only underfit the rank.
 Phase retrieval: y_m = <a_m, x*>^2 with standard normal a_m; the population
 risk is ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
 
-Both empirical risks are quadratic in an N x N residual Z (UU^T - X, or
-xx^T - x*x*^T), through the N^2 x N^2 Gram matrix G of the rows vec(A_m),
-or vec(a_m a_m^T) / sqrt(M). Both ensembles (SensingEnsemble, PhaseProblem)
+All four risks are one quartic form, c <R, N(R)> in the residual
+R = UU^T - X (xx^T - x*x*^T for phase retrieval, whose vector is an N x 1
+factor inside the form), implemented once in RiskModel; the models differ
+only in the operator N and the constant c. The population N is the
+expectation of the empirical one: the identity for matrix sensing, and
+2Z + tr(Z) I, the Gaussian fourth moment, for phase retrieval. The
+empirical N is the N^2 x N^2 Gram matrix G of the rows vec(A_m), or
+vec(a_m a_m^T) / sqrt(M). Both ensembles (SensingEnsemble, PhaseProblem)
 share one base that keeps a square-root factor C with C^T C = G, so the risk
 is the sum of squares ||C vec Z||^2, never negative, and G itself, formed
 once as C^T C, so the normal image G vec Z is one product. Both cost the
 same at every M. hess_vec takes one direction or a stack of them along a
-leading axis. The two population risks also take a (B, *shape) stack of
-points in euclidean_grad and hess_vec, each item bit for bit the value at
-that point alone; the empirical risks reject a stacked point.
+leading axis. All four risks also take a (B, *shape) stack of points in
+euclidean_grad and hess_vec, each item bit for bit the value at that point
+alone.
 
 An ensemble is (truth or signal, M, seed) plus those two factors; each
 supplies only how its G is summed and how its draw is read. G is
@@ -430,71 +435,154 @@ def generate_phase_problem(signal, n_measurements: int, seed: int) -> PhaseProbl
 # ---------------------------------------------------------------------------
 
 
-class RiskModel:
-    """Common interface: value, Euclidean gradient, Hessian action and form.
+def _coerce(point, shape: tuple, stack: bool = False) -> np.ndarray:
+    """The point as a finite float array of a model's shape; with stack, a
+    (B, *shape) stack of points is accepted too."""
+    arr = np.asarray(point, dtype=float)
+    if arr.shape != shape and not (stack and arr.shape[1:] == shape):
+        raise DimensionMismatch(
+            f"point shape {arr.shape} does not match model shape {shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("point entries must be finite")
+    return arr
 
-    hess_quadratic(p, d) must equal <hess_vec(p, d), d>; both are exact
-    derivatives of value, which the finite-difference suites verify. For
-    factor models the Euclidean gradient is automatically horizontal.
-    hess_vec also takes a (p, *shape) stack of directions and returns the
-    (p, *shape) stack of their images.
+
+class _Identity:
+    """The matrix-sensing population operator: N(Z) = Z, energy ||Z||_F^2."""
+
+    @staticmethod
+    def energy(z: np.ndarray) -> float:
+        return float(np.linalg.norm(z) ** 2)
+
+    @staticmethod
+    def normal(z: np.ndarray) -> np.ndarray:
+        return z
+
+
+class _FourthMoment:
+    """The phase-retrieval population operator, held as a Gram matrix and
+    applied as the ensembles apply theirs: the Gaussian fourth moment
+    G_0 = E[vec(aa^T) vec(aa^T)^T] = I + K + vec(I) vec(I)^T (K the
+    commutation matrix), the expectation of a phase problem's gram. On
+    symmetric Z, N(Z) = 2Z + tr(Z) I and energy(Z) = 2 ||Z||_F^2 + tr(Z)^2.
     """
 
-    is_factor = False
+    def __init__(self, n: int):
+        eye = np.eye(n * n)
+        transpose = np.arange(n * n).reshape(n, n).T.ravel()
+        flat_identity = np.eye(n).ravel()
+        self.gram = _frozen(eye + eye[transpose] + np.outer(flat_identity, flat_identity))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        raise NotImplementedError
+    normal = _GramEnsemble.normal
+
+    def energy(self, z: np.ndarray) -> float:
+        return float(np.vdot(z, self.normal(z)))
+
+
+class RiskModel:
+    """The quartic c <R, N(R)> in the residual R = UU^T - X.
+
+    Each of the four risks is this form over (operator, X, c, shape); the
+    operator supplies N and energy(Z) = <Z, N(Z)>:
+
+    - MsPopulationRisk: N the identity, c = 1/4;
+    - MsEmpiricalRisk: N = A*A, the sensing ensemble's normal, c = 1/4;
+    - PrPopulationRisk: N the Gaussian fourth moment, the expectation of
+      the empirical N, which maps symmetric Z to 2Z + tr(Z) I; c = 1/2;
+    - PrEmpiricalRisk: N the phase problem's normal, the empirical fourth
+      moment, c = 1/2.
+
+    A phase-retrieval point x in R^N is the N x 1 factor U = x inside the
+    form, and X = x*x*^T. Then value = c energy(R), euclidean_grad =
+    4c N(R) U, hess_vec = 4c [N(UD^T + DU^T) U + N(R) D] and hess_quadratic
+    = 2c energy(UD^T + DU^T) + 4c <N(R), DD^T>, an independent oracle for
+    <hess_vec(p, d), d>. R is formed first, so nothing cancels at the
+    minimum. For factor models the Euclidean gradient is horizontal.
+
+    euclidean_grad and hess_vec take a point or a (B, *shape) stack of
+    points, each item bit for bit the value at that point alone; value and
+    hess_quadratic take one point. hess_vec takes one direction or a stack
+    of them along a leading axis (after the point's B axis, for a stack of
+    points), and returns their images in the same shape.
+    """
+
+    is_factor = True
+
+    def __init__(self, operator, target: np.ndarray, c: float, shape: tuple):
+        self.operator = operator
+        self.target = target
+        self.c = c
+        self.shape = shape
+        # the derivatives' factor 4c
+        self._scale = 4.0 * c
+
+    def __init_subclass__(cls, **kwargs):
+        # perfbench's tracer wraps value, euclidean_grad and hess_vec where
+        # each risk class's own __dict__ holds them, so every subclass binds
+        # the ones it resolves through the MRO as its own; this can go once
+        # the tracer looks the methods up with getattr
+        super().__init_subclass__(**kwargs)
+        for name in ("value", "euclidean_grad", "hess_vec"):
+            setattr(cls, name, getattr(cls, name))
+
+    def _factor(self, arr: np.ndarray) -> np.ndarray:
+        """A point as its N x k factor (a phase-retrieval vector as N x 1),
+        and a (B, *shape) stack as (B, 1, N, k): each point's products are
+        then items of their own in a batched product, rounded as at that
+        point alone."""
+        u = arr if self.is_factor else arr[..., None]
+        return u[..., None, :, :] if u.ndim > 2 else u
+
+    def _scaled(self, arr: np.ndarray) -> np.ndarray:
+        # 4c arr; at c = 1/4 the product by 1 is skipped, which is a
+        # measurable share of a derivative's cost at N = 2
+        return arr if self._scale == 1.0 else self._scale * arr
 
     def value(self, point) -> float:
-        raise NotImplementedError
+        u = self._factor(_coerce(point, self.shape))
+        return self.c * self.operator.energy(u @ u.T - self.target)
 
     def euclidean_grad(self, point) -> np.ndarray:
-        raise NotImplementedError
+        return self._gradient(_coerce(point, self.shape, stack=True))
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        # euclidean_grad at a point or stack already through _coerce
+        u = self._factor(x)
+        residual = u @ u.swapaxes(-1, -2) - self.target
+        return self._scaled(self.operator.normal(residual) @ u).reshape(x.shape)
 
     def hess_vec(self, point, direction) -> np.ndarray:
-        raise NotImplementedError
+        u = self._factor(_coerce(point, self.shape, stack=True))
+        d = np.asarray(direction, dtype=float)
+        # (m, N, k) directions against one (N, k) point, or (B, m, N, k)
+        # against a (B, 1, N, k) stack
+        dm = d.reshape(*u.shape[:-3], -1, *u.shape[-2:])
+        u_t = u.swapaxes(-1, -2)
+        normal = self.operator.normal
+        sym = dm @ u_t  # D U^T, whose transpose is U D^T
+        sym = sym + sym.swapaxes(-1, -2)
+        images = normal(sym) @ u + normal(u @ u_t - self.target) @ dm
+        return self._scaled(images).reshape(d.shape)
 
     def hess_quadratic(self, point, direction) -> float:
-        return float(np.vdot(self.hess_vec(point, direction), direction))
-
-    # scale hooks used by solvers and tolerance policies
-    @property
-    def hessian_scale(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def domain_scale(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def value_scale(self) -> float:
-        raise NotImplementedError
-
-    def _coerce(self, point, stack: bool = False) -> np.ndarray:
-        """The point as a finite float array of the model's shape; with
-        stack, a (B, *shape) stack of points is accepted too."""
-        arr = np.asarray(point, dtype=float)
-        if arr.shape != self.shape and not (stack and arr.shape[1:] == self.shape):
-            raise DimensionMismatch(
-                f"point shape {arr.shape} does not match model shape {self.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteEntry("point entries must be finite")
-        return arr
+        u = self._factor(_coerce(point, self.shape))
+        d = self._factor(np.asarray(direction, dtype=float))
+        sym = u @ d.T + d @ u.T
+        residual = self.operator.normal(u @ u.T - self.target)
+        return 2.0 * self.c * self.operator.energy(sym) + 4.0 * self.c * float(
+            np.vdot(residual, d @ d.T)
+        )
 
 
 class _SensingRisk(RiskModel):
-    is_factor = True
+    """1/4 <R, N(R)> with R = UU^T - X over N x k factors."""
 
-    def __init__(self, truth: SensingGroundTruth):
+    def __init__(self, truth: SensingGroundTruth, operator):
+        super().__init__(operator, truth.matrix, 0.25, (truth.dim, truth.target_rank))
         self.truth = truth
-        self._target = truth.matrix
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.truth.dim, self.truth.target_rank)
-
+    # scale hooks used by solvers and tolerance policies
     @property
     def hessian_scale(self) -> float:
         return float(self.truth.eigvals[self.truth.target_rank - 1])
@@ -506,88 +594,32 @@ class _SensingRisk(RiskModel):
     @property
     def value_scale(self) -> float:
         # risk at the origin
-        return 0.25 * float(np.linalg.norm(self._target) ** 2)
+        return 0.25 * float(np.linalg.norm(self.target) ** 2)
 
 
 class MsPopulationRisk(_SensingRisk):
-    """g(U) = 1/4 ||UU^T - X||_F^2.
+    """g(U) = 1/4 ||UU^T - X||_F^2."""
 
-    euclidean_grad and hess_vec also take a (B, N, k) stack of points; the
-    directions of hess_vec then carry the same leading B axis.
-    """
-
-    def value(self, point) -> float:
-        u = self._coerce(point)
-        return 0.25 * float(np.linalg.norm(u @ u.T - self._target) ** 2)
-
-    def euclidean_grad(self, point) -> np.ndarray:
-        u = self._coerce(point, stack=True)
-        return (u @ u.swapaxes(-1, -2) - self._target) @ u
-
-    def hess_vec(self, point, direction) -> np.ndarray:
-        u = self._coerce(point, stack=True)
-        d = np.asarray(direction, dtype=float)
-        # (*B, m, N, k) directions against (*B, 1, N, k) points
-        dm = d.reshape(*u.shape[:-2], -1, *u.shape[-2:])
-        u = u[..., None, :, :]
-        u_t = u.swapaxes(-1, -2)
-        sym = u @ dm.swapaxes(-1, -2) + dm @ u_t
-        return (sym @ u + (u @ u_t - self._target) @ dm).reshape(d.shape)
-
-    def hess_quadratic(self, point, direction) -> float:
-        u = self._coerce(point)
-        d = np.asarray(direction, dtype=float)
-        sym = u @ d.T + d @ u.T
-        residual = u @ u.T - self._target
-        return 0.5 * float(np.linalg.norm(sym) ** 2) + float(np.vdot(residual, d @ d.T))
+    def __init__(self, truth: SensingGroundTruth):
+        super().__init__(truth, _Identity)
 
 
 class MsEmpiricalRisk(_SensingRisk):
     """f(U) = 1/4 ||A(UU^T - X)||_2^2 for a fixed sensing ensemble."""
 
     def __init__(self, ensemble: SensingEnsemble):
-        super().__init__(ensemble.truth)
+        super().__init__(ensemble.truth, ensemble)
         self.ensemble = ensemble
-
-    def _normal_residual(self, u: np.ndarray) -> np.ndarray:
-        # A*A applied to the residual UU^T - X, formed first so nothing
-        # cancels at the minimum
-        return self.ensemble.normal(u @ u.T - self._target)
-
-    def value(self, point) -> float:
-        u = self._coerce(point)
-        return 0.25 * self.ensemble.energy(u @ u.T - self._target)
-
-    def euclidean_grad(self, point) -> np.ndarray:
-        u = self._coerce(point)
-        return self._normal_residual(u) @ u
-
-    def hess_vec(self, point, direction) -> np.ndarray:
-        u = self._coerce(point)
-        d = np.asarray(direction, dtype=float)
-        sym = u @ np.swapaxes(d, -1, -2) + d @ u.T
-        return self.ensemble.normal(sym) @ u + self._normal_residual(u) @ d
-
-    def hess_quadratic(self, point, direction) -> float:
-        u = self._coerce(point)
-        d = np.asarray(direction, dtype=float)
-        sym = u @ d.T + d @ u.T
-        return 0.5 * self.ensemble.energy(sym) + float(
-            np.vdot(self._normal_residual(u), d @ d.T)
-        )
 
 
 class _PhaseRisk(RiskModel):
+    """1/2 <R, N(R)> with R = xx^T - x*x*^T over R^N."""
+
     is_factor = False
 
-    def __init__(self, signal):
-        self.signal = _phase_signal(signal)
-        # x* x*^T, which every residual xx^T - x*x*^T subtracts
-        self._signal_outer = _frozen(np.outer(self.signal, self.signal))
-
-    @property
-    def shape(self) -> tuple[int]:
-        return self.signal.shape
+    def __init__(self, signal: np.ndarray, operator):
+        super().__init__(operator, _frozen(np.outer(signal, signal)), 0.5, signal.shape)
+        self.signal = signal
 
     @property
     def hessian_scale(self) -> float:
@@ -603,58 +635,22 @@ class _PhaseRisk(RiskModel):
 
 
 class PrPopulationRisk(_PhaseRisk):
-    """g(x) = ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2.
-
-    euclidean_grad and hess_vec also take a (B, N) stack of points; the
-    directions of hess_vec then carry the same leading B axis. Inner
-    products are row-times-column products, the dot product a single
-    point takes, so each item rounds as at that point alone.
-    """
+    """g(x) = ||xx^T - x*x*^T||_F^2 + (||x||^2 - ||x*||^2)^2 / 2."""
 
     def __init__(self, signal):
-        super().__init__(signal)
-        # ||x*||^2 and x* as a column, read by every gradient and hess_vec
-        self._signal_norm2 = float(self.signal @ self.signal)
-        self._signal_col = self.signal[:, None]
-
-    def value(self, point) -> float:
-        x = self._coerce(point)
-        xs = self.signal
-        nx2 = float(x @ x)
-        ns2 = float(xs @ xs)
-        cross = float(x @ xs)
-        rank_one = nx2 ** 2 + ns2 ** 2 - 2.0 * cross ** 2
-        return rank_one + 0.5 * (nx2 - ns2) ** 2
-
-    def euclidean_grad(self, point) -> np.ndarray:
-        x = self._coerce(point, stack=True)
-        row = x[..., None, :]
-        nx2 = (row @ x[..., :, None])[..., 0]
-        cross = (row @ self._signal_col)[..., 0]
-        return 6.0 * nx2 * x - 2.0 * self._signal_norm2 * x - 4.0 * cross * self.signal
+        signal = _phase_signal(signal)
+        super().__init__(signal, _FourthMoment(signal.shape[0]))
 
     def hess_matrix(self, point) -> np.ndarray:
-        x = self._coerce(point)
+        """The closed form 12 xx^T - 4 x*x*^T + (6||x||^2 - 2||x*||^2) I,
+        an independent oracle."""
+        x = _coerce(point, self.shape)
         xs = self.signal
-        n = x.shape[0]
         return (
             12.0 * np.outer(x, x)
-            - 4.0 * self._signal_outer
-            + (6.0 * float(x @ x) - 2.0 * float(xs @ xs)) * np.eye(n)
+            - 4.0 * self.target
+            + (6.0 * float(x @ x) - 2.0 * float(xs @ xs)) * np.eye(x.shape[0])
         )
-
-    def hess_vec(self, point, direction) -> np.ndarray:
-        x = self._coerce(point, stack=True)
-        d = np.asarray(direction, dtype=float)
-        # (*B, m, N) directions against (*B, 1, N) points
-        dm = d.reshape(*x.shape[:-1], -1, x.shape[-1])
-        row = x[..., None, :]
-        col = x[..., :, None]
-        return (
-            12.0 * (dm @ col) * row
-            - 4.0 * (dm @ self._signal_col) * self.signal
-            + (6.0 * (row @ col) - 2.0 * self._signal_norm2) * dm
-        ).reshape(d.shape)
 
 
 class PrEmpiricalRisk(_PhaseRisk):
@@ -663,39 +659,17 @@ class PrEmpiricalRisk(_PhaseRisk):
     Since <a_m, x>^2 - y_m = <a_m a_m^T, R> with R = xx^T - x*x*^T, the
     risk is energy(R) / 2 through the problem's Gram factor: value, gradient
     and hess_vec read x* and gram_root, never the vectors or measurements.
-    R is formed first, so nothing cancels at the minimum. hess_matrix stays
-    the exact sum over the M vectors, regenerated from the seed, as an
-    independent oracle.
+    hess_matrix stays the exact sum over the M vectors, regenerated from the
+    seed, as an independent oracle.
     """
 
     def __init__(self, problem: PhaseProblem):
-        super().__init__(problem.signal)
+        super().__init__(problem.signal, problem)
         self.problem = problem
 
-    def _residual(self, x: np.ndarray) -> np.ndarray:
-        return np.outer(x, x) - self._signal_outer
-
-    def value(self, point) -> float:
-        x = self._coerce(point)
-        return 0.5 * self.problem.energy(self._residual(x))
-
-    def euclidean_grad(self, point) -> np.ndarray:
-        x = self._coerce(point)
-        return 2.0 * (self.problem.normal(self._residual(x)) @ x)
-
     def hess_matrix(self, point) -> np.ndarray:
-        x = self._coerce(point)
+        x = _coerce(point, self.shape)
         a = self.problem.vectors
         z = a @ x
         diag = 3.0 * z ** 2 - self.problem.measurements
         return (2.0 / self.problem.n_measurements) * (a.T * diag) @ a
-
-    def hess_vec(self, point, direction) -> np.ndarray:
-        x = self._coerce(point)
-        d = np.asarray(direction, dtype=float)
-        dx = d[..., :, None] * x
-        # d @ N(R)^T is N(R) d for one direction and for each of a stack
-        return 2.0 * (
-            self.problem.normal(dx + np.swapaxes(dx, -1, -2)) @ x
-            + d @ self.problem.normal(self._residual(x)).T
-        )

@@ -4,11 +4,11 @@ Hessians are never formed by the risk models themselves; this module
 assembles them densely from one hess_vec call on a stack of basis
 directions, either the canonical ambient basis or an orthonormal horizontal
 basis at a factor point. The Hessian probes also take a (B, *shape) stack
-of points, for models whose hess_vec does (the population risks), and then
-make one call for the whole stack; each item equals the single-point value
-bit for bit. The canonical stack is built once per model shape and stack
-size and shared read-only, so a hess_vec that wrote into its directions
-would raise instead of corrupting the next Hessian. Problem sizes here are small
+of points, as every risk model's hess_vec does, and then make one call for
+the whole stack; each item equals the single-point value bit for bit. The
+canonical stack is built once per model shape and stack size and shared
+read-only, so a hess_vec that wrote into its directions would raise instead
+of corrupting the next Hessian. Problem sizes here are small
 by design, so dense eigh is the right tool.
 
 uses_quotient alone picks which of the two a model's curvature is read in:

@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -796,6 +800,25 @@ class TestBoundTables:
 
 
 class TestCheckAssumptions:
+    def test_ball_of_tiny_radius_is_sampled(self, tmp_path):
+        # the full-rank test on a sampled factor is scale-free; with an
+        # absolute floor every draw in a ball of radius 1e-30 was rejected,
+        # and the run never ended. A child process keeps a regression from
+        # hanging the suite.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        args = ["assumptions", "--family", "ms", "--radius", "1e-30", "--samples", "3"]
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *args, "--out", str(tmp_path / "tiny")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode in (0, 2), done.stderr
+        report = json.loads((tmp_path / "tiny.json").read_text())["report"]
+        assert report["n_samples"] == 3 and report["ball_radius"] == 1e-30
+
     def test_population_risk_satisfies_its_own_dichotomy(self):
         # empirical == population: deviations vanish, and every sampled
         # small-gradient point must clear the eigenvalue margin

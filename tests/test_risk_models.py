@@ -21,6 +21,7 @@ from landscape_lab.errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
+from landscape_lab.landscape import classify_region_pr, saddle_sphere_distance
 from landscape_lab.manifold import horizontal_project, procrustes_distance
 from landscape_lab.risk_models import (
     CHUNK,
@@ -28,6 +29,7 @@ from landscape_lab.risk_models import (
     MsPopulationRisk,
     PrEmpiricalRisk,
     PrPopulationRisk,
+    RiskModel,
     SensingGroundTruth,
     _gram_factors,
     generate_phase_problem,
@@ -212,9 +214,15 @@ def test_ensemble_checks_count_and_coerces_ints(make):
     assert type(ensemble.seed) is int and ensemble.seed == 3
 
 
-PHASE_SIGNAL_USERS = {
+PHASE_SIGNAL_HOLDERS = {
     "generate_phase_problem": lambda x: generate_phase_problem(x, 10, 3),
     "PrPopulationRisk": PrPopulationRisk,
+}
+# every public entry point that takes a signal, whether it keeps it or not
+PHASE_SIGNAL_USERS = {
+    **PHASE_SIGNAL_HOLDERS,
+    "classify_region_pr": lambda x: classify_region_pr(x, np.ones(np.shape(x))),
+    "saddle_sphere_distance": lambda x: saddle_sphere_distance(x, np.ones(np.shape(x))),
 }
 
 
@@ -233,7 +241,7 @@ def test_phase_signal_rejections(make, signal, error):
         make(signal)
 
 
-@pytest.mark.parametrize("make", PHASE_SIGNAL_USERS.values(), ids=PHASE_SIGNAL_USERS)
+@pytest.mark.parametrize("make", PHASE_SIGNAL_HOLDERS.values(), ids=PHASE_SIGNAL_HOLDERS)
 def test_phase_signal_is_a_frozen_float_vector(make):
     signal = make([1, -1]).signal
     assert signal.dtype == float and signal.shape == (2,)
@@ -478,6 +486,87 @@ def test_hess_vec_is_self_adjoint(model_index):
         lhs = float(np.vdot(model.hess_vec(point, d1), d2))
         rhs = float(np.vdot(d1, model.hess_vec(point, d2)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+# ---- the shared quartic form against closed forms ------------------------
+
+
+def ms_closed_form(model, u, d):
+    """Value, gradient and Hessian action of 1/4 <R, N(R)> written out: N is
+    the identity, or sum_m <A_m, .> A_m over the regenerated draw."""
+    residual = u @ u.T - model.truth.matrix
+    sym = u @ d.T + d @ u.T
+    if isinstance(model, MsPopulationRisk):
+        normal_r, normal_sym = residual, sym
+        value = 0.25 * float(np.sum(residual * residual))
+    else:
+        raw = model.ensemble.raw
+        a = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+        along_r = np.einsum("mij,ij->m", a, residual)
+        normal_r = np.einsum("m,mij->ij", along_r, a)
+        normal_sym = np.einsum("m,mij->ij", np.einsum("mij,ij->m", a, sym), a)
+        value = 0.25 * float(along_r @ along_r)
+    return value, normal_r @ u, normal_sym @ u + normal_r @ d
+
+
+def pr_closed_form(model, x, d):
+    """The phase risks written out: the population risk's polynomial, or
+    the sums over the regenerated measurements."""
+    xs = model.signal
+    if isinstance(model, PrPopulationRisk):
+        nx2, ns2, cross = x @ x, xs @ xs, x @ xs
+        value = nx2 ** 2 + ns2 ** 2 - 2.0 * cross ** 2 + 0.5 * (nx2 - ns2) ** 2
+        grad = 6.0 * nx2 * x - 2.0 * ns2 * x - 4.0 * cross * xs
+        hvp = 12.0 * (x @ d) * x - 4.0 * (xs @ d) * xs + (6.0 * nx2 - 2.0 * ns2) * d
+        return value, grad, hvp
+    a, y = model.problem.vectors, model.problem.measurements
+    m = model.problem.n_measurements
+    z = a @ x
+    value = 0.5 * float(np.mean((z ** 2 - y) ** 2))
+    grad = (2.0 / m) * (a.T @ (z * (z ** 2 - y)))
+    hvp = (2.0 / m) * (a.T @ ((3.0 * z ** 2 - y) * (a @ d)))
+    return value, grad, hvp
+
+
+@pytest.mark.parametrize("model_index", range(4))
+def test_the_form_matches_the_closed_forms(model_index):
+    model = all_models()[model_index]
+    closed_form = ms_closed_form if model.is_factor else pr_closed_form
+    gen = rng.stream(MASTER, "closed-form", model_index)
+    for index in range(6):
+        point = 0.5 * index * rng.normal(gen, model.shape)
+        direction = rng.normal(gen, model.shape)
+        value, grad, hvp = closed_form(model, point, direction)
+        quad = float(np.vdot(hvp, direction))
+        got = (
+            model.value(point),
+            model.euclidean_grad(point),
+            model.hess_vec(point, direction),
+            model.hess_quadratic(point, direction),
+        )
+        for got_one, want in zip(got, (value, grad, hvp, quad)):
+            scale = max(float(np.linalg.norm(want)), 1.0)
+            assert np.linalg.norm(got_one - want) <= 1e-13 * scale
+
+
+def test_each_risk_class_holds_the_shared_methods():
+    # the benchmark's tracer wraps these in each class's own __dict__
+    for cls in (MsPopulationRisk, MsEmpiricalRisk, PrPopulationRisk, PrEmpiricalRisk):
+        for name in ("value", "euclidean_grad", "hess_vec"):
+            assert vars(cls)[name] is vars(RiskModel)[name], (cls, name)
+
+
+def test_a_subclass_override_survives_the_binding():
+    class Doubled(PrPopulationRisk):
+        def euclidean_grad(self, point):
+            return 2.0 * super().euclidean_grad(point)
+
+    class Child(Doubled):
+        pass
+
+    xstar, x = np.array([1.2, -0.5, 0.3]), np.array([0.3, -1.2, 0.8])
+    base = PrPopulationRisk(xstar).euclidean_grad(x)
+    assert (Child(xstar).euclidean_grad(x) == 2.0 * base).all()
 
 
 # ---- symmetries ---------------------------------------------------------

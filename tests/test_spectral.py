@@ -242,6 +242,14 @@ STACK_CASES = {
     ),
     "pr-n1": (lambda: PrPopulationRisk(np.array([0.8])), 1.5),
     "pr-n3": (lambda: PrPopulationRisk(XSTAR), 1.5),
+    "ms-empirical-k2": (
+        lambda: MsEmpiricalRisk(generate_sensing_ensemble(separated_truth(), 50, 3)),
+        1.0,
+    ),
+    "pr-empirical-n3": (
+        lambda: PrEmpiricalRisk(generate_phase_problem(XSTAR, 50, 3)),
+        1.5,
+    ),
 }
 
 
@@ -288,20 +296,20 @@ def test_horizontal_basis_gates_each_point_of_a_stack():
         horizontal_basis(points)
 
 
-def test_empirical_risks_reject_a_stacked_point():
-    truth = separated_truth()
-    models = [
-        MsEmpiricalRisk(generate_sensing_ensemble(truth, 50, 3)),
-        PrEmpiricalRisk(generate_phase_problem(XSTAR, 50, 3)),
-    ]
-    for model in models:
-        stack = np.ones((4, *model.shape))
+def test_empirical_risks_take_a_stack_of_points():
+    # each point's normal is a product of its own, so a stack gives the
+    # single-point bits; value still takes one point
+    gen = rng.stream(MASTER, "empirical-stack", 0)
+    for label in ("ms-empirical-k2", "pr-empirical-n3"):
+        model, points = stack_case(label, size=6)
+        directions = rng.normal(gen, (6, 4, *model.shape))
+        images = model.hess_vec(points, directions)
+        for point, dirs, image in zip(points, directions, images):
+            assert (image == model.hess_vec(point, dirs)).all()
         with pytest.raises(DimensionMismatch):
-            model.value(stack)
+            model.value(points)
         with pytest.raises(DimensionMismatch):
-            model.euclidean_grad(stack)
-        with pytest.raises(DimensionMismatch):
-            model.hess_vec(stack, stack)
+            model.euclidean_grad(points.reshape(2, 3, *model.shape))
 
 
 @pytest.mark.parametrize("label", ["ms-k2", "pr-n3"])
