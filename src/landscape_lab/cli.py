@@ -12,8 +12,8 @@ A config file holds flat ``key=value`` lines (``#`` starts a comment). Its
 keys are ``experiment`` and the flag names without the leading dashes. The
 file's entries become the parser's defaults, so a file value is typed as
 the flag's value is, and a flag given on the command line overrides it.
-A key the experiment does not read (see ``experiments.READS``) is an
-invalid configuration.
+A key the experiment does not read (see ``experiments.SETTINGS``), or an M
+list for an experiment that takes one M, is an invalid configuration.
 
 Exit codes: 0 success, 2 verification failure, 3 invalid configuration,
 4 numerical failure.

@@ -1,13 +1,14 @@
 """Experiment runners with seeded reproducibility and structured output.
 
 ``ExperimentConfig`` resolves the master seed and the output format once,
-when it is built. A runner only computes: it resolves its defaults, derives
-every random stream from the master seed, and returns its resolved
-configuration, its tables, its JSON body and its summary. ``run`` is the
-one place that writes: it stamps the outputs with the master seed, a hash
-of the resolved configuration and the package version, and writes either
-one CSV file per table or one JSON file. Re-running with an
-identical configuration reproduces identical bytes.
+when it is built; ``run`` fills in the experiment's ``SETTINGS`` defaults
+once, before its runner starts. A runner only computes: it derives every
+random stream from the master seed, and returns its resolved configuration,
+its tables, its JSON body and its summary. ``run`` is the one place that
+writes: it stamps the outputs with the master seed, a hash of the resolved
+configuration and the package version, and writes either one CSV file per
+table or one JSON file. Re-running with an identical configuration
+reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .critical_points import (
     grid_seed_points,
     refine_minimum_horizontal,
 )
-from .errors import GramNotSPD, InvalidConfig
+from .errors import GramNotSPD, InvalidConfig, NonFiniteEntry
 from .landscape import (
     PR_R4,
     AssumptionConfig,
@@ -74,7 +75,8 @@ class ExperimentConfig:
     n: int | None = None
     k: int | None = None
     r: int | None = None
-    m: tuple = ()
+    # as given, a tuple; ``run`` makes it one count where the experiment takes one
+    m: tuple | int = ()
     trials: int | None = None
     master_seed: int | None = None
     grid: tuple | None = None
@@ -115,7 +117,7 @@ class ExperimentConfig:
                 )
         if self.trials is not None and self.trials < 1:
             raise InvalidConfig("trials must be at least 1")
-        if any(int(v) < 1 for v in self.m):
+        if any(int(v) < 1 for v in np.atleast_1d(self.m)):
             raise InvalidConfig("every measurement count must be at least 1")
         for name in ("n", "k", "r", "samples", "n_probes", "rank_bound"):
             value = getattr(self, name)
@@ -184,9 +186,12 @@ def write_csv(path: str, columns, rows, metadata: dict) -> str:
 
 def write_json(path: str, payload: dict) -> str:
     try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or Infinity, which JSON does not have
+        raise NonFiniteEntry(f"{path} would hold a non-finite number") from None
+    try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
     except OSError as exc:
         raise InvalidConfig(f"cannot write {path}: {exc}") from None
     return path
@@ -204,10 +209,8 @@ def _identity_truth(dim: int, eigvals, target_rank: int) -> SensingGroundTruth:
 
 
 def _sensing_instance(config: ExperimentConfig):
-    """The verification sensing truth: N=8, k=2, r=3, spectrum (1.3, 1.0, 0.08)."""
-    n = config.n if config.n is not None else 8
-    k = config.k if config.k is not None else 2
-    r = config.r if config.r is not None else 3
+    """The verification sensing truth: spectrum (1.3, 1.0, 0.08)[:r], or ones."""
+    n, k, r = config.n, config.k, config.r
     truth = _identity_truth(n, (1.3, 1.0, 0.08)[:r] if r <= 3 else np.ones(r), k)
     return truth, {"family": "ms", "n": n, "k": k, "r": r}
 
@@ -218,21 +221,18 @@ def _sensing_instance(config: ExperimentConfig):
 
 
 def run_pr1d(config: ExperimentConfig, master: int):
-    if config.n not in (None, 1):
+    if config.n != 1:
         raise InvalidConfig("the line experiment runs in dimension one")
-    m = int(config.m[0]) if config.m else 30
-    lo, hi, points = config.grid if config.grid else (-2.0, 2.0, 401)
+    lo, hi, points = config.grid
     xstar = np.array([1.0])
-    cutoff = (
-        config.epsilon
-        if config.epsilon is not None
-        else pr_region_bounds(xstar)[PR_R4][1]
-    )
+    cutoff = config.epsilon
+    if cutoff is None:
+        cutoff = pr_region_bounds(xstar)[PR_R4][1]
 
     pop = PrPopulationRisk(xstar)
     emp = PrEmpiricalRisk(
         generate_phase_problem(
-            xstar, m, seed=rng.subseed(master, "pr1d-ensemble", 0)
+            xstar, config.m, seed=rng.subseed(master, "pr1d-ensemble", 0)
         )
     )
     axis = np.linspace(lo, hi, int(points))
@@ -265,14 +265,14 @@ def run_pr1d(config: ExperimentConfig, master: int):
 
     resolved = {
         "n": 1,
-        "m": m,
+        "m": config.m,
         "grid_min": lo,
         "grid_max": hi,
         "grid_points": int(points),
         "epsilon": cutoff,
     }
     columns = ("x", "g", "f", "dg", "df", "d2g", "d2f")
-    meta = {"m": m, "epsilon": cutoff, "small_gradient_intervals": json.dumps(intervals)}
+    meta = {"m": config.m, "epsilon": cutoff, "small_gradient_intervals": json.dumps(intervals)}
     body = {"columns": columns, "rows": rows, "small_gradient_intervals": intervals}
     summary = {"rows": len(rows), "small_gradient_intervals": intervals}
     return resolved, [("", columns, rows, meta)], body, summary, True
@@ -293,7 +293,7 @@ def _plane_rank_one_truth() -> SensingGroundTruth:
 
 
 def _surface_models(config: ExperimentConfig, master: int):
-    m_list = tuple(int(v) for v in config.m) if config.m else (3, 10)
+    m_list = config.m
     if config.experiment == "pr2d":
         surfaces = [("population", PrPopulationRisk(XSTAR_PLANE))]
         for m in m_list:
@@ -313,9 +313,9 @@ def _surface_models(config: ExperimentConfig, master: int):
 
 
 def run_2d_landscape(config: ExperimentConfig, master: int):
-    if config.n not in (None, 2):
+    if config.n != 2:
         raise InvalidConfig("the contour experiments run in dimension two")
-    lo, hi, points = config.grid if config.grid else (-2.0, 2.0, 81)
+    lo, hi, points = config.grid
     surfaces, m_list = _surface_models(config, master)
     factor_domain = config.experiment == "ms2d_rank1"
 
@@ -378,13 +378,9 @@ def run_2d_landscape(config: ExperimentConfig, master: int):
 
 
 def run_ms_rank2_distance(config: ExperimentConfig, master: int):
-    n = config.n if config.n is not None else 8
-    k = config.k if config.k is not None else 2
-    r = config.r if config.r is not None else 3
+    n, k, r, trials, m_list = config.n, config.k, config.r, config.trials, config.m
     if not (1 <= k <= r <= n):
         raise InvalidConfig("need 1 <= k <= r <= n")
-    trials = config.trials if config.trials is not None else 20
-    m_list = tuple(int(v) for v in config.m) if config.m else (50, 100, 200, 400, 800)
 
     truth = _identity_truth(n, np.ones(r), k)
     ustar = truth.canonical_minimum()
@@ -443,80 +439,57 @@ def run_ms_rank2_distance(config: ExperimentConfig, master: int):
 
 
 def _assumptions_report(config: ExperimentConfig, master: int):
-    family = config.family or "pr"
-    if family == "pr":
-        n = config.n if config.n is not None else 2
-        signal = _alternating_signal(n)
-        m = int(config.m[0]) if config.m else 2000
+    seed = rng.subseed(master, "assumptions-ensemble", 0)
+    if config.family == "pr":
+        signal = _alternating_signal(config.n)
         defaults = default_phase_assumption_config(signal)
-        samples = config.samples if config.samples is not None else 2000
         pop = PrPopulationRisk(signal)
-        emp = PrEmpiricalRisk(
-            generate_phase_problem(
-                signal, m, seed=rng.subseed(master, "assumptions-ensemble", 0)
-            )
-        )
-        instance = {"family": "pr", "n": n, "m": m}
-    elif family == "ms":
-        truth, instance = _sensing_instance(config)
-        m = int(config.m[0]) if config.m else 2000
-        defaults = default_sensing_assumption_config(truth)
-        # horizontal Hessian assembly is the cost driver for factors
-        samples = config.samples if config.samples is not None else 300
-        pop = MsPopulationRisk(truth)
-        emp = MsEmpiricalRisk(
-            generate_sensing_ensemble(
-                truth, m, seed=rng.subseed(master, "assumptions-ensemble", 0)
-            )
-        )
-        instance["m"] = m
+        emp = PrEmpiricalRisk(generate_phase_problem(signal, config.m, seed=seed))
+        instance = {"family": "pr", "n": config.n}
     else:
-        raise InvalidConfig(f"family must be pr or ms, got {family!r}")
+        truth, instance = _sensing_instance(config)
+        defaults = default_sensing_assumption_config(truth)
+        pop = MsPopulationRisk(truth)
+        emp = MsEmpiricalRisk(generate_sensing_ensemble(truth, config.m, seed=seed))
+    instance["m"] = config.m
     check_config = AssumptionConfig(
         epsilon=config.epsilon if config.epsilon is not None else defaults.epsilon,
         eta=config.eta if config.eta is not None else defaults.eta,
         ball_radius=config.radius if config.radius is not None else defaults.ball_radius,
-        n_samples=samples,
+        n_samples=config.samples,
         seed=master,
     )
     report = check_assumptions(pop, emp, check_config)
     return report.to_json_dict(), report.overall_pass, instance
 
 
-def _regions_report(config: ExperimentConfig, master: int):
-    samples = config.samples if config.samples is not None else 500
-    sampler = RegionSamplerConfig(n_per_region=samples, seed=master)
-    if config.experiment == "regions_ms":
-        truth, instance = _sensing_instance(config)
-        report = verify_region_bounds_ms(truth, sampler)
-    else:
-        n = config.n if config.n is not None else 3
-        signal = (
-            np.array([1.2, -0.5, 0.3]) if n == 3 else _alternating_signal(n)
-        )
-        report = verify_region_bounds_pr(signal, sampler)
-        instance = {"family": "pr", "n": n}
+def _regions_ms_report(config: ExperimentConfig, master: int):
+    truth, instance = _sensing_instance(config)
+    sampler = RegionSamplerConfig(n_per_region=config.samples, seed=master)
+    report = verify_region_bounds_ms(truth, sampler)
     return report.to_json_dict(), report.all_clear, instance
 
 
+def _regions_pr_report(config: ExperimentConfig, master: int):
+    n = config.n
+    signal = np.array([1.2, -0.5, 0.3]) if n == 3 else _alternating_signal(n)
+    sampler = RegionSamplerConfig(n_per_region=config.samples, seed=master)
+    report = verify_region_bounds_pr(signal, sampler)
+    return report.to_json_dict(), report.all_clear, {"family": "pr", "n": n}
+
+
 def _rip_report(config: ExperimentConfig, master: int):
-    n = config.n if config.n is not None else 4
-    k = config.k if config.k is not None else 1
-    r = config.r if config.r is not None else 1
-    truth = _identity_truth(n, np.ones(r), min(k, r))
-    m = int(config.m[0]) if config.m else 2000
+    n, k, r, m = config.n, config.k, config.r, config.m
+    truth = _identity_truth(n, np.ones(r), k)
     # a probe rank above the ambient dimension is meaningless
-    rank_bound = (
-        config.rank_bound if config.rank_bound is not None else min(r + k, n)
-    )
-    n_probes = config.n_probes if config.n_probes is not None else 500
+    rank_bound = config.rank_bound if config.rank_bound is not None else min(r + k, n)
     ensemble = generate_sensing_ensemble(
         truth, m, seed=rng.subseed(master, "rip-ensemble", 0)
     )
     report = estimate_rip(
         ensemble,
         rank_bound=rank_bound,
-        n_probes=n_probes,
+        n_probes=config.n_probes,
         seed=master,
         epsilon=config.epsilon,
         eta=config.eta,
@@ -525,16 +498,16 @@ def _rip_report(config: ExperimentConfig, master: int):
     return report.to_json_dict(), report.within_threshold, instance
 
 
-def run_verification(config: ExperimentConfig, master: int):
-    if config.fmt != "json":
-        raise InvalidConfig("verification reports are JSON only")
-    if config.experiment == "assumptions":
-        report, ok, instance = _assumptions_report(config, master)
-    elif config.experiment in ("regions_ms", "regions_pr"):
-        report, ok, instance = _regions_report(config, master)
-    else:
-        report, ok, instance = _rip_report(config, master)
-    return instance, [], {"ok": ok, "report": report}, {"ok": ok}, ok
+def _verification(report_of):
+    """The runner of a verification report: JSON only, the report its body."""
+
+    def run_verification(config: ExperimentConfig, master: int):
+        if config.fmt != "json":
+            raise InvalidConfig("verification reports are JSON only")
+        report, ok, instance = report_of(config, master)
+        return instance, [], {"ok": ok, "report": report}, {"ok": ok}, ok
+
+    return run_verification
 
 
 RUNNERS = {
@@ -542,41 +515,58 @@ RUNNERS = {
     "pr2d": run_2d_landscape,
     "ms2d_rank1": run_2d_landscape,
     "ms_rank2_dist": run_ms_rank2_distance,
-    "assumptions": run_verification,
-    "regions_ms": run_verification,
-    "regions_pr": run_verification,
-    "rip": run_verification,
+    "assumptions": _verification(_assumptions_report),
+    "regions_ms": _verification(_regions_ms_report),
+    "regions_pr": _verification(_regions_pr_report),
+    "rip": _verification(_rip_report),
 }
 
-# the config fields each experiment reads besides master_seed, out and fmt,
-# which every experiment reads; the pr family of assumptions reads no k or r
-READS = {
-    "pr1d": ("n", "m", "grid", "epsilon"),
-    "pr2d": ("n", "m", "grid"),
-    "ms2d_rank1": ("n", "m", "grid"),
-    "ms_rank2_dist": ("n", "k", "r", "m", "trials"),
-    "assumptions": ("family", "n", "k", "r", "m", "samples", "epsilon", "eta", "radius"),
-    "regions_ms": ("n", "k", "r", "samples"),
-    "regions_pr": ("n", "samples"),
-    "rip": ("n", "k", "r", "m", "rank_bound", "n_probes", "epsilon", "eta"),
+# The keys each experiment reads besides master_seed, out and fmt, which all
+# read, and their defaults; the runner derives a None default from the
+# instance. An m default of one count means the experiment takes one M, a
+# tuple a list. assumptions has an entry per family, the first its default.
+SETTINGS = {
+    "pr1d": {"n": 1, "m": 30, "grid": (-2.0, 2.0, 401), "epsilon": None},
+    "pr2d": {"n": 2, "m": (3, 10), "grid": (-2.0, 2.0, 81)},
+    "ms2d_rank1": {"n": 2, "m": (3, 10), "grid": (-2.0, 2.0, 81)},
+    "ms_rank2_dist": {"n": 8, "k": 2, "r": 3, "m": (50, 100, 200, 400, 800), "trials": 20},
+    "assumptions": {
+        "pr": {"family": "pr", "n": 2, "m": 2000, "samples": 2000,
+               "epsilon": None, "eta": None, "radius": None},
+        # horizontal Hessian assembly is the cost driver for factors
+        "ms": {"family": "ms", "n": 8, "k": 2, "r": 3, "m": 2000, "samples": 300,
+               "epsilon": None, "eta": None, "radius": None},
+    },
+    "regions_ms": {"n": 8, "k": 2, "r": 3, "samples": 500},
+    "regions_pr": {"n": 3, "samples": 500},
+    "rip": {"n": 4, "k": 1, "r": 1, "m": 2000, "rank_bound": None, "n_probes": 500,
+            "epsilon": None, "eta": None},
 }
-_READ_BY_ALL = ("experiment", "master_seed", "out", "fmt")
+_READ_BY_ALL = {"experiment", "master_seed", "out", "fmt"}
 
 
-def _reject_unread_keys(config: ExperimentConfig) -> None:
-    """A key that is set but that the experiment does not read is an error."""
-    reads = set(READS[config.experiment])
-    if config.experiment == "assumptions" and config.family in (None, "pr"):
-        reads -= {"k", "r"}
-    unread = [
-        f.name
-        for f in fields(config)
-        if f.name not in _READ_BY_ALL
-        and f.name not in reads
-        and getattr(config, f.name) != f.default
-    ]
+def _resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` with the defaults of its ``SETTINGS`` entry filled in. A key
+    set that the entry lacks, or an M list for one M, is an error."""
+    entry = SETTINGS[config.experiment]
+    if config.experiment == "assumptions":
+        family = config.family or next(iter(entry))
+        if family not in entry:
+            raise InvalidConfig(f"family must be {' or '.join(entry)}, got {family!r}")
+        entry = entry[family]
+    unset = {f.name for f in fields(config) if getattr(config, f.name) == f.default}
+    unread = [f.name for f in fields(config) if f.name not in {*unset, *entry, *_READ_BY_ALL}]
     if unread:
         raise InvalidConfig(f"{config.experiment} does not read {', '.join(unread)}")
+    filled = {key: entry[key] for key in entry.keys() & unset}
+    if "m" in entry.keys() - unset:
+        counts = tuple(int(v) for v in np.atleast_1d(config.m))
+        one = isinstance(entry["m"], int)
+        if one and len(counts) > 1:
+            listed = ",".join(map(str, counts))
+            raise InvalidConfig(f"{config.experiment} takes one measurement count, got {listed}")
+        filled["m"] = counts[0] if one else counts
+    return replace(config, **filled)
 
 
 def run(config: ExperimentConfig) -> ExperimentOutcome:
@@ -594,14 +584,15 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     - ``summary``: the summary keys beyond the stamp;
     - ``ok``: the verdict, which sets the exit code.
 
-    A key ``config`` sets that ``READS`` does not list for the experiment
-    raises ``InvalidConfig`` before anything runs or is written.
+    The runner reads ``config`` with its ``SETTINGS`` defaults filled in; a
+    set key that the entry lacks, or an M list for one M, raises
+    ``InvalidConfig`` before anything runs or is written.
 
     CSV writes one file per table; JSON writes one file holding the config,
     the stamp and the body. The master seed and the format are the ones
     ``config`` resolved when it was built.
     """
-    _reject_unread_keys(config)
+    config = _resolve(config)
     master = config.master_seed
     resolved, tables, body, summary, ok = RUNNERS[config.experiment](config, master)
     resolved = {"experiment": config.experiment, "master_seed": master, **resolved}

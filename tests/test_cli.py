@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,31 +171,114 @@ class TestConfigFile:
         assert type(by_file) is type(by_flag) is type(expected)
 
 
+def settings_entries(experiment):
+    """``(keys that select the entry, entry)`` for each ``SETTINGS`` entry of
+    the experiment; the first assumptions family is the default one."""
+    entry = experiments.SETTINGS[experiment]
+    if experiment != "assumptions":
+        return [({}, entry)]
+    first, *rest = entry
+    return [({}, entry[first])] + [({"family": f}, entry[f]) for f in rest]
+
+
+# per SETTINGS entry, a tiny run, and for every key of the entry a value
+# other than the run's; a value in REJECTED is read, and refused
+TINY_RUNS = {
+    "pr1d": (
+        {"m": (5,), "grid": (-1.0, 1.0, 5)},
+        {"n": 2, "m": (6,), "grid": (-1.0, 1.0, 6), "epsilon": 0.5},
+    ),
+    "pr2d": (
+        {"m": (3,), "grid": (0.0, 0.1, 2)},
+        {"n": 3, "m": (4,), "grid": (0.0, 0.1, 3)},
+    ),
+    "ms2d_rank1": (
+        {"m": (3,), "grid": (0.0, 0.1, 2)},
+        {"n": 3, "m": (4,), "grid": (0.0, 0.1, 3)},
+    ),
+    "ms_rank2_dist": (
+        {"n": 4, "k": 1, "r": 2, "m": (20,), "trials": 1},
+        {"n": 5, "k": 2, "r": 1, "m": (21,), "trials": 2},
+    ),
+    "assumptions": (
+        {"m": (20,), "samples": 2},
+        {"family": "ms", "n": 3, "m": (21,), "samples": 3, "epsilon": 0.3,
+         "eta": 0.3, "radius": 0.5},
+    ),
+    "assumptions-ms": (
+        {"family": "ms", "n": 4, "k": 1, "r": 2, "m": (20,), "samples": 2},
+        {"family": "pr", "n": 5, "k": 2, "r": 1, "m": (21,), "samples": 3,
+         "epsilon": 0.3, "eta": 0.3, "radius": 0.5},
+    ),
+    "regions_ms": (
+        {"n": 4, "k": 1, "r": 2, "samples": 2},
+        {"n": 5, "k": 2, "r": 1, "samples": 3},
+    ),
+    "regions_pr": ({"n": 2, "samples": 2}, {"n": 3, "samples": 3}),
+    "rip": (
+        {"n": 4, "k": 1, "r": 2, "m": (20,), "n_probes": 2},
+        {"n": 5, "k": 2, "r": 1, "m": (21,), "rank_bound": 2, "n_probes": 3,
+         "epsilon": 0.3, "eta": 0.3},
+    ),
+}
+REJECTED = {
+    ("pr1d", "n"): "in dimension one",
+    ("pr2d", "n"): "in dimension two",
+    ("ms2d_rank1", "n"): "in dimension two",
+    ("assumptions-ms", "family"): "does not read k, r",
+}
+
+
 class TestKeysRead:
     @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
     def test_each_unread_key_is_rejected_before_running(self, experiment, tmp_path):
-        reads = set(experiments.READS[experiment])
-        if experiment == "assumptions":
-            reads -= {"k", "r"}  # the default family, pr, reads neither
-        for key, (text, field, value) in KEY_CASES.items():
-            if field in reads or key in ("seed", "out", "format"):
-                continue
-            config = experiments.ExperimentConfig(
-                experiment=experiment, out=str(tmp_path / key), **{field: value}
-            )
-            with pytest.raises(InvalidConfig, match=f"does not read {field}"):
-                experiments.run(config)
+        for selector, entry in settings_entries(experiment):
+            for key, (text, field, value) in KEY_CASES.items():
+                if field in entry or key in ("seed", "out", "format"):
+                    continue
+                config = experiments.ExperimentConfig(
+                    experiment=experiment,
+                    out=str(tmp_path / key),
+                    **{**selector, field: value},
+                )
+                with pytest.raises(InvalidConfig, match=f"does not read {field}"):
+                    experiments.run(config)
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
     def test_every_key_read_is_accepted(self, experiment):
-        # family is ms here, which reads k and r
-        values = {field: value for _, field, value in KEY_CASES.values()}
-        config = experiments.ExperimentConfig(
-            experiment=experiment,
-            **{f: values[f] for f in experiments.READS[experiment]},
-        )
-        experiments._reject_unread_keys(config)
+        for selector, entry in settings_entries(experiment):
+            values = {field: value for _, field, value in KEY_CASES.values()}
+            values = {**{f: values[f] for f in entry}, **selector}
+            one_m = isinstance(entry.get("m"), int)
+            if one_m:
+                values["m"] = values["m"][:1]  # a list is refused, one M is not
+            config = experiments.ExperimentConfig(experiment=experiment, **values)
+            resolved = experiments._resolve(config)
+            if "m" in entry:
+                assert resolved.m == (values["m"][0] if one_m else values["m"])
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_each_key_read_changes_the_output(self, experiment, tmp_path):
+        # a key listed but never read would leave files and hash unchanged
+        for selector, entry in settings_entries(experiment):
+            name = "-".join([experiment, *selector.values()])
+            base, changes = TINY_RUNS[name]
+            assert changes.keys() == entry.keys()
+
+            def written(**changed):
+                config = experiments.ExperimentConfig(
+                    experiment=experiment, out=str(tmp_path / name), **{**base, **changed}
+                )
+                return [Path(p).read_bytes() for p in experiments.run(config).paths]
+
+            before = written()
+            for key, value in changes.items():
+                if (name, key) in REJECTED:
+                    with pytest.raises(InvalidConfig, match=REJECTED[name, key]):
+                        written(**{key: value})
+                else:
+                    assert written(**{key: value}) != before, key
 
 
 class TestSeedResolution:
@@ -361,6 +448,43 @@ class TestExitCodes:
         assert rc == cli.EXIT_INVALID_CONFIG
         assert "rip does not read samples" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["pr1d", "assumptions", "rip"])
+    def test_m_list_for_one_m_is_three(self, experiment, tmp_path, capsys):
+        rc = cli.main([experiment, "--m", "10,20", "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert f"{experiment} takes one measurement count, got 10,20" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_rip_target_rank_above_r_is_three(self, tmp_path, capsys):
+        rc = cli.main(["rip", "--k", "3", "--r", "1", "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert "target rank 3" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assumptions", "--family", "pr", "--radius", "1e80", "--samples", "3"],
+            ["pr1d", "--grid", "-1e100:1e100:3", "--format", "json"],
+        ],
+        ids=["assumptions-radius-1e80", "pr1d-grid-1e100"],
+    )
+    def test_non_finite_json_is_four_and_writes_nothing(self, argv, tmp_path):
+        # the values overflow to Infinity on the way, with a RuntimeWarning,
+        # which this suite makes an error; a child process runs without it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *argv, "--out", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert "x.json would hold a non-finite number" in done.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])

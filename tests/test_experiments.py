@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from landscape_lab import experiments, rng
-from landscape_lab.errors import InvalidConfig
+from landscape_lab.errors import InvalidConfig, NonFiniteEntry
 from landscape_lab.landscape import PR_R4, pr_region_bounds
 from landscape_lab.risk_models import PrEmpiricalRisk, generate_phase_problem
 
@@ -502,6 +502,13 @@ class TestSingleWriter:
         assert payload["ok"] is outcome.ok
         assert payload["config"]["experiment"] == kwargs["experiment"]
         assert payload["config_hash"] == outcome.summary["config_hash"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_with_a_non_finite_number_is_not_written(self, value, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(NonFiniteEntry, match="non-finite"):
+            experiments.write_json(str(path), {"rows": [[1.0, value]]})
+        assert not path.exists()
 
 
 class TestFloatFormatting:

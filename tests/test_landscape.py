@@ -332,7 +332,7 @@ def pr_oracle(signal, x):
 
 def cli_truth(**dims):
     """The truth regions_ms builds for these --n/--k/--r values."""
-    config = experiments.ExperimentConfig("regions_ms", **dims)
+    config = experiments._resolve(experiments.ExperimentConfig("regions_ms", **dims))
     return experiments._sensing_instance(config)[0]
 
 
