@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramNotSPD, InvalidConfig
-from .manifold import _norm, procrustes_distance
+from .errors import DimensionMismatch, GramNotSPD, InvalidConfig
+from .manifold import _item_norms, _norm, procrustes_distance
 from .risk_models import SensingGroundTruth, _coerce
 from .spectral import (
     dense_euclidean_hessian,
@@ -48,91 +48,146 @@ KIND_SADDLE = "StrictSaddle"
 KIND_DEGENERATE = "Degenerate"
 
 
+def _tau(model) -> float:
+    """The gradient norm at which a search declares convergence."""
+    return TAU_CRIT_FACTOR * (1.0 + model.value_scale)
+
+
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     """Newton step that repels saddles: eigenvalues keep their sign but
-    their magnitude is floored, so the step stays finite near degeneracy."""
+    their magnitude is floored, so the step stays finite near degeneracy.
+
+    Takes one (n, n) Hessian and (n,) gradient, or (B, n, n) and (B, n)
+    stacks, whose steps each equal the single step bit for bit: one batched
+    eigh, and a matrix-vector product per item either way.
+    """
     eigvals, eigvecs = np.linalg.eigh(hess)
     mags = np.abs(eigvals)
-    floor = 1e-10 * max(float(mags.max()), 1e-30)
+    floor = 1e-10 * np.maximum(mags.max(axis=-1, keepdims=True), 1e-30)
     signs = np.where(eigvals >= 0.0, 1.0, -1.0)
     damped = signs * np.maximum(mags, floor)
-    return -eigvecs @ ((eigvecs.T @ grad_flat) / damped)
+    coords = (eigvecs.swapaxes(-1, -2) @ grad_flat[..., None])[..., 0] / damped
+    return (-eigvecs @ coords[..., None])[..., 0]
 
 
-def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, float]:
-    """Shrink a step to the cap 0.5 * (1 + ||point||) if it is longer;
-    returns the step and the cap."""
-    cap = 0.5 * (1.0 + _norm(point))
-    step_norm = _norm(step)
-    if step_norm > cap:
-        step = step * (cap / step_norm)
-    return step, cap
+def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each step of a (B, *shape) stack to the cap
+    0.5 * (1 + ||point||) if it is longer; returns the steps and the (B,)
+    caps."""
+    item_ndim = step.ndim - 1
+    cap = 0.5 * (1.0 + _item_norms(point, item_ndim))
+    step_norm = _item_norms(step, item_ndim)
+    long = step_norm > cap
+    # an unshrunk step is multiplied by exactly 1
+    factor = np.ones_like(cap)
+    factor[long] = cap[long] / step_norm[long]
+    return step * factor.reshape(-1, *(1,) * item_ndim), cap
 
 
-def _backtrack(
-    model, point: np.ndarray, grad: np.ndarray, grad_norm: float, step: np.ndarray
-):
-    """Halve the step until the gradient norm falls below grad_norm.
+def _backtrack(model, point, grad, grad_norm, step, polish):
+    """Try point + step for each item of a (B, *shape) stack, halving the
+    steps that fail, and keep each item's first candidate that passes.
 
-    Returns (point, grad, grad_norm) for the first such candidate, with the
-    gradient evaluated there, so the caller need not evaluate it again; or
-    the inputs unchanged when MAX_BACKTRACKS halvings all fail.
+    A Newton item passes when its gradient norm falls below grad_norm and
+    gets MAX_BACKTRACKS tries; a polish item (polish True) passes below
+    0.9 * grad_norm, or at an exact zero, and gets one try. Each try is one
+    euclidean_grad call on the items still trying, and a passed item keeps
+    the gradient that call computed, so the caller need not evaluate it
+    again. Returns (point, grad, grad_norm, passed); an item that did not
+    pass keeps its inputs.
     """
+    point, grad, grad_norm = point.copy(), grad.copy(), grad_norm.copy()
+    bar = np.where(polish, 0.9 * grad_norm, grad_norm)
+    passed = np.zeros(len(point), dtype=bool)
+    trying = np.arange(len(point))
     scale = 1.0
     for _ in range(MAX_BACKTRACKS):
-        candidate = point + scale * step
+        candidate = point[trying] + scale * step[trying]
         cand_grad = model.euclidean_grad(candidate)
-        norm = _norm(cand_grad)
-        if norm < grad_norm:
-            return candidate, cand_grad, norm
+        norm = _item_norms(cand_grad, step.ndim - 1)
+        ok = (norm < bar[trying]) | (norm == 0.0)
+        took = trying[ok]
+        point[took], grad[took], grad_norm[took] = candidate[ok], cand_grad[ok], norm[ok]
+        passed[took] = True
+        trying = trying[~ok & ~polish[trying]]
+        if not trying.size:
+            break
         scale *= 0.5
-    return point, grad, grad_norm
+    return point, grad, grad_norm, passed
 
 
 def damped_newton(model, seed_point):
-    """Drive the gradient to zero from one seed.
+    """Drive the gradient to zero from one seed or a (B, *shape) stack.
 
-    Returns (point, grad_norm, n_iter, converged). Convergence means the
-    gradient norm dropped below 1e-8 * (1 + value scale); afterwards a
-    polish phase keeps stepping while the gradient still shrinks, which
-    pushes through directions where the Hessian degenerates at the root.
-    The gradient is evaluated once per point tried: an accepted point
-    keeps the gradient its acceptance test computed.
+    For one seed, returns (point, grad_norm, n_iter, converged).
+    Convergence means the gradient norm dropped below
+    1e-8 * (1 + value scale); afterwards a polish phase keeps stepping while
+    the gradient still shrinks, which pushes through directions where the
+    Hessian degenerates at the root. The gradient is evaluated once per
+    point tried: an accepted point keeps the gradient its acceptance test
+    computed.
+
+    A stack runs every seed in lockstep, each with its own iterations,
+    stalls, backtracking and phase, and each ends bit for bit where it
+    would alone (a single seed is a stack of one). A round makes one
+    dense_euclidean_hessian call and one batched eigh over the seeds still
+    active, and one euclidean_grad call per backtrack halving over the seeds
+    still halving. It returns ((B, *shape) points, (B,) gradient norms,
+    total Newton iterations, number of converged seeds): totals over the
+    stack, so a caller that sums per-call iteration counts or counts
+    converging calls reads a stack like a seed. A seed converged iff its
+    gradient norm is at most the tolerance, since polishing only accepts a
+    smaller norm.
     """
-    point = _coerce(seed_point, model.shape)
-    tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
-    grad = model.euclidean_grad(point)
-    grad_norm = _norm(grad)
-    stalls = 0
-    iters = 0
-    while iters < MAX_NEWTON_ITER and grad_norm > tau:
-        iters += 1
-        hess = dense_euclidean_hessian(model, point)
-        step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
-        step, _ = _capped(step, point)
-        prev_norm = grad_norm
-        point, grad, grad_norm = _backtrack(model, point, grad, grad_norm, step)
-        if grad_norm >= prev_norm:
-            stalls += 1
-            if stalls >= MAX_STALLS:
-                break
-        else:
-            stalls = 0
+    # a copy, which the search updates in place
+    points = _coerce(seed_point, model.shape, stack=True).copy()
+    single = points.shape == model.shape
+    if single:
+        points = points[None]
+    tau = _tau(model)
+    grad = model.euclidean_grad(points)
+    grad_norm = _item_norms(grad, len(model.shape))
+    iters = np.zeros(len(points), dtype=int)
+    stalls = np.zeros(len(points), dtype=int)
+    polished = np.zeros(len(points), dtype=int)
+    polish = np.zeros(len(points), dtype=bool)
+    active = np.zeros(len(points), dtype=bool)
+    newton = np.arange(len(points))  # every seed starts in the Newton phase
+    while True:
+        # a Newton seed searches on until MAX_STALLS failed backtracks in a
+        # row, the iteration budget or convergence; a converged one polishes
+        polish[newton] = grad_norm[newton] <= tau
+        active[newton] = (
+            (stalls[newton] < MAX_STALLS)
+            & (iters[newton] < MAX_NEWTON_ITER)
+            & (grad_norm[newton] > tau)
+        ) | (polish[newton] & (MAX_POLISH_ITER > 0))
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        at, in_polish = points[idx], polish[idx]
+        hess = dense_euclidean_hessian(model, at)
+        step = _damped_newton_step(hess, grad[idx].reshape(len(idx), -1))
+        step, _ = _capped(step.reshape(at.shape), at)
+        points[idx], grad[idx], grad_norm[idx], passed = _backtrack(
+            model, at, grad[idx], grad_norm[idx], step, in_polish
+        )
+        newton = idx[~in_polish]
+        iters[newton] += 1
+        stalls[newton] = np.where(passed[~in_polish], 0, stalls[newton] + 1)
+        # a polishing seed stops at its first rejected step, at an exact
+        # zero gradient or at the polish budget
+        polishing = idx[in_polish]
+        polished[polishing] += 1
+        active[polishing] = (
+            passed[in_polish]
+            & (grad_norm[polishing] != 0.0)
+            & (polished[polishing] < MAX_POLISH_ITER)
+        )
     converged = grad_norm <= tau
-    if converged:
-        for _ in range(MAX_POLISH_ITER):
-            hess = dense_euclidean_hessian(model, point)
-            step = _damped_newton_step(hess, grad.ravel()).reshape(point.shape)
-            step, _ = _capped(step, point)
-            candidate = point + step
-            cand_grad = model.euclidean_grad(candidate)
-            norm = _norm(cand_grad)
-            if not (norm < 0.9 * grad_norm or norm == 0.0):
-                break
-            point, grad, grad_norm = candidate, cand_grad, norm
-            if grad_norm == 0.0:
-                break
-    return point, grad_norm, iters, converged
+    if single:
+        return points[0], float(grad_norm[0]), int(iters[0]), bool(converged[0])
+    return points, grad_norm, int(iters.sum()), int(converged.sum())
 
 
 @dataclass(frozen=True)
@@ -208,9 +263,11 @@ def _classify(model, point: np.ndarray):
 def find_critical_points(model, seed_points) -> CriticalSearchResult:
     """Run the damped Newton search from every seed and merge duplicates.
 
-    Seeds that fail to converge are counted, not fatal. Duplicates merge
-    at 1e-4 times the domain scale, keeping the representative with the
-    smaller gradient norm.
+    One damped_newton call takes the whole stack of seeds; the endpoints
+    are then deduplicated and classified in seed order. Seeds that fail to
+    converge are counted, not fatal. Duplicates merge at 1e-4 times the
+    domain scale, keeping the representative with the smaller gradient
+    norm.
     """
     dim = int(np.prod(model.shape))
     if dim > MAX_SEARCH_DIM:
@@ -219,15 +276,21 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
             f"model has {dim}"
         )
     tol = TAU_DEDUPE_FACTOR * model.domain_scale
+    seeds = list(seed_points)
+    points, grad_norms = [], []
+    if seeds:
+        shapes = {np.shape(seed) for seed in seeds}
+        if shapes != {model.shape}:
+            raise DimensionMismatch(
+                f"seed shapes {sorted(shapes)} do not match model shape {model.shape}"
+            )
+        points, grad_norms, _, _ = damped_newton(model, np.stack(seeds))
+    tau = _tau(model)
     found: list[CriticalPointRecord] = []
     n_converged = 0
-    n_failed = 0
-    n_seeds = 0
-    for seed in seed_points:
-        n_seeds += 1
-        point, grad_norm, _, converged = damped_newton(model, seed)
-        if not converged:
-            n_failed += 1
+    for point, grad_norm in zip(points, grad_norms):
+        grad_norm = float(grad_norm)
+        if not grad_norm <= tau:
             continue
         n_converged += 1
         keeper = None
@@ -257,9 +320,9 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
             found[keeper] = record
     return CriticalSearchResult(
         records=tuple(found),
-        n_seeds=n_seeds,
+        n_seeds=len(seeds),
         n_converged=n_converged,
-        n_failed=n_failed,
+        n_failed=len(seeds) - n_converged,
         dedupe_tol=tol,
     )
 
@@ -288,7 +351,7 @@ def refine_minimum_horizontal(model, seed_point):
     if not model.is_factor:
         raise InvalidConfig("horizontal refinement needs a factor model")
     point = _coerce(seed_point, model.shape)
-    tau = TAU_CRIT_FACTOR * (1.0 + model.value_scale)
+    tau = _tau(model)
     grad = model.euclidean_grad(point)
     grad_norm = _norm(grad)
     for _ in range(MAX_NEWTON_ITER):
@@ -297,15 +360,18 @@ def refine_minimum_horizontal(model, seed_point):
         hess, mats = restricted_hessian(model, point)
         flat = mats.reshape(len(mats), -1)
         coeffs = _damped_newton_step(hess, flat @ grad.ravel())
-        step, cap = _capped((coeffs @ flat).reshape(point.shape), point)
-        prev_norm = grad_norm
-        point, grad, grad_norm = _backtrack(model, point, grad, grad_norm, step)
-        if grad_norm >= prev_norm:
+        # the stacked helpers, on a stack of this one point
+        step, cap = _capped((coeffs @ flat).reshape(1, *point.shape), point[None])
+        points, grads, norms, passed = _backtrack(
+            model, point[None], grad[None], np.array([grad_norm]), step, np.zeros(1, bool)
+        )
+        point, grad, grad_norm = points[0], grads[0], float(norms[0])
+        if not passed[0]:
             # Newton stalled; a value-decreasing gradient step keeps the
             # refinement moving through nearly flat valleys where the
             # Newton direction loses to its own small eigenvalues.
             value = model.value(point)
-            scale = cap / max(grad_norm, 1e-30)
+            scale = float(cap[0]) / max(grad_norm, 1e-30)
             moved = False
             for _ in range(MAX_BACKTRACKS):
                 candidate = point - scale * grad

@@ -171,14 +171,23 @@ def _stamp(resolved: dict) -> dict:
     }
 
 
-def write_csv(path: str, columns, rows, metadata: dict) -> str:
+def _csv_text(path: str, columns, rows, metadata: dict) -> str:
+    """The text of one CSV table. An infinite cell raises NonFiniteEntry, as
+    a non-finite number does in JSON; nan passes, as the null cell that
+    ms_rank2_dist documents."""
     lines = [f"# {key}: {_format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
     for row in rows:
+        if any(isinstance(cell, float) and math.isinf(cell) for cell in row):
+            raise NonFiniteEntry(f"{path} would hold an infinite number")
         lines.append(",".join(_format_cell(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, text: str) -> str:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
     except OSError as exc:
         raise InvalidConfig(f"cannot write {path}: {exc}") from None
     return path
@@ -588,9 +597,10 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     set key that the entry lacks, or an M list for one M, raises
     ``InvalidConfig`` before anything runs or is written.
 
-    CSV writes one file per table; JSON writes one file holding the config,
-    the stamp and the body. The master seed and the format are the ones
-    ``config`` resolved when it was built.
+    CSV writes one file per table, once every table has been checked for
+    infinite cells; JSON writes one file holding the config, the stamp and
+    the body, once it has been checked for non-finite numbers. The master
+    seed and the format are the ones ``config`` resolved when it was built.
     """
     config = _resolve(config)
     master = config.master_seed
@@ -599,15 +609,13 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     stamp = _stamp(resolved)
     base = config.out or config.experiment
     if config.fmt == "csv":
-        paths = tuple(
-            write_csv(
-                f"{base}{suffix}.csv",
-                columns,
-                rows,
-                {**stamp, "experiment": config.experiment, **meta},
-            )
-            for suffix, columns, rows, meta in tables
-        )
+        # every table is rendered, and so checked, before any is written
+        names = [f"{base}{suffix}.csv" for suffix, _, _, _ in tables]
+        texts = [
+            _csv_text(name, columns, rows, {**stamp, "experiment": config.experiment, **meta})
+            for name, (_, columns, rows, meta) in zip(names, tables)
+        ]
+        paths = tuple(write_csv(name, text) for name, text in zip(names, texts))
     else:
         paths = (write_json(base + ".json", {"config": resolved, **stamp, **body}),)
     return ExperimentOutcome(paths=paths, summary={**summary, **stamp}, ok=ok)

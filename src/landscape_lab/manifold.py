@@ -239,6 +239,12 @@ def item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
     np.linalg.norm takes of one raveled item; a norm over axis= sums in
     another order and differs in the last bit on many items.
     """
+    return _item_norms(stack, item_ndim)
+
+
+def _item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
+    """item_norms, private for the same reason as _norm: the Newton search
+    takes it on every gradient stack it evaluates."""
     arr = np.asarray(stack, dtype=float)
     lead = arr.shape[: arr.ndim - item_ndim]
     flat = arr.reshape(-1, math.prod(arr.shape[len(lead):]))

@@ -486,6 +486,23 @@ class TestExitCodes:
         assert "x.json would hold a non-finite number" in done.stderr
         assert not any(tmp_path.iterdir())
 
+    def test_infinite_csv_is_four_and_writes_nothing(self, tmp_path):
+        # pr1d's risks overflow to inf at +-1e100, in a child process for
+        # the same reason as the JSON runs above
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = ["pr1d", "--grid", "-1e100:1e100:3", "--out", str(tmp_path / "x")]
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert "x.csv would hold an infinite number" in done.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])
         assert rc == cli.EXIT_INVALID_CONFIG

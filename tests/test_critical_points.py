@@ -2,11 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from landscape_lab import critical_points, rng
+from landscape_lab import critical_points, experiments, rng
 from landscape_lab.critical_points import (
     KIND_DEGENERATE,
     KIND_MIN,
@@ -23,11 +24,13 @@ from landscape_lab.critical_points import (
 from landscape_lab.errors import InvalidConfig, NonFiniteEntry
 from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
+    MsEmpiricalRisk,
     MsPopulationRisk,
     PrEmpiricalRisk,
     PrPopulationRisk,
     SensingGroundTruth,
     generate_phase_problem,
+    generate_sensing_ensemble,
 )
 from landscape_lab.spectral import dense_euclidean_hessian, restricted_hessian
 
@@ -71,6 +74,18 @@ class TestDampedNewton:
         _, _, _, converged = damped_newton(model, np.array([1.7, 0.4]))
         assert not converged
 
+    @pytest.mark.parametrize("budget", [3, 40])
+    def test_polish_stops_at_its_budget(self, budget, monkeypatch):
+        # from this seed the polish phase takes 12 accepted steps, the last
+        # onto an exact zero gradient
+        monkeypatch.setattr(critical_points, "MAX_POLISH_ITER", budget)
+        problem = generate_phase_problem(XSTAR_2D, n_measurements=2, seed=0)
+        model = counting(PrEmpiricalRisk)(problem)
+        _, grad_norm, iters, converged = damped_newton(model, np.array([-2.0, -2.0]))
+        assert converged
+        assert len(model.hess_points) - iters == min(budget, 12)
+        assert (grad_norm == 0.0) == (budget > 12)
+
     def test_saddles_are_reachable(self):
         # damping keeps eigenvalue signs, so saddles attract the iteration
         # instead of repelling it
@@ -81,6 +96,199 @@ class TestDampedNewton:
         point, _, _, converged = damped_newton(model, saddle + 0.05)
         assert converged
         np.testing.assert_allclose(np.abs(point), np.abs(saddle), atol=1e-7)
+
+
+def plane_grid(spacing, shape=(2,)):
+    return [s.reshape(shape) for s in grid_seed_points(-2.0, 2.0, spacing, 2)]
+
+
+def ms2d_rank1_m3_surface():
+    """The M = 3 empirical surface of ms2d_rank1 at its default config,
+    on which about one seed in five fails."""
+    config = experiments._resolve(experiments.ExperimentConfig("ms2d_rank1"))
+    surfaces, _ = experiments._surface_models(config, config.master_seed)
+    return dict(surfaces)["m3"]
+
+
+# model, seeds, and how the single-seed searches end at the default budgets
+STACK_CASES = {
+    "pr-population": lambda: (
+        PrPopulationRisk(XSTAR_2D),
+        [np.zeros(2), np.array([1.13, -1.07]), *plane_grid(1.0)],
+        {"at start", "zero gradient", "converged"},
+    ),
+    "pr-empirical": lambda: (
+        PrEmpiricalRisk(generate_phase_problem(XSTAR_2D, n_measurements=6, seed=2)),
+        plane_grid(0.5),
+        {"at start", "zero gradient", "converged", "stall", "iteration cap"},
+    ),
+    "ms-k1": lambda: (
+        ms2d_rank1_m3_surface(),
+        plane_grid(0.5, (2, 1)),
+        {"at start", "zero gradient", "converged", "stall", "iteration cap"},
+    ),
+    "ms-k2": lambda: (
+        MsEmpiricalRisk(generate_sensing_ensemble(factor_truth(), 10, seed=1)),
+        [np.zeros((5, 2)), *2.0 * rng.normal(rng.stream(11, "stack-test", 0), (30, 5, 2))],
+        {"at start", "zero gradient", "converged", "stall", "iteration cap"},
+    ),
+}
+
+
+def exit_paths(singles) -> set:
+    """How single-seed searches ended, read off their return values. A
+    stall is MAX_STALLS backtracks in a row that exhausted their halvings."""
+    paths = set()
+    for _, grad_norm, iters, converged in singles:
+        if converged:
+            paths.add("at start" if iters == 0 else "converged")
+            if grad_norm == 0.0:
+                paths.add("zero gradient")
+        elif iters == critical_points.MAX_NEWTON_ITER:
+            paths.add("iteration cap")
+        else:
+            paths.add("stall")
+    return paths
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize(
+        "budgets",
+        [{}, {"MAX_NEWTON_ITER": 4, "MAX_POLISH_ITER": 1}],
+        ids=["default-budgets", "small-budgets"],
+    )
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_each_item_equals_its_single_seed_search(self, case, budgets, monkeypatch):
+        for name, value in budgets.items():
+            monkeypatch.setattr(critical_points, name, value)
+        model, seeds, paths = STACK_CASES[case]()
+        singles = [damped_newton(model, seed) for seed in seeds]
+        if budgets:
+            # the small budget ends every seed that needs more iterations
+            paths = {"at start", "iteration cap"}
+        assert exit_paths(singles) >= paths
+        points, grad_norms, iters, n_converged = damped_newton(model, np.stack(seeds))
+        assert points.shape == (len(seeds), *model.shape)
+        tau = 1e-8 * (1.0 + model.value_scale)
+        for i, (point, grad_norm, _, converged) in enumerate(singles):
+            assert points[i].tobytes() == point.tobytes()
+            assert grad_norms[i] == grad_norm
+            assert (grad_norms[i] <= tau) == converged
+        assert iters == sum(single[2] for single in singles)
+        assert n_converged == sum(single[3] for single in singles)
+
+    def test_stack_leaves_its_seeds_alone(self):
+        seeds = np.stack(plane_grid(1.0))
+        before = seeds.copy()
+        damped_newton(PrPopulationRisk(XSTAR_2D), seeds)
+        np.testing.assert_array_equal(seeds, before)
+
+    def test_search_equals_a_loop_over_seeds(self):
+        model = ms2d_rank1_m3_surface()
+        seeds = plane_grid(0.5, (2, 1))
+        result = find_critical_points(model, seeds)
+        # the search as it ran before seeds were stacked: one damped_newton
+        # call per seed, deduplicated and classified in seed order
+        found, n_converged = [], 0
+        for seed in seeds:
+            point, grad_norm, _, converged = damped_newton(model, seed)
+            if not converged:
+                continue
+            n_converged += 1
+            keeper = next(
+                (
+                    i
+                    for i, r in enumerate(found)
+                    if critical_points._dedupe_distance(model, r.location, point)
+                    <= result.dedupe_tol
+                ),
+                None,
+            )
+            if keeper is not None and grad_norm >= found[keeper].grad_norm:
+                continue
+            lam, kind, note = critical_points._classify(model, point)
+            record = critical_points.CriticalPointRecord(point, grad_norm, lam, kind, note)
+            if keeper is None:
+                found.append(record)
+            else:
+                found[keeper] = record
+        assert result.n_failed > 0
+        assert (result.n_seeds, result.n_converged, result.n_failed) == (
+            len(seeds),
+            n_converged,
+            len(seeds) - n_converged,
+        )
+        assert len(result.records) == len(found)
+        for got, want in zip(result.records, found):
+            assert got.location.tobytes() == want.location.tobytes()
+            assert (got.grad_norm, got.lambda_min, got.kind, got.note) == (
+                want.grad_norm,
+                want.lambda_min,
+                want.kind,
+                want.note,
+            )
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_lockstep_loop_ends(self, budget, monkeypatch):
+        # seeds that all stall or hit the iteration cap; a round that failed
+        # to retire them would spin, so the Hessian count raises at the bound
+        if budget is not None:
+            monkeypatch.setattr(critical_points, "MAX_NEWTON_ITER", budget)
+        model = ms2d_rank1_m3_surface()
+        failing = [
+            seed
+            for seed in plane_grid(0.5, (2, 1))
+            if not damped_newton(model, seed)[3]
+        ]
+        assert len(failing) >= 5
+        bound = critical_points.MAX_NEWTON_ITER + critical_points.MAX_POLISH_ITER
+        calls = []
+
+        def hessians(model, point):
+            calls.append(len(point))
+            if len(calls) > bound:
+                raise AssertionError(f"more than {bound} Hessian stacks")
+            return dense_euclidean_hessian(model, point)
+
+        monkeypatch.setattr(critical_points, "dense_euclidean_hessian", hessians)
+        _, _, iters, n_converged = damped_newton(model, np.stack(failing))
+        assert n_converged == 0
+        assert len(calls) <= bound
+        assert sum(calls) == iters
+
+
+class TestBacktrack:
+    def test_newton_items_halve_and_polish_items_get_one_try(self):
+        class Identity:
+            # the gradient at a point is the point, so a candidate's
+            # gradient norm is its distance from the origin
+            def __init__(self):
+                self.calls = []
+
+            def euclidean_grad(self, point):
+                self.calls.append(len(point))
+                return np.array(point)
+
+        model = Identity()
+        point = np.array([[1.0, 0.0]] * 5 + [[0.0, 0.0]])
+        grad_norm = np.array([1.0] * 5 + [0.0])
+        step = np.array(
+            [[-0.08, 0.0], [-0.08, 0.0], [-4.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        )
+        polish = np.array([False, True, False, False, True, True])
+        new_point, new_grad, new_norm, passed = critical_points._backtrack(
+            model, point, point.copy(), grad_norm, step, polish
+        )
+        # a Newton item passes below its norm, a polish item below 0.9 of
+        # it or at an exact zero; the third passes at its second halving
+        assert passed.tolist() == [True, False, True, False, False, True]
+        np.testing.assert_array_equal(new_point[0], point[0] + step[0])
+        np.testing.assert_array_equal(new_point[2], [0.0, 0.0])
+        np.testing.assert_array_equal(new_point[[1, 3, 4]], point[[1, 3, 4]])
+        np.testing.assert_array_equal(new_grad, new_point)
+        assert new_norm.tolist() == [0.92, 1.0, 0.0, 1.0, 1.0, 0.0]
+        # one gradient call per try, on the Newton items still halving
+        assert model.calls == [6, 2, 2] + [1] * (critical_points.MAX_BACKTRACKS - 3)
 
 
 class TestGridSearch:
@@ -367,8 +575,9 @@ class TestKindThresholds:
 
 def counting(model_class):
     """A subclass of model_class that logs the point of every gradient and
-    every Hessian it evaluates; each dense or restricted Hessian is one
-    stacked hess_vec call."""
+    every Hessian it evaluates, one entry per item of a stack of points;
+    each dense or restricted Hessian is one hess_vec call on a stack of
+    directions."""
 
     class Counting(model_class):
         def __init__(self, *args):
@@ -376,12 +585,16 @@ def counting(model_class):
             self.grad_points = []
             self.hess_points = []
 
+        def _items(self, point):
+            stack = np.asarray(point, dtype=float).reshape(-1, *self.shape)
+            return [item.tobytes() for item in stack]
+
         def euclidean_grad(self, point):
-            self.grad_points.append(np.asarray(point, dtype=float).tobytes())
+            self.grad_points += self._items(point)
             return super().euclidean_grad(point)
 
         def hess_vec(self, point, direction):
-            self.hess_points.append(np.asarray(point, dtype=float).tobytes())
+            self.hess_points += self._items(point)
             return super().hess_vec(point, direction)
 
     return Counting
@@ -406,6 +619,31 @@ class TestOneGradientPerPoint:
         # exactly zero, so the polish phase takes no further step
         assert hessians == 5
         assert grads == hessians + 1
+
+    def test_each_seed_of_a_stack_evaluates_as_alone(self):
+        # the x* seed, then seeds that end at -x*, a saddle and the origin,
+        # so no point of one trajectory is a point of another
+        seeds = [
+            np.array([1.13, -1.07]),
+            np.array([-1.2, 0.9]),
+            np.array([0.6, 0.5]),
+            np.array([0.05, -0.02]),
+        ]
+        alone = []
+        for seed in seeds:
+            model = counting(PrPopulationRisk)(XSTAR_2D)
+            damped_newton(model, seed)
+            alone.append(model)
+        xstar_points = set(alone[0].grad_points)
+        assert all(xstar_points.isdisjoint(m.grad_points) for m in alone[1:])
+        model = counting(PrPopulationRisk)(XSTAR_2D)
+        damped_newton(model, np.stack(seeds))
+        for log in ("grad_points", "hess_points"):
+            expected = sum((Counter(getattr(m, log)) for m in alone), Counter())
+            assert Counter(getattr(model, log)) == expected
+        hessians = sum(p in xstar_points for p in model.hess_points)
+        grads = sum(p in xstar_points for p in model.grad_points)
+        assert (hessians, grads) == (5, 6)
 
     def test_horizontal_refinement_reuses_accepted_gradients(self):
         truth = factor_truth()

@@ -510,6 +510,26 @@ class TestSingleWriter:
             experiments.write_json(str(path), {"rows": [[1.0, value]]})
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_csv_with_an_infinite_cell_writes_no_table(self, value, tmp_path, monkeypatch):
+        # the infinity sits in the second table: the first is not written either
+        def runner(config, master):
+            tables = [("_a", ("x",), [(1.0,)], {}), ("_b", ("x",), [(value,)], {})]
+            return {}, tables, {}, {}, True
+
+        monkeypatch.setitem(experiments.RUNNERS, "pr1d", runner)
+        with pytest.raises(NonFiniteEntry, match="x_b.csv would hold an infinite number"):
+            run_config(experiment="pr1d", out=str(tmp_path / "x"), fmt="csv")
+        assert not any(tmp_path.iterdir())
+
+    def test_csv_nan_is_the_null_cell(self, tmp_path, monkeypatch):
+        def runner(config, master):
+            return {}, [("", ("x",), [(float("nan"),)], {})], {}, {}, True
+
+        monkeypatch.setitem(experiments.RUNNERS, "pr1d", runner)
+        outcome = run_config(experiment="pr1d", out=str(tmp_path / "x"), fmt="csv")
+        assert Path(outcome.paths[0]).read_text(encoding="utf-8").endswith("\nx\nnan\n")
+
 
 class TestFloatFormatting:
     def test_seventeen_significant_digits(self):
