@@ -245,20 +245,11 @@ def run_pr1d(config: ExperimentConfig, master: int):
         )
     )
     axis = np.linspace(lo, hi, int(points))
-    rows = []
-    for x in axis:
-        point = np.array([float(x)])
-        rows.append(
-            (
-                float(x),
-                pop.value(point),
-                emp.value(point),
-                float(pop.euclidean_grad(point)[0]),
-                float(emp.euclidean_grad(point)[0]),
-                float(dense_euclidean_hessian(pop, point)[0, 0]),
-                float(dense_euclidean_hessian(emp, point)[0, 0]),
-            )
-        )
+    line = axis[:, None]  # the (P, 1) stack of points
+    series = [axis, pop.value(line), emp.value(line)]
+    series += [model.euclidean_grad(line)[:, 0] for model in (pop, emp)]
+    series += [dense_euclidean_hessian(model, line)[:, 0, 0] for model in (pop, emp)]
+    rows = list(zip(*(column.tolist() for column in series)))
 
     intervals = []
     start = None
@@ -326,28 +317,20 @@ def run_2d_landscape(config: ExperimentConfig, master: int):
         raise InvalidConfig("the contour experiments run in dimension two")
     lo, hi, points = config.grid
     surfaces, m_list = _surface_models(config, master)
-    factor_domain = config.experiment == "ms2d_rank1"
 
     axis = np.linspace(lo, hi, int(points))
-    newton_seeds = grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2)
-
-    def as_point(x1, x2):
-        vec = np.array([x1, x2])
-        return vec.reshape(2, 1) if factor_domain else vec
+    # the (P^2, 2) grid, x1 the outer axis, and the seeds; each is reshaped
+    # to a stack of the surface's points, (2,) or (2, 1)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    newton_seeds = np.stack(grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2))
 
     tables = []
     surface_payloads = {}
     counts = {}
     for name, model in surfaces:
-        grid_rows = [
-            (float(x1), float(x2), model.value(as_point(x1, x2)))
-            for x1 in axis
-            for x2 in axis
-        ]
-        search = find_critical_points(
-            model,
-            [s.reshape(2, 1) for s in newton_seeds] if factor_domain else newton_seeds,
-        )
+        values = model.value(grid.reshape(-1, *model.shape))
+        grid_rows = list(zip(*grid.T.tolist(), values.tolist()))
+        search = find_critical_points(model, newton_seeds.reshape(-1, *model.shape))
         point_rows = sorted(
             (
                 float(record.location.ravel()[0]),

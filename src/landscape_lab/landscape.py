@@ -19,8 +19,9 @@ alone. Each proposal is still classified on its own, one classify_region_*
 call per proposal, in order; the classifiers read the values that depend
 on the truth alone from the truth, which computes them once. The region
 checks then evaluate their samples in stacks of BLOCK, one min_eig or
-euclidean_grad call on the population risk per stack, each value bit for
-bit the single-point one, so the reports do not depend on BLOCK.
+euclidean_grad call on the population risk per stack, as check_assumptions
+and estimate_rip check the points and probes they draw one at a time. Each
+value is bit for bit the single-point one, so no report depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def _saddle_distance(xstar, norm_star, x) -> float:
 def pr_region_bounds(signal) -> dict:
     """Region -> (kind, value) of the bound each phase-retrieval region
     carries, in PR_REGIONS order."""
-    xstar = np.asarray(signal, dtype=float)
+    xstar = _phase_signal(signal)
     n2 = float(xstar @ xstar)
     return {
         PR_R1: (CURVATURE_CEILING, PR_R1_CURVATURE_CEIL * n2),
@@ -515,6 +516,15 @@ class RegionBoundReport:
         }
 
 
+def _stacks(items):
+    """The items in order as consecutive (B, *shape) stacks of at most BLOCK.
+    A lazy iterable is read one stack at a time, so its draws are made in
+    order and only one stack of them is held."""
+    items = iter(items)
+    while block := list(itertools.islice(items, BLOCK)):
+        yield np.stack(block)
+
+
 def _check_values(model, kind, stack):
     """The checked quantity at each point of a stack, from one call: the
     Euclidean gradient norm for a gradient floor, else min_eig. Each equals
@@ -550,12 +560,8 @@ def _run_region_checks(family, model, bounds, sample, config):
                 )
             )
             continue
-        stack = np.stack(samples)
         vals = np.concatenate(
-            [
-                _check_values(model, kind, stack[start:start + BLOCK])
-                for start in range(0, len(stack), BLOCK)
-            ]
+            [_check_values(model, kind, stack) for stack in _stacks(samples)]
         )
         margins = bound - vals if kind == CURVATURE_CEILING else vals - bound
         worst = int(np.argmin(margins))
@@ -646,7 +652,7 @@ class AssumptionConfig:
 def default_phase_assumption_config(signal, n_samples=2000, seed=None):
     """epsilon is the far-field gradient floor (R4), eta the curvature floor
     around the minima (R2)."""
-    xstar = np.asarray(signal, dtype=float)
+    xstar = _phase_signal(signal)
     bounds = pr_region_bounds(xstar)
     return AssumptionConfig(
         epsilon=bounds[PR_R4][1],
@@ -716,42 +722,44 @@ def _sample_ball(population, radius, gen):
     return radius * float(rng.uniform(gen)) ** (1.0 / dim) * rng.unit_vector(gen, dim)
 
 
-def _hessian_diff_opnorm(population, empirical, point):
-    """Operator norm of hess f - hess g, in the tangent space of
-    spectral.hessian_form."""
-    diff = hessian_form(empirical, point) - hessian_form(population, point)
-    eigvals = np.linalg.eigvalsh(diff)
-    return float(max(abs(eigvals[0]), abs(eigvals[-1])))
-
-
 def check_assumptions(population, empirical, config: AssumptionConfig) -> AssumptionReport:
     """Estimate the gradient and Hessian deviation of an empirical risk from
     its population risk over the configured ball, and audit the population
-    risk's own saddle margin at sampled small-gradient points."""
+    risk's own saddle margin at sampled small-gradient points. The points,
+    drawn one at a time, are checked in stacks of BLOCK: one euclidean_grad
+    and hessian_form call per model, one batched eigvalsh of the Hessian
+    difference for its operator norm, and min_eig of the small-gradient
+    points from one eigh of the same population forms."""
     if population.shape != empirical.shape:
         raise InvalidConfig("population and empirical models disagree on shape")
     gen = rng.stream(config.seed, "assumption-ball", 0)
+    draw = partial(_sample_ball, population, config.ball_radius, gen)
+    item_ndim = len(population.shape)
     sup_grad = 0.0
     sup_hess = 0.0
     small_grad = 0
     violations = []
-    for _ in range(config.n_samples):
-        point = _sample_ball(population, config.ball_radius, gen)
-        grad_pop = population.euclidean_grad(point)
-        grad_diff = float(
-            np.linalg.norm(empirical.euclidean_grad(point) - grad_pop)
-        )
-        sup_grad = max(sup_grad, grad_diff)
-        sup_hess = max(sup_hess, _hessian_diff_opnorm(population, empirical, point))
-        if float(np.linalg.norm(grad_pop)) <= config.epsilon:
-            small_grad += 1
-            lam = min_eig(population, point)
+    for points in _stacks(draw() for _ in range(config.n_samples)):
+        grad_pop = population.euclidean_grad(points)
+        grad_diffs = item_norms(empirical.euclidean_grad(points) - grad_pop, item_ndim)
+        form_pop = hessian_form(population, points)
+        diff_eigs = np.linalg.eigvalsh(hessian_form(empirical, points) - form_pop)
+        hess_diffs = abs(diff_eigs[:, [0, -1]]).max(axis=1)
+        # Python's max in draw order, which passes over nan
+        sup_grad = max(sup_grad, *grad_diffs.tolist())
+        sup_hess = max(sup_hess, *hess_diffs.tolist())
+        grad_norms = item_norms(grad_pop, item_ndim)
+        small = np.flatnonzero(grad_norms <= config.epsilon)
+        small_grad += len(small)
+        # min_eig of the population form, at the small-gradient points only
+        lams = np.linalg.eigh(form_pop[small])[0][:, 0]
+        for i, lam in zip(small, lams.tolist()):
             if abs(lam) < config.eta:
                 violations.append(
                     {
-                        "point_row_major": np.asarray(point).ravel().tolist(),
-                        "lambda_min": float(lam),
-                        "grad_norm": float(np.linalg.norm(grad_pop)),
+                        "point_row_major": points[i].ravel().tolist(),
+                        "lambda_min": lam,
+                        "grad_norm": float(grad_norms[i]),
                     }
                 )
     verdicts = {
@@ -841,7 +849,8 @@ def estimate_rip(
     """Probe the isometry defect of the ensemble on low-rank matrices.
 
     Probes are Z = G G^T - H H^T with Gaussian factors sized to make
-    rank(Z) <= rank_bound, normalized to unit Frobenius norm.
+    rank(Z) <= rank_bound, normalized to unit Frobenius norm. Drawn one at a
+    time, they are checked in stacks of BLOCK, one energy call per stack.
     """
     truth = ensemble.truth
     rb = int(rank_bound)
@@ -859,16 +868,19 @@ def estimate_rip(
     gen = rng.stream(seed, "rip-probes", 0)
     cols_pos = (rb + 1) // 2
     cols_neg = rb // 2
-    worst = 0.0
-    for _ in range(int(n_probes)):
+
+    def probe():
         g = rng.normal(gen, (truth.dim, cols_pos))
         z = g @ g.T
         if cols_neg:
             h = rng.normal(gen, (truth.dim, cols_neg))
             z = z - h @ h.T
-        z = z / np.linalg.norm(z)
-        energy = ensemble.energy(z)
-        worst = max(worst, abs(energy - 1.0))
+        return z
+
+    worst = 0.0
+    for z in _stacks(probe() for _ in range(int(n_probes))):
+        energies = ensemble.energy(z / item_norms(z, 2)[:, None, None])
+        worst = max(worst, *np.abs(energies - 1.0).tolist())
     return RipReport(
         rank_bound=rb,
         n_probes=int(n_probes),

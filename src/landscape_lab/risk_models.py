@@ -25,8 +25,8 @@ is the sum of squares ||C vec Z||^2, never negative, and G itself, formed
 once as C^T C, so the normal image G vec Z is one product. Both cost the
 same at every M. hess_vec takes one direction or a stack of them along a
 leading axis. All four risks also take a (B, *shape) stack of points in
-euclidean_grad and hess_vec, each item bit for bit the value at that point
-alone.
+value, euclidean_grad and hess_vec, each item bit for bit the value at that
+point alone.
 
 An ensemble is (truth or signal, M, seed) plus those two factors; each
 supplies only how its G is summed and how its draw is read. G is
@@ -297,10 +297,11 @@ class _GramEnsemble:
         for start in range(0, m, CHUNK):
             yield rng.normal(gen, (min(CHUNK, m - start), *shape))
 
-    def energy(self, z: np.ndarray) -> float:
-        """||C vec(Z)||^2, a sum of squares."""
-        coords = _vec(z) @ self.gram_root.T
-        return float((coords * coords).sum(axis=-1))
+    def energy(self, z: np.ndarray) -> float | np.ndarray:
+        """||C vec(Z)||^2, a sum of squares, for one N x N matrix or each
+        item of a stack; vec(Z) is a row, so each item rounds as alone."""
+        coords = _vec(z)[..., None, :] @ self.gram_root.T
+        return (coords * coords).sum(axis=-1)[..., 0]
 
     def normal(self, z: np.ndarray) -> np.ndarray:
         """G vec(Z), reshaped like z, for one N x N matrix or a stack."""
@@ -448,19 +449,24 @@ def _coerce(point, shape: tuple, stack: bool = False) -> np.ndarray:
     return arr
 
 
-class _Identity:
-    """The matrix-sensing population operator: N(Z) = Z, energy ||Z||_F^2."""
+class _PopulationOperator:
+    """A population operator N; its energy <Z, N(Z)> is, for one N x N
+    matrix or each item of a stack, a row times a column, which rounds as
+    np.vdot of that item alone."""
 
-    @staticmethod
-    def energy(z: np.ndarray) -> float:
-        return float(np.linalg.norm(z) ** 2)
+    def energy(self, z: np.ndarray) -> float | np.ndarray:
+        return (_vec(z)[..., None, :] @ _vec(self.normal(z))[..., :, None])[..., 0, 0]
+
+
+class _Identity(_PopulationOperator):
+    """The matrix-sensing population operator: N(Z) = Z, energy <Z, Z>."""
 
     @staticmethod
     def normal(z: np.ndarray) -> np.ndarray:
         return z
 
 
-class _FourthMoment:
+class _FourthMoment(_PopulationOperator):
     """The phase-retrieval population operator, held as a Gram matrix and
     applied as the ensembles apply theirs: the Gaussian fourth moment
     G_0 = E[vec(aa^T) vec(aa^T)^T] = I + K + vec(I) vec(I)^T (K the
@@ -475,9 +481,6 @@ class _FourthMoment:
         self.gram = _frozen(eye + eye[transpose] + np.outer(flat_identity, flat_identity))
 
     normal = _GramEnsemble.normal
-
-    def energy(self, z: np.ndarray) -> float:
-        return float(np.vdot(z, self.normal(z)))
 
 
 class RiskModel:
@@ -500,9 +503,10 @@ class RiskModel:
     <hess_vec(p, d), d>. R is formed first, so nothing cancels at the
     minimum. For factor models the Euclidean gradient is horizontal.
 
-    euclidean_grad and hess_vec take a point or a (B, *shape) stack of
-    points, each item bit for bit the value at that point alone; value and
-    hess_quadratic take one point. hess_vec takes one direction or a stack
+    value, euclidean_grad and hess_vec take a point or a (B, *shape) stack
+    of points, each item bit for bit the value at that point alone; value
+    returns a float for one point and a (B,) array for a stack.
+    hess_quadratic takes one point. hess_vec takes one direction or a stack
     of them along a leading axis (after the point's B axis, for a stack of
     points), and returns their images in the same shape.
     """
@@ -539,9 +543,10 @@ class RiskModel:
         # measurable share of a derivative's cost at N = 2
         return arr if self._scale == 1.0 else self._scale * arr
 
-    def value(self, point) -> float:
-        u = self._factor(_coerce(point, self.shape))
-        return self.c * self.operator.energy(u @ u.T - self.target)
+    def value(self, point) -> float | np.ndarray:
+        u = self._factor(_coerce(point, self.shape, stack=True))
+        values = self.c * self.operator.energy(u @ u.swapaxes(-1, -2) - self.target)
+        return values.ravel() if u.ndim > 2 else float(values)
 
     def euclidean_grad(self, point) -> np.ndarray:
         return self._gradient(_coerce(point, self.shape, stack=True))
@@ -601,7 +606,7 @@ class MsPopulationRisk(_SensingRisk):
     """g(U) = 1/4 ||UU^T - X||_F^2."""
 
     def __init__(self, truth: SensingGroundTruth):
-        super().__init__(truth, _Identity)
+        super().__init__(truth, _Identity())
 
 
 class MsEmpiricalRisk(_SensingRisk):

@@ -9,7 +9,12 @@ import pytest
 from landscape_lab import experiments, rng
 from landscape_lab.errors import InvalidConfig, NonFiniteEntry
 from landscape_lab.landscape import PR_R4, pr_region_bounds
-from landscape_lab.risk_models import PrEmpiricalRisk, generate_phase_problem
+from landscape_lab.risk_models import (
+    PrEmpiricalRisk,
+    PrPopulationRisk,
+    generate_phase_problem,
+)
+from landscape_lab.spectral import dense_euclidean_hessian
 
 
 def read_csv(path):
@@ -36,6 +41,13 @@ def read_json(path):
 
 def run_config(**kwargs):
     return experiments.run(experiments.ExperimentConfig(**kwargs))
+
+
+def runner_tables(**kwargs):
+    """The resolved config and the tables its runner returns, unwritten."""
+    config = experiments._resolve(experiments.ExperimentConfig(**kwargs))
+    runner = experiments.RUNNERS[config.experiment]
+    return config, runner(config, config.master_seed)[1]
 
 
 class TestConfigValidation:
@@ -209,6 +221,24 @@ class TestPr1d:
         with pytest.raises(InvalidConfig):
             run_config(experiment="pr1d", n=2)
 
+    def test_rows_equal_a_per_point_loop(self):
+        config, tables = runner_tables(
+            experiment="pr1d", grid=(-2.0, 2.0, 41), master_seed=5
+        )
+        xstar = np.array([1.0])
+        seed = rng.subseed(5, "pr1d-ensemble", 0)
+        pop = PrPopulationRisk(xstar)
+        emp = PrEmpiricalRisk(generate_phase_problem(xstar, config.m, seed=seed))
+        rows = []
+        for x in np.linspace(-2.0, 2.0, 41):
+            point = np.array([x])
+            rows.append(
+                (float(x), pop.value(point), emp.value(point))
+                + tuple(float(m.euclidean_grad(point)[0]) for m in (pop, emp))
+                + tuple(float(dense_euclidean_hessian(m, point)[0, 0]) for m in (pop, emp))
+            )
+        assert tables[0][2] == rows
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_config(experiment="pr1d", out=str(tmp_path / "a"), fmt="csv")
         b = run_config(experiment="pr1d", out=str(tmp_path / "b"), fmt="csv")
@@ -275,6 +305,22 @@ class TestPlaneLandscapes:
     def test_rejects_other_dimensions(self):
         with pytest.raises(InvalidConfig):
             run_config(experiment="pr2d", n=3)
+
+    @pytest.mark.parametrize("experiment", ["pr2d", "ms2d_rank1"])
+    def test_grid_equals_a_per_point_loop(self, experiment):
+        config, tables = runner_tables(
+            experiment=experiment, m=(3,), grid=(-1.0, 1.5, 9), master_seed=5
+        )
+        surfaces, _ = experiments._surface_models(config, 5)
+        grids = {suffix: rows for suffix, _, rows, _ in tables}
+        axis = np.linspace(-1.0, 1.5, 9)
+        for name, model in surfaces:
+            rows = [
+                (float(x1), float(x2), model.value(np.array([x1, x2]).reshape(model.shape)))
+                for x1 in axis
+                for x2 in axis
+            ]
+            assert grids[f"_{name}_grid"] == rows
 
 
 class TestDistanceExperiment:

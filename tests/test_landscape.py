@@ -62,6 +62,7 @@ from landscape_lab.landscape import (
     verify_region_bounds_pr,
 )
 from landscape_lab.manifold import procrustes_distance
+from landscape_lab.spectral import hessian_form, min_eig
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
     MsPopulationRisk,
@@ -783,6 +784,18 @@ class TestBoundTables:
         assert config.epsilon == table[PR_R4][1]
         assert config.eta == table[PR_R2][1]
 
+    @pytest.mark.parametrize(
+        "signal, error",
+        [([0.0, 0.0], ZeroTruthSignal), ([[1.0, 2.0]], ZeroTruthSignal),
+         ([math.nan, 1.0], NonFiniteEntry)],
+        ids=["zero", "2d", "nan"],
+    )
+    def test_phase_bounds_reject_signal_the_risks_reject(self, signal, error):
+        with pytest.raises(error):
+            pr_region_bounds(signal)
+        with pytest.raises(error):
+            default_phase_assumption_config(signal)
+
     def test_sensing_defaults_read_the_table(self):
         truth = separated_truth()
         table = ms_region_bounds(truth)
@@ -957,6 +970,116 @@ class TestCheckAssumptions:
         parsed = json.loads(blob)
         assert parsed["overall_pass"] is True
         assert "Monte-Carlo" in parsed["caveat"]
+
+
+def assumptions_oracle(population, empirical, config):
+    """check_assumptions' sampled quantities, one ball point at a time."""
+    gen = rng.stream(config.seed, "assumption-ball", 0)
+    sup_grad = sup_hess = 0.0
+    small_grad = 0
+    violations = []
+    for _ in range(config.n_samples):
+        point = landscape._sample_ball(population, config.ball_radius, gen)
+        grad_pop = population.euclidean_grad(point)
+        diff = empirical.euclidean_grad(point) - grad_pop
+        sup_grad = max(sup_grad, float(np.linalg.norm(diff)))
+        eigs = np.linalg.eigvalsh(
+            hessian_form(empirical, point) - hessian_form(population, point)
+        )
+        sup_hess = max(sup_hess, float(max(abs(eigs[0]), abs(eigs[-1]))))
+        grad_norm = float(np.linalg.norm(grad_pop))
+        if grad_norm <= config.epsilon:
+            small_grad += 1
+            lam = min_eig(population, point)
+            if abs(lam) < config.eta:
+                violations.append(
+                    {
+                        "point_row_major": point.ravel().tolist(),
+                        "lambda_min": lam,
+                        "grad_norm": grad_norm,
+                    }
+                )
+    return sup_grad, sup_hess, small_grad, tuple(violations)
+
+
+def rip_oracle(ensemble, rank_bound, n_probes, seed):
+    """estimate_rip's delta_est, one probe at a time."""
+    gen = rng.stream(seed, "rip-probes", 0)
+    dim = ensemble.truth.dim
+    worst = 0.0
+    for _ in range(n_probes):
+        g = rng.normal(gen, (dim, (rank_bound + 1) // 2))
+        z = g @ g.T
+        if rank_bound // 2:
+            h = rng.normal(gen, (dim, rank_bound // 2))
+            z = z - h @ h.T
+        z = z / np.linalg.norm(z)
+        worst = max(worst, abs(ensemble.energy(z) - 1.0))
+    return worst
+
+
+def pr_assumption_case(epsilon, eta):
+    signal = experiments._alternating_signal(5)
+    empirical = PrEmpiricalRisk(generate_phase_problem(signal, 2000, seed=7))
+    radius = default_phase_assumption_config(signal).ball_radius
+    config = AssumptionConfig(epsilon, eta, radius, n_samples=130, seed=3)
+    return PrPopulationRisk(signal), empirical, config
+
+
+def ms_assumption_case(epsilon, eta):
+    truth = separated_truth(n=5)
+    empirical = MsEmpiricalRisk(generate_sensing_ensemble(truth, 300, seed=5))
+    radius = default_sensing_assumption_config(truth).ball_radius
+    config = AssumptionConfig(epsilon, eta, radius, n_samples=130, seed=3)
+    return MsPopulationRisk(truth), empirical, config
+
+
+class TestBlockedChecks:
+    """check_assumptions and estimate_rip draw one point or probe at a time
+    and check them in stacks of BLOCK; 130 draws leave a ragged last stack
+    at BLOCK 7 and 64. Their reports must not depend on BLOCK, and must
+    equal a loop over single points."""
+
+    @pytest.mark.parametrize(
+        "make, epsilon, eta, all_small",
+        [
+            (pr_assumption_case, 100.0, 0.5, True),
+            (pr_assumption_case, 30.0, 4.0, False),
+            (ms_assumption_case, 1.0, 0.3, False),
+        ],
+        ids=["pr-all-small", "pr-some-small", "ms-some-small"],
+    )
+    def test_assumption_reports_equal_a_loop_at_every_block(
+        self, make, epsilon, eta, all_small, monkeypatch
+    ):
+        population, empirical, config = make(epsilon, eta)
+        sup_grad, sup_hess, small_grad, violations = assumptions_oracle(
+            population, empirical, config
+        )
+        # margin violations, and small-gradient points that are all the
+        # points or only some
+        assert violations and small_grad > 0
+        assert (small_grad == config.n_samples) == all_small
+        for block in (1, 7, 64):
+            monkeypatch.setattr(landscape, "BLOCK", block)
+            report = check_assumptions(population, empirical, config)
+            assert report.sup_grad_diff_est == sup_grad
+            assert report.sup_hess_diff_est == sup_hess
+            assert report.small_gradient_count == small_grad
+            assert report.saddle_margin_violations == violations
+
+    @pytest.mark.parametrize("rank_bound", [1, 2])
+    @pytest.mark.parametrize("n_probes", [1, 130])
+    def test_rip_reports_equal_a_loop_at_every_block(
+        self, rank_bound, n_probes, monkeypatch
+    ):
+        truth = SensingGroundTruth(np.eye(4)[:, :1], np.ones(1), 1)
+        ensemble = generate_sensing_ensemble(truth, 100, seed=9)
+        delta = rip_oracle(ensemble, rank_bound, n_probes, seed=4)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(landscape, "BLOCK", block)
+            report = estimate_rip(ensemble, rank_bound, n_probes, seed=4)
+            assert report.delta_est == delta
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,8 @@ def test_fd_checks_catch_wrong_formulas():
 # samples. Every item must equal the single-point value bit for bit, so the
 # comparisons below use ==, not a tolerance.
 
-# label -> (model factory, point scale): MS at k = 1, 2, 3 and PR at n = 1, 3
+# label -> (model factory, point scale): MS at k = 1, 2, 3 and PR at n = 1, 3;
+# at M = 5000 the Gram sum ends in a ragged CHUNK block
 STACK_CASES = {
     "ms-k1": (
         lambda: MsPopulationRisk(
@@ -250,6 +251,10 @@ STACK_CASES = {
         lambda: PrEmpiricalRisk(generate_phase_problem(XSTAR, 50, 3)),
         1.5,
     ),
+    "ms-empirical-k2-m5000": (
+        lambda: MsEmpiricalRisk(generate_sensing_ensemble(separated_truth(), 5000, 4)),
+        1.0,
+    ),
 }
 
 
@@ -266,6 +271,16 @@ def test_min_eig_on_a_stack_is_per_point_bit_for_bit(label):
     stacked = min_eig(model, points)
     assert stacked.shape == (len(points),)
     assert (stacked == np.array([min_eig(model, p) for p in points])).all()
+
+
+@pytest.mark.parametrize("label", list(STACK_CASES))
+def test_value_on_a_stack_is_per_point_bit_for_bit(label):
+    model, points = stack_case(label)
+    stacked = model.value(points)
+    assert stacked.shape == (len(points),)
+    single = [model.value(p) for p in points]
+    assert all(type(v) is float for v in single)
+    assert (stacked == np.array(single)).all()
 
 
 @pytest.mark.parametrize("label", list(STACK_CASES))
@@ -297,8 +312,8 @@ def test_horizontal_basis_gates_each_point_of_a_stack():
 
 
 def test_empirical_risks_take_a_stack_of_points():
-    # each point's normal is a product of its own, so a stack gives the
-    # single-point bits; value still takes one point
+    # each point's normal and energy are products of their own, so a stack
+    # gives the single-point bits
     gen = rng.stream(MASTER, "empirical-stack", 0)
     for label in ("ms-empirical-k2", "pr-empirical-n3"):
         model, points = stack_case(label, size=6)
@@ -306,16 +321,16 @@ def test_empirical_risks_take_a_stack_of_points():
         images = model.hess_vec(points, directions)
         for point, dirs, image in zip(points, directions, images):
             assert (image == model.hess_vec(point, dirs)).all()
-        with pytest.raises(DimensionMismatch):
-            model.value(points)
-        with pytest.raises(DimensionMismatch):
-            model.euclidean_grad(points.reshape(2, 3, *model.shape))
+        assert (model.value(points) == np.array([model.value(p) for p in points])).all()
+        for method in (model.value, model.euclidean_grad):
+            with pytest.raises(DimensionMismatch):
+                method(points.reshape(2, 3, *model.shape))
 
 
 @pytest.mark.parametrize("label", ["ms-k2", "pr-n3"])
 def test_population_risks_take_one_stack_axis_only(label):
     model, points = stack_case(label, size=6)
-    with pytest.raises(DimensionMismatch):
-        model.euclidean_grad(points.reshape(2, 3, *model.shape))
-    with pytest.raises(DimensionMismatch):
-        model.value(points)
+    assert (model.value(points) == np.array([model.value(p) for p in points])).all()
+    for method in (model.value, model.euclidean_grad):
+        with pytest.raises(DimensionMismatch):
+            method(points.reshape(2, 3, *model.shape))
