@@ -42,6 +42,7 @@ MAX_BACKTRACKS = 20
 MAX_STALLS = 5
 MAX_SEARCH_DIM = 64
 MAX_GRID_POINTS = 10**6  # seeds of a seed grid, values of a line or plane grid
+DEDUPE_BLOCK = 64  # converged seeds per block of dedupe distance rows
 
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
@@ -234,10 +235,52 @@ class CriticalSearchResult:
         }
 
 
-def _dedupe_distance(model, a: np.ndarray, b: np.ndarray) -> float:
-    if uses_quotient(model):
-        return procrustes_distance(a, b)
-    return float(np.linalg.norm(a - b))
+def _distance_rows(model, records: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """(R, C) distances from R record locations to C seeds, each bit for bit
+    procrustes_distance(record, seed) when uses_quotient(model), else
+    np.linalg.norm(record - seed); DEDUPE_BLOCK records at a time, so no
+    temporary outgrows DEDUPE_BLOCK * C points."""
+    rows = np.empty((len(records), len(seeds)))
+    for start in range(0, len(records), DEDUPE_BLOCK):
+        u, v = records[start : start + DEDUPE_BLOCK, None], seeds[None]
+        if uses_quotient(model):
+            left, _, right_t = np.linalg.svd(np.swapaxes(v, -1, -2) @ u)
+            v = v @ (left @ right_t)
+        rows[start : start + DEDUPE_BLOCK] = _item_norms(u - v, len(model.shape))
+    return rows
+
+
+def _dedupe(model, points: np.ndarray, grad_norms: np.ndarray, tol: float) -> list:
+    """Each record's index into points: a point joins the first record within
+    tol of it, and becomes its location if its gradient norm is smaller; a
+    point near no record starts one. Per block of DEDUPE_BLOCK points,
+    near[i, c] says whether record i is within tol of point c; the next point
+    that starts or moves a record is read off its columns, and only that
+    record's row is recomputed."""
+    keep: list[int] = []
+    for start in range(0, len(points), DEDUPE_BLOCK):
+        block = points[start : start + DEDUPE_BLOCK]
+        norms = grad_norms[start : start + DEDUPE_BLOCK]
+        near = np.zeros((len(keep) + len(block), len(block)), dtype=bool)
+        near[: len(keep)] = _distance_rows(model, points[keep], block) <= tol
+        c = 0
+        # the smaller gradient wins, not the first seed: at a degenerate
+        # point the gradient grows only cubically along the null direction
+        # (the ms2d_rank1 population origin, Hessian eigenvalues -2 and 0,
+        # along (1, 1)), so a converged seed can stop micro-units away; the
+        # first seed there kept a point 2.6e-6 from the origin with gradient
+        # norm 1.7e-17, outside a 1e-6 match to the analytic point
+        while c < len(block):
+            # each point's first record, or len(keep), a new one, which wins
+            first = np.where(near[:, c:].any(axis=0), near[:, c:].argmax(axis=0), len(keep))
+            wins = np.flatnonzero(norms[c:] < np.append(grad_norms[keep], np.inf)[first])
+            if not wins.size:
+                break
+            c, i = c + int(wins[0]), int(first[wins[0]])
+            keep[i : i + 1] = [start + c]  # i == len(keep) appends
+            c += 1
+            near[i, c:] = _distance_rows(model, block[c - 1 : c], block[c:])[0] <= tol
+    return keep
 
 
 def _classify(model, point: np.ndarray):
@@ -263,11 +306,12 @@ def _classify(model, point: np.ndarray):
 def find_critical_points(model, seed_points) -> CriticalSearchResult:
     """Run the damped Newton search from every seed and merge duplicates.
 
-    One damped_newton call takes the whole stack of seeds; the endpoints
-    are then deduplicated and classified in seed order. Seeds that fail to
-    converge are counted, not fatal. Duplicates merge at 1e-4 times the
-    domain scale, keeping the representative with the smaller gradient
-    norm.
+    One damped_newton call takes the whole stack of seeds. The converged
+    endpoints are deduplicated in seed order by distance rows (_dedupe),
+    and then each surviving record is classified once, in record order.
+    Seeds that fail to converge are counted, not fatal. Duplicates merge
+    at 1e-4 times the domain scale, keeping the representative with the
+    smaller gradient norm.
     """
     dim = int(np.prod(model.shape))
     if dim > MAX_SEARCH_DIM:
@@ -277,7 +321,7 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
         )
     tol = TAU_DEDUPE_FACTOR * model.domain_scale
     seeds = list(seed_points)
-    points, grad_norms = [], []
+    points, grad_norms = np.empty((0, *model.shape)), np.empty(0)
     if seeds:
         shapes = {np.shape(seed) for seed in seeds}
         if shapes != {model.shape}:
@@ -285,44 +329,17 @@ def find_critical_points(model, seed_points) -> CriticalSearchResult:
                 f"seed shapes {sorted(shapes)} do not match model shape {model.shape}"
             )
         points, grad_norms, _, _ = damped_newton(model, np.stack(seeds))
-    tau = _tau(model)
-    found: list[CriticalPointRecord] = []
-    n_converged = 0
-    for point, grad_norm in zip(points, grad_norms):
-        grad_norm = float(grad_norm)
-        if not grad_norm <= tau:
-            continue
-        n_converged += 1
-        keeper = None
-        for i, record in enumerate(found):
-            if _dedupe_distance(model, record.location, point) <= tol:
-                keeper = i
-                break
-        # the smaller gradient wins, not the first seed: at a degenerate
-        # point the gradient grows only cubically along the null direction
-        # (the ms2d_rank1 population origin, Hessian eigenvalues -2 and 0,
-        # along (1, 1)), so a converged seed can stop micro-units away; the
-        # first seed there kept a point 2.6e-6 from the origin with gradient
-        # norm 1.7e-17, outside a 1e-6 match to the analytic point
-        if keeper is not None and grad_norm >= found[keeper].grad_norm:
-            continue
-        lam, kind, note = _classify(model, point)
-        record = CriticalPointRecord(
-            location=point,
-            grad_norm=grad_norm,
-            lambda_min=lam,
-            kind=kind,
-            note=note,
-        )
-        if keeper is None:
-            found.append(record)
-        else:
-            found[keeper] = record
+    converged = np.flatnonzero(grad_norms <= _tau(model))
+    points, grad_norms = points[converged], grad_norms[converged]
+    found = [
+        CriticalPointRecord(points[i], float(grad_norms[i]), *_classify(model, points[i]))
+        for i in _dedupe(model, points, grad_norms, tol)
+    ]
     return CriticalSearchResult(
         records=tuple(found),
         n_seeds=len(seeds),
-        n_converged=n_converged,
-        n_failed=len(seeds) - n_converged,
+        n_converged=len(converged),
+        n_failed=len(seeds) - len(converged),
         dedupe_tol=tol,
     )
 

@@ -174,13 +174,23 @@ def _stamp(resolved: dict) -> dict:
 def _csv_text(path: str, columns, rows, metadata: dict) -> str:
     """The text of one CSV table. An infinite cell raises NonFiniteEntry, as
     a non-finite number does in JSON; nan passes, as the null cell that
-    ms_rank2_dist documents."""
+    ms_rank2_dist documents. A full row of Python floats is formatted in one
+    operation, as format_float formats each cell; other rows cell by cell."""
     lines = [f"# {key}: {_format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
+    float_row = ",".join(["%.17g"] * len(columns))
     for row in rows:
-        if any(isinstance(cell, float) and math.isinf(cell) for cell in row):
+        if len(row) == len(columns) and all(type(cell) is float for cell in row):
+            line = float_row % tuple(row)
+            infinite = "inf" in line  # %.17g prints inf only for an infinity
+        else:
+            line = ",".join(_format_cell(cell) for cell in row)
+            infinite = any(
+                isinstance(cell, (float, np.floating)) and math.isinf(cell) for cell in row
+            )
+        if infinite:
             raise NonFiniteEntry(f"{path} would hold an infinite number")
-        lines.append(",".join(_format_cell(cell) for cell in row))
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -151,6 +151,37 @@ def exit_paths(singles) -> set:
     return paths
 
 
+def search_by_a_loop_over_seeds(model, seeds, tol):
+    """find_critical_points as it ran before seeds were stacked: one
+    damped_newton call per seed, then each converged seed compared with
+    every record in turn and classified where it starts or moves one.
+    Returns the records and the number of converged seeds."""
+    found, n_converged = [], 0
+    for seed in seeds:
+        point, grad_norm, _, converged = damped_newton(model, seed)
+        if not converged:
+            continue
+        n_converged += 1
+        keeper = None
+        for i, record in enumerate(found):
+            if model.is_factor and model.shape[1] >= 2:
+                distance = procrustes_distance(record.location, point)
+            else:
+                distance = float(np.linalg.norm(record.location - point))
+            if distance <= tol:
+                keeper = i
+                break
+        if keeper is not None and grad_norm >= found[keeper].grad_norm:
+            continue
+        lam, kind, note = critical_points._classify(model, point)
+        record = critical_points.CriticalPointRecord(point, grad_norm, lam, kind, note)
+        if keeper is None:
+            found.append(record)
+        else:
+            found[keeper] = record
+    return found, n_converged
+
+
 class TestStackedSearch:
     @pytest.mark.parametrize(
         "budgets",
@@ -183,50 +214,31 @@ class TestStackedSearch:
         damped_newton(PrPopulationRisk(XSTAR_2D), seeds)
         np.testing.assert_array_equal(seeds, before)
 
-    def test_search_equals_a_loop_over_seeds(self):
-        model = ms2d_rank1_m3_surface()
-        seeds = plane_grid(0.5, (2, 1))
-        result = find_critical_points(model, seeds)
-        # the search as it ran before seeds were stacked: one damped_newton
-        # call per seed, deduplicated and classified in seed order
-        found, n_converged = [], 0
-        for seed in seeds:
-            point, grad_norm, _, converged = damped_newton(model, seed)
-            if not converged:
-                continue
-            n_converged += 1
-            keeper = next(
-                (
-                    i
-                    for i, r in enumerate(found)
-                    if critical_points._dedupe_distance(model, r.location, point)
-                    <= result.dedupe_tol
-                ),
-                None,
-            )
-            if keeper is not None and grad_norm >= found[keeper].grad_norm:
-                continue
-            lam, kind, note = critical_points._classify(model, point)
-            record = critical_points.CriticalPointRecord(point, grad_norm, lam, kind, note)
-            if keeper is None:
-                found.append(record)
-            else:
-                found[keeper] = record
-        assert result.n_failed > 0
-        assert (result.n_seeds, result.n_converged, result.n_failed) == (
-            len(seeds),
-            n_converged,
-            len(seeds) - n_converged,
-        )
-        assert len(result.records) == len(found)
-        for got, want in zip(result.records, found):
-            assert got.location.tobytes() == want.location.tobytes()
-            assert (got.grad_norm, got.lambda_min, got.kind, got.note) == (
-                want.grad_norm,
-                want.lambda_min,
-                want.kind,
-                want.note,
-            )
+    def test_search_equals_a_loop_over_seeds(self, monkeypatch):
+        # at k = 1 (ms-k1) and at k = 2 (ms-k2, 9 records, 5 of them moved
+        # to a later seed), one block of distance rows, blocks of one seed
+        # and ragged blocks of five
+        for case in ("ms-k1", "ms-k2"):
+            model, seeds, _ = STACK_CASES[case]()
+            for block in (64, 1, 5):
+                monkeypatch.setattr(critical_points, "DEDUPE_BLOCK", block)
+                result = find_critical_points(model, seeds)
+                want, n_converged = search_by_a_loop_over_seeds(model, seeds, result.dedupe_tol)
+                assert result.n_failed > 0
+                assert (result.n_seeds, result.n_converged, result.n_failed) == (
+                    len(seeds),
+                    n_converged,
+                    len(seeds) - n_converged,
+                )
+                assert len(result.records) == len(want) > 1
+                for got, record in zip(result.records, want):
+                    assert got.location.tobytes() == record.location.tobytes()
+                    assert (got.grad_norm, got.lambda_min, got.kind, got.note) == (
+                        record.grad_norm,
+                        record.lambda_min,
+                        record.kind,
+                        record.note,
+                    )
 
     @pytest.mark.parametrize("budget", [None, 7])
     def test_lockstep_loop_ends(self, budget, monkeypatch):
@@ -255,6 +267,91 @@ class TestStackedSearch:
         assert n_converged == 0
         assert len(calls) <= bound
         assert sum(calls) == iters
+
+
+class TestDedupe:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PrPopulationRisk(XSTAR_2D),
+            MsPopulationRisk(rank_one_truth()),
+            MsPopulationRisk(
+                SensingGroundTruth.from_random_basis(
+                    dim=8, eigvals=(1.3, 1.0, 0.08), target_rank=2, seed=7
+                )
+            ),
+        ],
+        ids=["euclidean-(2,)", "euclidean-(2,1)", "procrustes-(8,2)"],
+    )
+    def test_distance_rows_equal_pair_distances_bit_for_bit(self, model):
+        # more records than one block holds, so the last block is ragged
+        gen = rng.stream(5, "distance-rows", 0)
+        records = rng.normal(gen, (critical_points.DEDUPE_BLOCK + 7, *model.shape))
+        seeds = rng.normal(gen, (9, *model.shape))
+        quotient = len(model.shape) == 2 and model.shape[1] >= 2
+        # a seed a micro-unit from a record, in another gauge on the quotient
+        seeds[4] = records[3] + 1e-9
+        if quotient:
+            seeds[4] = seeds[4] @ np.linalg.qr(rng.normal(gen, (model.shape[1],) * 2))[0]
+        rows = critical_points._distance_rows(model, records, seeds)
+        assert rows.shape == (len(records), len(seeds))
+        for i, record in enumerate(records):
+            for j, seed in enumerate(seeds):
+                if quotient:
+                    want = procrustes_distance(record, seed)
+                else:
+                    want = float(np.linalg.norm(record - seed))
+                assert rows[i, j] == want
+        assert rows[3, 4] < 1e-8
+
+    @pytest.mark.parametrize("block", [64, 1, 3, 7])
+    def test_dedupe_equals_a_loop_over_pairs(self, block, monkeypatch):
+        # points crowded so that records lie within twice the tolerance of
+        # each other: a move can take a record out of reach of a later point,
+        # which then joins a later record or starts one, or into reach of a
+        # point that a later record held
+        monkeypatch.setattr(critical_points, "DEDUPE_BLOCK", block)
+        model = PrPopulationRisk(XSTAR_2D)
+        gen = rng.stream(3, "dedupe-pairs", 0)
+        for _ in range(20):
+            points = 4.0 * rng.uniform(gen, (40, 2))
+            grad_norms = rng.uniform(gen, (40,))
+            keep = []
+            for j, point in enumerate(points):
+                keeper = next(
+                    (i for i, k in enumerate(keep) if np.linalg.norm(points[k] - point) <= 1.0),
+                    None,
+                )
+                if keeper is None:
+                    keep.append(j)
+                elif grad_norms[j] < grad_norms[keep[keeper]]:
+                    keep[keeper] = j
+            assert critical_points._dedupe(model, points, grad_norms, 1.0) == keep
+
+    def test_degenerate_surface_takes_a_distance_row_per_record(self, monkeypatch):
+        # at M = 1 the pr2d empirical risk has lines of critical points, and
+        # every converged seed of the 1 681-seed grid is its own record: a
+        # comparison per pair of records would take about 1.4 million
+        # distances, one row per record and per block takes at most
+        # records + blocks calls
+        config = experiments._resolve(
+            experiments.ExperimentConfig("pr2d", m=(1,), master_seed=20250817)
+        )
+        surfaces, _ = experiments._surface_models(config, config.master_seed)
+        lo, hi, _ = config.grid
+        seeds = grid_seed_points(lo, hi, experiments.NEWTON_SEED_SPACING, 2)
+        calls = []
+        rows = critical_points._distance_rows
+
+        def counted(model, records, block):
+            calls.append(len(records))
+            return rows(model, records, block)
+
+        monkeypatch.setattr(critical_points, "_distance_rows", counted)
+        result = find_critical_points(dict(surfaces)["m1"], seeds)
+        assert len(result.records) == result.n_converged == len(seeds) == 1681
+        blocks = math.ceil(result.n_converged / critical_points.DEDUPE_BLOCK)
+        assert len(calls) <= len(result.records) + blocks
 
 
 class TestBacktrack:

@@ -1,6 +1,7 @@
 """Experiment runner tests: schemas, frozen values, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,41 @@ class TestSingleWriter:
         monkeypatch.setitem(experiments.RUNNERS, "pr1d", runner)
         outcome = run_config(experiment="pr1d", out=str(tmp_path / "x"), fmt="csv")
         assert Path(outcome.paths[0]).read_text(encoding="utf-8").endswith("\nx\nnan\n")
+
+
+class TestCsvText:
+    # every cell type a runner writes, the extreme finite floats, both signs
+    # of zero next to each other in a row of floats, and a short row
+    COLUMNS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j")
+    ROWS = [
+        (True, False, 3, np.int64(-4), 10**20, np.float64(0.1), np.float32(0.1), -0.0, math.nan,
+         "LocalMin"),
+        (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.nan,
+         1 / 3, 1e-17, 2.5),
+        (-0.0, 0.0, 1.0, -1.0, 123456.789, 1e22, 1e-7, 0.1, 0.30000000000000004, -2.5e300),
+        (1, 0.5, "x", np.float64(-0.0), 0.0, -0.0, np.nan, np.float64(np.nan), 7, False),
+        (0.5, -0.0, 1e300),
+    ]
+
+    def test_rows_equal_the_per_cell_format(self):
+        metadata = {"m": 3, "epsilon": 0.25, "surface": "m3"}
+        text = experiments._csv_text("t.csv", self.COLUMNS, self.ROWS, metadata)
+        want = [f"# {key}: {experiments._format_cell(value)}" for key, value in metadata.items()]
+        want.append(",".join(self.COLUMNS))
+        want += [",".join(experiments._format_cell(cell) for cell in row) for row in self.ROWS]
+        assert text == "\n".join(want) + "\n"
+        assert text.splitlines()[5].startswith("0,-0,4.9406564584124654e-324,")
+        assert text.splitlines()[6].startswith("-0,0,1,-1,")
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, np.float64(math.inf), np.float32(-math.inf)]
+    )
+    @pytest.mark.parametrize("row", [1, 3], ids=["float-row", "mixed-row"])
+    def test_an_infinite_cell_raises(self, value, row):
+        rows = list(self.ROWS)
+        rows[row] = (*rows[row][:4], value, *rows[row][5:])
+        with pytest.raises(NonFiniteEntry, match="t.csv would hold an infinite number"):
+            experiments._csv_text("t.csv", self.COLUMNS, rows, {})
 
 
 class TestFloatFormatting:
