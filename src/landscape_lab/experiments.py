@@ -29,14 +29,9 @@ from .critical_points import (
 )
 from .errors import GramNotSPD, InvalidConfig, NonFiniteEntry
 from .landscape import (
-    PR_R4,
-    AssumptionConfig,
-    RegionSamplerConfig,
     check_assumptions,
-    default_phase_assumption_config,
-    default_sensing_assumption_config,
+    default_thresholds,
     estimate_rip,
-    pr_region_bounds,
     verify_region_bounds_ms,
     verify_region_bounds_pr,
 )
@@ -240,13 +235,11 @@ def _sensing_instance(config: ExperimentConfig):
 
 
 def run_pr1d(config: ExperimentConfig, master: int):
-    if config.n != 1:
-        raise InvalidConfig("the line experiment runs in dimension one")
     lo, hi, points = config.grid
     xstar = np.array([1.0])
     cutoff = config.epsilon
     if cutoff is None:
-        cutoff = pr_region_bounds(xstar)[PR_R4][1]
+        cutoff = default_thresholds(xstar)[0]
 
     pop = PrPopulationRisk(xstar)
     emp = PrEmpiricalRisk(
@@ -323,8 +316,6 @@ def _surface_models(config: ExperimentConfig, master: int):
 
 
 def run_2d_landscape(config: ExperimentConfig, master: int):
-    if config.n != 2:
-        raise InvalidConfig("the contour experiments run in dimension two")
     lo, hi, points = config.grid
     surfaces, m_list = _surface_models(config, master)
 
@@ -444,53 +435,42 @@ def _assumptions_report(config: ExperimentConfig, master: int):
     seed = rng.subseed(master, "assumptions-ensemble", 0)
     if config.family == "pr":
         signal = _alternating_signal(config.n)
-        defaults = default_phase_assumption_config(signal)
         pop = PrPopulationRisk(signal)
         emp = PrEmpiricalRisk(generate_phase_problem(signal, config.m, seed=seed))
         instance = {"family": "pr", "n": config.n}
     else:
         truth, instance = _sensing_instance(config)
-        defaults = default_sensing_assumption_config(truth)
         pop = MsPopulationRisk(truth)
         emp = MsEmpiricalRisk(generate_sensing_ensemble(truth, config.m, seed=seed))
     instance["m"] = config.m
-    check_config = AssumptionConfig(
-        epsilon=config.epsilon if config.epsilon is not None else defaults.epsilon,
-        eta=config.eta if config.eta is not None else defaults.eta,
-        ball_radius=config.radius if config.radius is not None else defaults.ball_radius,
-        n_samples=config.samples,
-        seed=master,
+    report = check_assumptions(
+        pop, emp, config.samples, master, config.epsilon, config.eta, config.radius
     )
-    report = check_assumptions(pop, emp, check_config)
     return report.to_json_dict(), report.overall_pass, instance
 
 
 def _regions_ms_report(config: ExperimentConfig, master: int):
     truth, instance = _sensing_instance(config)
-    sampler = RegionSamplerConfig(n_per_region=config.samples, seed=master)
-    report = verify_region_bounds_ms(truth, sampler)
+    report = verify_region_bounds_ms(truth, config.samples, master)
     return report.to_json_dict(), report.all_clear, instance
 
 
 def _regions_pr_report(config: ExperimentConfig, master: int):
     n = config.n
     signal = np.array([1.2, -0.5, 0.3]) if n == 3 else _alternating_signal(n)
-    sampler = RegionSamplerConfig(n_per_region=config.samples, seed=master)
-    report = verify_region_bounds_pr(signal, sampler)
+    report = verify_region_bounds_pr(signal, config.samples, master)
     return report.to_json_dict(), report.all_clear, {"family": "pr", "n": n}
 
 
 def _rip_report(config: ExperimentConfig, master: int):
     n, k, r, m = config.n, config.k, config.r, config.m
     truth = _identity_truth(n, np.ones(r), k)
-    # a probe rank above the ambient dimension is meaningless
-    rank_bound = config.rank_bound if config.rank_bound is not None else min(r + k, n)
     ensemble = generate_sensing_ensemble(
         truth, m, seed=rng.subseed(master, "rip-ensemble", 0)
     )
     report = estimate_rip(
         ensemble,
-        rank_bound=rank_bound,
+        rank_bound=config.rank_bound,
         n_probes=config.n_probes,
         seed=master,
         epsilon=config.epsilon,
@@ -524,13 +504,15 @@ RUNNERS = {
 }
 
 # The keys each experiment reads besides master_seed, out and fmt, which all
-# read, and their defaults; the runner derives a None default from the
-# instance. An m default of one count means the experiment takes one M, a
-# tuple a list. assumptions has an entry per family, the first its default.
+# read, and their defaults; a None default is derived from the instance, by
+# landscape.default_thresholds or, for rip's rank_bound, by estimate_rip. An
+# m default of one count means the experiment takes one M, a tuple a list.
+# The line and plane experiments fix their dimension, so they do not read n.
+# assumptions has an entry per family, the first its default.
 SETTINGS = {
-    "pr1d": {"n": 1, "m": 30, "grid": (-2.0, 2.0, 401), "epsilon": None},
-    "pr2d": {"n": 2, "m": (3, 10), "grid": (-2.0, 2.0, 81)},
-    "ms2d_rank1": {"n": 2, "m": (3, 10), "grid": (-2.0, 2.0, 81)},
+    "pr1d": {"m": 30, "grid": (-2.0, 2.0, 401), "epsilon": None},
+    "pr2d": {"m": (3, 10), "grid": (-2.0, 2.0, 81)},
+    "ms2d_rank1": {"m": (3, 10), "grid": (-2.0, 2.0, 81)},
     "ms_rank2_dist": {"n": 8, "k": 2, "r": 3, "m": (50, 100, 200, 400, 800), "trials": 20},
     "assumptions": {
         "pr": {"family": "pr", "n": 2, "m": 2000, "samples": 2000,

@@ -6,8 +6,10 @@ negative curvature direction, or a large gradient. ms_region_bounds and
 pr_region_bounds tabulate those bounds; this module classifies points
 into the regions, samples each region and verifies its tabled bound,
 estimates how far an empirical risk sits from its population counterpart
-over a ball (epsilon and eta default to tabled bounds), and measures
-restricted-isometry constants of sensing ensembles.
+over a ball, and measures restricted-isometry constants of sensing
+ensembles. Sample counts and seeds are plain arguments with no default; a
+threshold left None is read from default_thresholds, the one place that
+derives epsilon, eta and the ball radius from the tabled bounds.
 
 All sampled checks report Monte-Carlo evidence: a clean run certifies the
 sampled points only, never the full region.
@@ -38,6 +40,7 @@ from .errors import (
     InvalidConfig,
     InvalidRank,
     InvalidSampleCount,
+    NonFiniteEntry,
     SamplerStarved,
 )
 from .manifold import _norm, item_norms, procrustes_distance
@@ -235,6 +238,26 @@ def pr_region_bounds(signal) -> dict:
     }
 
 
+def default_thresholds(instance) -> tuple:
+    """(epsilon, eta, ball_radius) of a SensingGroundTruth or a phase signal.
+
+    Matrix sensing: the smallest gradient floor, the depth of the swap
+    saddles' curvature ceiling (R2') and the R3'' cap. Phase retrieval: the
+    far-field gradient floor (R4), the curvature floor around the minima
+    (R2) and 1.1 ||x*||; the signal is rejected as the phase risks reject it.
+    """
+    if isinstance(instance, SensingGroundTruth):
+        bounds = ms_region_bounds(instance)
+        return (
+            min(v for kind, v in bounds.values() if kind == GRADIENT_FLOOR),
+            -bounds[MS_R2P][1],
+            ms_region_thresholds(instance)["ball_cap"],
+        )
+    xstar = _phase_signal(instance)
+    bounds = pr_region_bounds(xstar)
+    return bounds[PR_R4][1], bounds[PR_R2][1], 1.1 * float(np.linalg.norm(xstar))
+
+
 def classify_region_pr(signal, point) -> RegionLabelSet:
     """All phase-retrieval regions containing the point."""
     xstar = _phase_signal(signal)
@@ -274,16 +297,6 @@ def classify_region_pr(signal, point) -> RegionLabelSet:
 ATTEMPT_FACTOR = 1000
 # proposals per block of uniforms, and samples per stacked region check
 BLOCK = 64
-
-
-@dataclass(frozen=True)
-class RegionSamplerConfig:
-    n_per_region: int = 500
-    seed: int = rng.DEFAULT_MASTER_SEED
-
-    def __post_init__(self):
-        if self.n_per_region < 1:
-            raise InvalidSampleCount("n_per_region must be at least 1")
 
 
 def _scaled_gaussian_factor(g, uut_target):
@@ -534,24 +547,26 @@ def _check_values(model, kind, stack):
     return min_eig(model, stack)
 
 
-def _run_region_checks(family, model, bounds, sample, config):
-    """Check each tabled bound on samples of its region: min_eig against a
-    curvature bound, the Euclidean gradient norm against a gradient floor.
-    The samples are checked in stacks of BLOCK, one population-risk call per
-    stack."""
+def _run_region_checks(family, model, bounds, sample, n_per_region, seed):
+    """Check each tabled bound on n_per_region samples of its region: min_eig
+    against a curvature bound, the Euclidean gradient norm against a gradient
+    floor. The samples are checked in stacks of BLOCK, one population-risk
+    call per stack."""
+    if n_per_region < 1:
+        raise InvalidSampleCount("n_per_region must be at least 1")
     checks = []
     violations = []
     for region, (kind, bound) in bounds.items():
-        gen = rng.stream(config.seed, f"regions-{family}/{region}", 0)
+        gen = rng.stream(seed, f"regions-{family}/{region}", 0)
         try:
-            samples = sample(region, config.n_per_region, gen)
+            samples = sample(region, n_per_region, gen)
         except SamplerStarved as starved:
             checks.append(
                 RegionCheck(
                     region=region,
                     bound_kind=kind,
                     bound_value=bound,
-                    requested=config.n_per_region,
+                    requested=n_per_region,
                     n_sampled=0,
                     n_violations=0,
                     worst_margin=math.nan,
@@ -579,7 +594,7 @@ def _run_region_checks(family, model, bounds, sample, config):
                 region=region,
                 bound_kind=kind,
                 bound_value=bound,
-                requested=config.n_per_region,
+                requested=n_per_region,
                 n_sampled=len(samples),
                 n_violations=len(bad),
                 worst_margin=float(margins[worst]),
@@ -587,15 +602,15 @@ def _run_region_checks(family, model, bounds, sample, config):
         )
     return RegionBoundReport(
         family=family,
-        n_per_region=config.n_per_region,
-        seed=config.seed,
+        n_per_region=n_per_region,
+        seed=seed,
         checks=tuple(checks),
         violations=tuple(violations),
     )
 
 
 def verify_region_bounds_ms(
-    truth: SensingGroundTruth, config: RegionSamplerConfig
+    truth: SensingGroundTruth, n_per_region: int, seed: int
 ) -> RegionBoundReport:
     """Sample every matrix-sensing region and verify its curvature or
     gradient bound on each sample."""
@@ -604,11 +619,12 @@ def verify_region_bounds_ms(
         MsPopulationRisk(truth),
         ms_region_bounds(truth),
         lambda region, n, gen: sample_region_ms(truth, region, n, gen),
-        config,
+        n_per_region,
+        seed,
     )
 
 
-def verify_region_bounds_pr(signal, config: RegionSamplerConfig) -> RegionBoundReport:
+def verify_region_bounds_pr(signal, n_per_region: int, seed: int) -> RegionBoundReport:
     """Sample every phase-retrieval region and verify its bound."""
     xstar = np.asarray(signal, dtype=float)
     return _run_region_checks(
@@ -616,64 +632,14 @@ def verify_region_bounds_pr(signal, config: RegionSamplerConfig) -> RegionBoundR
         PrPopulationRisk(xstar),
         pr_region_bounds(xstar),
         lambda region, n, gen: sample_region_pr(xstar, region, n, gen),
-        config,
+        n_per_region,
+        seed,
     )
 
 
 # ---------------------------------------------------------------------------
 # proximity of empirical to population risk over a ball
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionConfig:
-    """Monte-Carlo budget and thresholds for the proximity check.
-
-    epsilon bounds the gradient deviation, eta the Hessian deviation in
-    operator norm, ball_radius the sampling ball: ||x|| <= l for vectors,
-    ||U U^T||_F <= l for factors.
-    """
-
-    epsilon: float
-    eta: float
-    ball_radius: float
-    n_samples: int = 2000
-    seed: int = rng.DEFAULT_MASTER_SEED
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0 and self.eta > 0.0 and self.ball_radius > 0.0):
-            raise InvalidConfig(
-                "epsilon, eta, and ball_radius must all be positive"
-            )
-        if self.n_samples < 1:
-            raise InvalidSampleCount("n_samples must be at least 1")
-
-
-def default_phase_assumption_config(signal, n_samples=2000, seed=None):
-    """epsilon is the far-field gradient floor (R4), eta the curvature floor
-    around the minima (R2)."""
-    xstar = _phase_signal(signal)
-    bounds = pr_region_bounds(xstar)
-    return AssumptionConfig(
-        epsilon=bounds[PR_R4][1],
-        eta=bounds[PR_R2][1],
-        ball_radius=1.1 * float(np.linalg.norm(xstar)),
-        n_samples=n_samples,
-        seed=rng.DEFAULT_MASTER_SEED if seed is None else seed,
-    )
-
-
-def default_sensing_assumption_config(truth, n_samples=2000, seed=None):
-    """epsilon is the smallest gradient floor, eta the depth of the swap
-    saddles' curvature ceiling (R2'), and the ball is the R3'' cap."""
-    bounds = ms_region_bounds(truth)
-    return AssumptionConfig(
-        epsilon=min(v for kind, v in bounds.values() if kind == GRADIENT_FLOOR),
-        eta=-bounds[MS_R2P][1],
-        ball_radius=ms_region_thresholds(truth)["ball_cap"],
-        n_samples=n_samples,
-        seed=rng.DEFAULT_MASTER_SEED if seed is None else seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -722,39 +688,64 @@ def _sample_ball(population, radius, gen):
     return radius * float(rng.uniform(gen)) ** (1.0 / dim) * rng.unit_vector(gen, dim)
 
 
-def check_assumptions(population, empirical, config: AssumptionConfig) -> AssumptionReport:
+def _thresholds(instance, *given) -> tuple:
+    """given, in default_thresholds order, each None read from the instance."""
+    return tuple(d if v is None else v for v, d in zip(given, default_thresholds(instance)))
+
+
+def check_assumptions(
+    population, empirical, n_samples, seed, epsilon=None, eta=None, ball_radius=None
+) -> AssumptionReport:
     """Estimate the gradient and Hessian deviation of an empirical risk from
-    its population risk over the configured ball, and audit the population
-    risk's own saddle margin at sampled small-gradient points. The points,
-    drawn one at a time, are checked in stacks of BLOCK: one euclidean_grad
-    and hessian_form call per model, one batched eigvalsh of the Hessian
-    difference for its operator norm, and min_eig of the small-gradient
-    points from one eigh of the same population forms."""
+    its population risk over a ball, and audit the population risk's own
+    saddle margin at sampled small-gradient points.
+
+    epsilon bounds the gradient deviation, eta the Hessian deviation in
+    operator norm, ball_radius the sampling ball: ||x|| <= l for vectors,
+    ||U U^T||_F <= l for factors. A threshold left None is read from
+    default_thresholds of the population's truth or signal. n_samples ball
+    points are drawn one at a time from the seed's stream and checked in
+    stacks of BLOCK: one euclidean_grad and hessian_form call per model, one
+    batched eigvalsh of the Hessian difference for its operator norm, and
+    min_eig of the small-gradient points from one eigh of the same
+    population forms. A nan deviation, where the risks overflow, raises
+    NonFiniteEntry."""
+    instance = population.truth if population.is_factor else population.signal
+    epsilon, eta, ball_radius = _thresholds(instance, epsilon, eta, ball_radius)
+    if not (epsilon > 0.0 and eta > 0.0 and ball_radius > 0.0):
+        raise InvalidConfig("epsilon, eta, and ball_radius must all be positive")
+    if n_samples < 1:
+        raise InvalidSampleCount("n_samples must be at least 1")
     if population.shape != empirical.shape:
         raise InvalidConfig("population and empirical models disagree on shape")
-    gen = rng.stream(config.seed, "assumption-ball", 0)
-    draw = partial(_sample_ball, population, config.ball_radius, gen)
+    gen = rng.stream(seed, "assumption-ball", 0)
+    draw = partial(_sample_ball, population, ball_radius, gen)
     item_ndim = len(population.shape)
     sup_grad = 0.0
     sup_hess = 0.0
     small_grad = 0
     violations = []
-    for points in _stacks(draw() for _ in range(config.n_samples)):
+    for points in _stacks(draw() for _ in range(n_samples)):
         grad_pop = population.euclidean_grad(points)
         grad_diffs = item_norms(empirical.euclidean_grad(points) - grad_pop, item_ndim)
         form_pop = hessian_form(population, points)
         diff_eigs = np.linalg.eigvalsh(hessian_form(empirical, points) - form_pop)
         hess_diffs = abs(diff_eigs[:, [0, -1]]).max(axis=1)
-        # Python's max in draw order, which passes over nan
+        # Python's max passes over nan, so a nan would read as a clean point
+        if np.isnan(grad_diffs).any() or np.isnan(hess_diffs).any():
+            raise NonFiniteEntry(
+                f"a gradient or Hessian deviation is nan on the ball of radius "
+                f"{ball_radius!r}: the risks overflow there"
+            )
         sup_grad = max(sup_grad, *grad_diffs.tolist())
         sup_hess = max(sup_hess, *hess_diffs.tolist())
         grad_norms = item_norms(grad_pop, item_ndim)
-        small = np.flatnonzero(grad_norms <= config.epsilon)
+        small = np.flatnonzero(grad_norms <= epsilon)
         small_grad += len(small)
         # min_eig of the population form, at the small-gradient points only
         lams = np.linalg.eigh(form_pop[small])[0][:, 0]
         for i, lam in zip(small, lams.tolist()):
-            if abs(lam) < config.eta:
+            if abs(lam) < eta:
                 violations.append(
                     {
                         "point_row_major": points[i].ravel().tolist(),
@@ -763,16 +754,16 @@ def check_assumptions(population, empirical, config: AssumptionConfig) -> Assump
                     }
                 )
     verdicts = {
-        "gradient_proximity": "PASS" if sup_grad <= config.epsilon / 2.0 else "FAIL",
-        "hessian_proximity": "PASS" if sup_hess <= config.eta / 2.0 else "FAIL",
+        "gradient_proximity": "PASS" if sup_grad <= epsilon / 2.0 else "FAIL",
+        "hessian_proximity": "PASS" if sup_hess <= eta / 2.0 else "FAIL",
         "eigenvalue_margin": "PASS" if not violations else "FAIL",
     }
     return AssumptionReport(
-        epsilon=config.epsilon,
-        eta=config.eta,
-        ball_radius=config.ball_radius,
-        n_samples=config.n_samples,
-        seed=config.seed,
+        epsilon=epsilon,
+        eta=eta,
+        ball_radius=ball_radius,
+        n_samples=n_samples,
+        seed=seed,
         sup_grad_diff_est=sup_grad,
         sup_hess_diff_est=sup_hess,
         small_gradient_count=small_grad,
@@ -840,7 +831,7 @@ def rip_delta_threshold(truth: SensingGroundTruth, epsilon: float, eta: float) -
 
 def estimate_rip(
     ensemble: SensingEnsemble,
-    rank_bound: int,
+    rank_bound: int | None,
     n_probes: int,
     seed: int,
     epsilon: float | None = None,
@@ -850,9 +841,14 @@ def estimate_rip(
 
     Probes are Z = G G^T - H H^T with Gaussian factors sized to make
     rank(Z) <= rank_bound, normalized to unit Frobenius norm. Drawn one at a
-    time, they are checked in stacks of BLOCK, one energy call per stack.
+    time, they are checked in stacks of BLOCK, one energy call per stack. A
+    rank_bound of None is min(r + k, N), the largest rank a difference of
+    the truth and a k-factor point reaches; an epsilon or eta of None is
+    read from default_thresholds(ensemble.truth).
     """
     truth = ensemble.truth
+    if rank_bound is None:
+        rank_bound = min(truth.rank + truth.target_rank, truth.dim)
     rb = int(rank_bound)
     if rb < 1 or rb > truth.dim:
         raise InvalidRank(
@@ -860,10 +856,7 @@ def estimate_rip(
         )
     if n_probes < 1:
         raise InvalidSampleCount("need at least one probe")
-    if epsilon is None or eta is None:
-        defaults = default_sensing_assumption_config(truth)
-        epsilon = defaults.epsilon if epsilon is None else epsilon
-        eta = defaults.eta if eta is None else eta
+    epsilon, eta = _thresholds(truth, epsilon, eta)
 
     gen = rng.stream(seed, "rip-probes", 0)
     cols_pos = (rb + 1) // 2

@@ -23,12 +23,9 @@ from landscape_lab.critical_points import (
     match_correspondence,
 )
 from landscape_lab.landscape import (
-    AssumptionConfig,
     PR_R2_CURVATURE_FLOOR,
     PR_R4_GRAD_FLOOR,
-    RegionSamplerConfig,
     check_assumptions,
-    default_phase_assumption_config,
     estimate_rip,
     verify_region_bounds_ms,
     verify_region_bounds_pr,
@@ -143,12 +140,11 @@ def test_criterion_2_fixed_point_curvature_bounds():
 
 def test_criterion_3_region_property_suites():
     t0 = time.perf_counter()
-    config = RegionSamplerConfig(n_per_region=500, seed=MASTER)
     truth = SensingGroundTruth.from_random_basis(
         dim=8, eigvals=(1.3, 1.0, 0.08), target_rank=2, seed=11
     )
-    rep_ms = verify_region_bounds_ms(truth, config)
-    rep_pr = verify_region_bounds_pr(np.array([1.2, -0.5, 0.3]), config)
+    rep_ms = verify_region_bounds_ms(truth, 500, MASTER)
+    rep_pr = verify_region_bounds_pr(np.array([1.2, -0.5, 0.3]), 500, MASTER)
     dt = elapsed_since(t0)
     full = all(
         (not c.skipped) and c.n_sampled == 500
@@ -408,7 +404,6 @@ def test_criterion_9_concentration_monotonicity():
     t0 = time.perf_counter()
     signal = np.array([1.0, -1.0, 1.0, -1.0])
     pop = PrPopulationRisk(signal)
-    defaults = default_phase_assumption_config(signal)
     grad_means, hess_means = [], []
     for m in (50, 200, 800):
         grads, hesses = [], []
@@ -421,13 +416,8 @@ def test_criterion_9_concentration_monotonicity():
             rep = check_assumptions(
                 pop,
                 emp,
-                AssumptionConfig(
-                    epsilon=defaults.epsilon,
-                    eta=defaults.eta,
-                    ball_radius=defaults.ball_radius,
-                    n_samples=250,
-                    seed=rng.subseed(MASTER, f"acc9-ball-m{m}", s),
-                ),
+                n_samples=250,
+                seed=rng.subseed(MASTER, f"acc9-ball-m{m}", s),
             )
             grads.append(rep.sup_grad_diff_est)
             hesses.append(rep.sup_hess_diff_est)

@@ -186,15 +186,15 @@ def settings_entries(experiment):
 TINY_RUNS = {
     "pr1d": (
         {"m": (5,), "grid": (-1.0, 1.0, 5)},
-        {"n": 2, "m": (6,), "grid": (-1.0, 1.0, 6), "epsilon": 0.5},
+        {"m": (6,), "grid": (-1.0, 1.0, 6), "epsilon": 0.5},
     ),
     "pr2d": (
         {"m": (3,), "grid": (0.0, 0.1, 2)},
-        {"n": 3, "m": (4,), "grid": (0.0, 0.1, 3)},
+        {"m": (4,), "grid": (0.0, 0.1, 3)},
     ),
     "ms2d_rank1": (
         {"m": (3,), "grid": (0.0, 0.1, 2)},
-        {"n": 3, "m": (4,), "grid": (0.0, 0.1, 3)},
+        {"m": (4,), "grid": (0.0, 0.1, 3)},
     ),
     "ms_rank2_dist": (
         {"n": 4, "k": 1, "r": 2, "m": (20,), "trials": 1},
@@ -222,9 +222,6 @@ TINY_RUNS = {
     ),
 }
 REJECTED = {
-    ("pr1d", "n"): "in dimension one",
-    ("pr2d", "n"): "in dimension two",
-    ("ms2d_rank1", "n"): "in dimension two",
     ("assumptions-ms", "family"): "does not read k, r",
 }
 
@@ -456,6 +453,15 @@ class TestExitCodes:
         assert f"{experiment} takes one measurement count, got 10,20" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("experiment, n", [("pr1d", 1), ("pr2d", 2), ("ms2d_rank1", 2)])
+    def test_fixed_dimension_is_not_a_key(self, experiment, n, tmp_path, capsys):
+        # the line and plane experiments fix their dimension; even that
+        # value is refused
+        rc = cli.main([experiment, "--n", str(n), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert f"{experiment} does not read n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_rip_target_rank_above_r_is_three(self, tmp_path, capsys):
         rc = cli.main(["rip", "--k", "3", "--r", "1", "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_INVALID_CONFIG
@@ -484,6 +490,24 @@ class TestExitCodes:
         )
         assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
         assert "x.json would hold a non-finite number" in done.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("radius", ["1e120", "1e140"])
+    def test_nan_deviation_is_four_and_writes_nothing(self, radius, tmp_path):
+        # the gradients overflow and inf - inf is nan, which a sampled
+        # supremum would pass over; a child process, as above
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = ["assumptions", "--family", "pr", "--radius", radius, "--samples", "3"]
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *argv, "--out", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert "deviation is nan" in done.stderr
         assert not any(tmp_path.iterdir())
 
     def test_infinite_csv_is_four_and_writes_nothing(self, tmp_path):

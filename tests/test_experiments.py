@@ -243,8 +243,8 @@ class TestPr1d:
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_config(experiment="pr1d", out=str(tmp_path / "a"), fmt="csv")
         b = run_config(experiment="pr1d", out=str(tmp_path / "b"), fmt="csv")
-        bytes_a = open(a.paths[0], "rb").read()
-        bytes_b = open(b.paths[0], "rb").read()
+        bytes_a = Path(a.paths[0]).read_bytes()
+        bytes_b = Path(b.paths[0]).read_bytes()
         assert bytes_a == bytes_b
 
     def test_json_variant(self, tmp_path):
@@ -344,7 +344,7 @@ class TestDistanceExperiment:
         )
         a = run_config(out=str(tmp_path / "a"), **kwargs)
         b = run_config(out=str(tmp_path / "b"), **kwargs)
-        assert open(a.paths[0], "rb").read() == open(b.paths[0], "rb").read()
+        assert Path(a.paths[0]).read_bytes() == Path(b.paths[0]).read_bytes()
 
     def test_single_trial_has_zero_std(self, tmp_path):
         outcome = run_config(

@@ -41,15 +41,12 @@ from landscape_lab.landscape import (
     PR_R2_RADIUS_FACTOR,
     PR_R3_RADIUS_FACTOR,
     PR_REGIONS,
-    AssumptionConfig,
     BLOCK,
     RegionLabelSet,
-    RegionSamplerConfig,
     check_assumptions,
     classify_region_ms,
     classify_region_pr,
-    default_phase_assumption_config,
-    default_sensing_assumption_config,
+    default_thresholds,
     estimate_rip,
     ms_region_bounds,
     ms_region_thresholds,
@@ -660,9 +657,7 @@ class TestBlockDraws:
 class TestRegionBounds:
     def test_ms_suite_clears_on_separated_truth(self):
         truth = separated_truth()
-        report = verify_region_bounds_ms(
-            truth, RegionSamplerConfig(n_per_region=40, seed=101)
-        )
+        report = verify_region_bounds_ms(truth, 40, 101)
         assert report.all_clear, report.to_json_dict()["checks"]
         assert report.family == "ms"
         table = ms_region_bounds(truth)
@@ -675,9 +670,7 @@ class TestRegionBounds:
             assert (check.bound_kind, check.bound_value) == table[region]
 
     def test_pr_suite_clears(self):
-        report = verify_region_bounds_pr(
-            XSTAR, RegionSamplerConfig(n_per_region=40, seed=102)
-        )
+        report = verify_region_bounds_pr(XSTAR, 40, 102)
         assert report.all_clear
         kinds = {c.region: c.bound_kind for c in report.checks}
         assert kinds == {
@@ -692,9 +685,7 @@ class TestRegionBounds:
             assert (check.bound_kind, check.bound_value) == table[check.region]
 
     def test_pr_bound_values_scale_with_signal(self):
-        report = verify_region_bounds_pr(
-            2.0 * XSTAR, RegionSamplerConfig(n_per_region=5, seed=1)
-        )
+        report = verify_region_bounds_pr(2.0 * XSTAR, 5, 1)
         n2 = 4.0 * float(XSTAR @ XSTAR)
         assert report.check(PR_R1).bound_value == pytest.approx(-1.5 * n2)
         assert report.check(PR_R2).bound_value == pytest.approx(0.22 * n2)
@@ -705,9 +696,7 @@ class TestRegionBounds:
 
     def test_ms_full_rank_truth_skips_r2_prime(self):
         truth = full_rank_truth()
-        report = verify_region_bounds_ms(
-            truth, RegionSamplerConfig(n_per_region=10, seed=5)
-        )
+        report = verify_region_bounds_ms(truth, 10, 5)
         check = report.check(MS_R2P)
         assert check.skipped
         assert "swap saddles" in check.note
@@ -724,9 +713,7 @@ class TestRegionBounds:
 
     def test_pr_dimension_one_skips_r3(self):
         signal = np.array([2.0])
-        report = verify_region_bounds_pr(
-            signal, RegionSamplerConfig(n_per_region=10, seed=6)
-        )
+        report = verify_region_bounds_pr(signal, 10, 6)
         assert report.check(PR_R3).skipped
         assert report.all_clear
         parsed = strict_json(report.to_json_dict())
@@ -737,9 +724,7 @@ class TestRegionBounds:
         ]
 
     def test_report_serializes(self):
-        report = verify_region_bounds_pr(
-            XSTAR, RegionSamplerConfig(n_per_region=5, seed=7)
-        )
+        report = verify_region_bounds_pr(XSTAR, 5, 7)
         blob = json.dumps(report.to_json_dict(), sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["all_clear"] is True
@@ -747,7 +732,9 @@ class TestRegionBounds:
 
     def test_config_validation(self):
         with pytest.raises(InvalidSampleCount):
-            RegionSamplerConfig(n_per_region=0)
+            verify_region_bounds_ms(separated_truth(), 0, 1)
+        with pytest.raises(InvalidSampleCount):
+            verify_region_bounds_pr(XSTAR, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +767,9 @@ class TestBoundTables:
     )
     def test_phase_defaults_read_the_table(self, signal):
         table = pr_region_bounds(signal)
-        config = default_phase_assumption_config(signal)
-        assert config.epsilon == table[PR_R4][1]
-        assert config.eta == table[PR_R2][1]
+        epsilon, eta, _ = default_thresholds(signal)
+        assert epsilon == table[PR_R4][1]
+        assert eta == table[PR_R2][1]
 
     @pytest.mark.parametrize(
         "signal, error",
@@ -794,17 +781,17 @@ class TestBoundTables:
         with pytest.raises(error):
             pr_region_bounds(signal)
         with pytest.raises(error):
-            default_phase_assumption_config(signal)
+            default_thresholds(signal)
 
     def test_sensing_defaults_read_the_table(self):
         truth = separated_truth()
         table = ms_region_bounds(truth)
-        config = default_sensing_assumption_config(truth)
+        epsilon, eta, ball_radius = default_thresholds(truth)
         floors = [v for kind, v in table.values() if kind == GRADIENT_FLOOR]
         assert len(floors) == 3
-        assert config.epsilon == min(floors)
-        assert config.eta == -table[MS_R2P][1]
-        assert config.ball_radius == ms_region_thresholds(truth)["ball_cap"]
+        assert epsilon == min(floors)
+        assert eta == -table[MS_R2P][1]
+        assert ball_radius == ms_region_thresholds(truth)["ball_cap"]
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +823,7 @@ class TestCheckAssumptions:
         # empirical == population: deviations vanish, and every sampled
         # small-gradient point must clear the eigenvalue margin
         pop = PrPopulationRisk(XSTAR)
-        config = default_phase_assumption_config(XSTAR, n_samples=300, seed=31)
-        report = check_assumptions(pop, pop, config)
+        report = check_assumptions(pop, pop, 300, 31)
         assert report.sup_grad_diff_est == 0.0
         assert report.sup_hess_diff_est == 0.0
         assert report.saddle_margin_violations == ()
@@ -855,7 +841,8 @@ class TestCheckAssumptions:
         report = check_assumptions(
             PrPopulationRisk(XSTAR),
             PrEmpiricalRisk(problem),
-            default_phase_assumption_config(XSTAR, n_samples=60, seed=42),
+            n_samples=60,
+            seed=42,
         )
         assert report.overall_pass, report.to_json_dict()
         assert 0.0 < report.sup_grad_diff_est <= report.epsilon / 2.0
@@ -863,7 +850,6 @@ class TestCheckAssumptions:
         assert report.small_gradient_count > 0
 
     def test_deviations_shrink_with_more_measurements(self):
-        config = default_phase_assumption_config(XSTAR, n_samples=120, seed=42)
         pop = PrPopulationRisk(XSTAR)
         reports = [
             check_assumptions(
@@ -871,7 +857,8 @@ class TestCheckAssumptions:
                 PrEmpiricalRisk(
                     generate_phase_problem(XSTAR, n_measurements=m, seed=41)
                 ),
-                config,
+                n_samples=120,
+                seed=42,
             )
             for m in (2000, 200_000)
         ]
@@ -883,7 +870,8 @@ class TestCheckAssumptions:
         report = check_assumptions(
             PrPopulationRisk(XSTAR),
             PrEmpiricalRisk(problem),
-            default_phase_assumption_config(XSTAR, n_samples=120, seed=44),
+            n_samples=120,
+            seed=44,
         )
         assert not report.overall_pass
 
@@ -892,14 +880,15 @@ class TestCheckAssumptions:
         # into a violation
         pop = PrPopulationRisk(XSTAR)
         norm3 = float(np.linalg.norm(XSTAR)) ** 3
-        config = AssumptionConfig(
+        report = check_assumptions(
+            pop,
+            pop,
+            n_samples=50,
+            seed=45,
             epsilon=1e6 * norm3,
             eta=1e9,
             ball_radius=1.1 * float(np.linalg.norm(XSTAR)),
-            n_samples=50,
-            seed=45,
         )
-        report = check_assumptions(pop, pop, config)
         assert report.small_gradient_count == 50
         assert len(report.saddle_margin_violations) == 50
         assert report.verdicts["eigenvalue_margin"] == "FAIL"
@@ -909,8 +898,7 @@ class TestCheckAssumptions:
     def test_matrix_sensing_population_self_check(self):
         truth = separated_truth(n=5, seed=13)
         pop = MsPopulationRisk(truth)
-        config = default_sensing_assumption_config(truth, n_samples=60, seed=46)
-        report = check_assumptions(pop, pop, config)
+        report = check_assumptions(pop, pop, 60, 46)
         assert report.sup_grad_diff_est == 0.0
         assert report.sup_hess_diff_est == 0.0
         assert report.saddle_margin_violations == ()
@@ -921,65 +909,148 @@ class TestCheckAssumptions:
         report = check_assumptions(
             MsPopulationRisk(truth),
             MsEmpiricalRisk(ensemble),
-            default_sensing_assumption_config(truth, n_samples=40, seed=48),
+            n_samples=40,
+            seed=48,
         )
         assert report.verdicts["eigenvalue_margin"] == "PASS"
         assert report.sup_grad_diff_est > 0.0
 
     def test_config_gates(self):
+        pop = PrPopulationRisk(XSTAR)
+        gate = partial(check_assumptions, pop, pop, epsilon=1.0, eta=1.0, ball_radius=1.0)
         with pytest.raises(InvalidConfig):
-            AssumptionConfig(epsilon=0.0, eta=1.0, ball_radius=1.0)
+            gate(1, 0, epsilon=0.0)
         with pytest.raises(InvalidConfig):
-            AssumptionConfig(epsilon=1.0, eta=-1.0, ball_radius=1.0)
+            gate(1, 0, eta=-1.0)
         with pytest.raises(InvalidConfig):
-            AssumptionConfig(epsilon=1.0, eta=1.0, ball_radius=0.0)
+            gate(1, 0, ball_radius=0.0)
         with pytest.raises(InvalidSampleCount):
-            AssumptionConfig(epsilon=1.0, eta=1.0, ball_radius=1.0, n_samples=0)
+            gate(0, 0)
+        # a threshold left to its default is gated as well
+        with pytest.raises(InvalidSampleCount):
+            check_assumptions(pop, pop, 0, 0)
 
     def test_shape_mismatch_rejected(self):
-        config = AssumptionConfig(epsilon=1.0, eta=1.0, ball_radius=1.0, n_samples=1)
         with pytest.raises(InvalidConfig):
             check_assumptions(
-                PrPopulationRisk(XSTAR), PrPopulationRisk(np.ones(4)), config
+                PrPopulationRisk(XSTAR), PrPopulationRisk(np.ones(4)), 1, 0, 1.0, 1.0, 1.0
             )
 
     def test_default_configs_wire_the_scales(self):
         norm_star = float(np.linalg.norm(XSTAR))
-        config = default_phase_assumption_config(XSTAR)
-        assert config.epsilon == pytest.approx(0.3963 * norm_star**3)
-        assert config.eta == pytest.approx(0.22 * norm_star**2)
-        assert config.ball_radius == pytest.approx(1.1 * norm_star)
-        assert config.n_samples == 2000
+        epsilon, eta, ball_radius = default_thresholds(XSTAR)
+        assert epsilon == pytest.approx(0.3963 * norm_star**3)
+        assert eta == pytest.approx(0.22 * norm_star**2)
+        assert ball_radius == pytest.approx(1.1 * norm_star)
 
         truth = separated_truth()
-        ms_config = default_sensing_assumption_config(truth)
+        ms_epsilon, ms_eta, ms_ball_radius = default_thresholds(truth)
         lam_k = 1.0
         expected_eps = min(
             1.0 / 80.0, 1.0 / 60.0 / truth.kappa, 5.0 / 84.0 * 2**0.25
         ) * lam_k**1.5
-        assert ms_config.epsilon == pytest.approx(expected_eps)
-        assert ms_config.eta == pytest.approx(0.06 * lam_k)
-        assert ms_config.ball_radius == pytest.approx(
+        assert ms_epsilon == pytest.approx(expected_eps)
+        assert ms_eta == pytest.approx(0.06 * lam_k)
+        assert ms_ball_radius == pytest.approx(
             8.0 / 7.0 * math.hypot(1.3, 1.0)
         )
 
     def test_report_serializes(self):
         pop = PrPopulationRisk(XSTAR)
-        config = default_phase_assumption_config(XSTAR, n_samples=5, seed=49)
-        blob = json.dumps(check_assumptions(pop, pop, config).to_json_dict())
+        blob = json.dumps(check_assumptions(pop, pop, 5, 49).to_json_dict())
         parsed = json.loads(blob)
         assert parsed["overall_pass"] is True
         assert "Monte-Carlo" in parsed["caveat"]
 
+    @pytest.mark.parametrize("point", [0, 5])
+    def test_nan_gradient_deviation_raises(self, point):
+        # Python's max over the stack would pass over the nan and report a
+        # clean supremum
+        pop = PrPopulationRisk(XSTAR)
+        emp = PrPopulationRisk(XSTAR)
 
-def assumptions_oracle(population, empirical, config):
+        def grad_with_nan(points):
+            grads = pop.euclidean_grad(points)
+            grads[point] = math.nan
+            return grads
+
+        emp.euclidean_grad = grad_with_nan
+        with pytest.raises(NonFiniteEntry, match="deviation is nan"):
+            check_assumptions(pop, emp, 8, 1)
+
+    def test_nan_hessian_deviation_raises(self, monkeypatch):
+        # an overflowed Hessian difference has nan eigenvalues
+        pop = PrPopulationRisk(XSTAR)
+        emp = PrPopulationRisk(XSTAR)
+
+        def form_with_inf(model, points):
+            forms = hessian_form(model, points)
+            if model is emp:
+                forms[-1, 0, 0] = math.inf
+            return forms
+
+        monkeypatch.setattr(landscape, "hessian_form", form_with_inf)
+        with pytest.raises(NonFiniteEntry, match="deviation is nan"):
+            check_assumptions(pop, emp, 8, 1)
+
+
+def pr_table_thresholds(signal):
+    table = pr_region_bounds(signal)
+    return table[PR_R4][1], table[PR_R2][1], 1.1 * float(np.linalg.norm(signal))
+
+
+def ms_table_thresholds(truth):
+    table = ms_region_bounds(truth)
+    floors = [v for kind, v in table.values() if kind == GRADIENT_FLOOR]
+    return min(floors), -table[MS_R2P][1], ms_region_thresholds(truth)["ball_cap"]
+
+
+class TestDefaultThresholds:
+    """A None threshold is the instance's tabled value, and nothing else."""
+
+    def test_phase_retrieval_none_equals_the_table(self):
+        signal = experiments._alternating_signal(3)
+        pop = PrPopulationRisk(signal)
+        emp = PrEmpiricalRisk(generate_phase_problem(signal, 500, seed=2))
+        epsilon, eta, radius = pr_table_thresholds(signal)
+        explicit = check_assumptions(pop, emp, 40, 6, epsilon, eta, radius)
+        assert check_assumptions(pop, emp, 40, 6).to_json_dict() == explicit.to_json_dict()
+        # each None on its own
+        for name in ("epsilon", "eta", "ball_radius"):
+            given = {"epsilon": epsilon, "eta": eta, "ball_radius": radius, name: None}
+            report = check_assumptions(pop, emp, 40, 6, **given)
+            assert report.to_json_dict() == explicit.to_json_dict(), name
+
+    def test_matrix_sensing_none_equals_the_table(self):
+        truth = separated_truth(n=5)
+        pop = MsPopulationRisk(truth)
+        emp = MsEmpiricalRisk(generate_sensing_ensemble(truth, 300, seed=5))
+        epsilon, eta, radius = ms_table_thresholds(truth)
+        explicit = check_assumptions(pop, emp, 20, 6, epsilon, eta, radius)
+        assert check_assumptions(pop, emp, 20, 6).to_json_dict() == explicit.to_json_dict()
+        assert explicit.epsilon != explicit.eta
+
+    def test_rip_none_equals_the_table(self):
+        truth = separated_truth(n=4)
+        ensemble = generate_sensing_ensemble(truth, 200, seed=8)
+        epsilon, eta, _ = ms_table_thresholds(truth)
+        # rank_bound None is min(r + k, N): N = 4 below r + k = 5
+        explicit = estimate_rip(ensemble, 4, 30, seed=2, epsilon=epsilon, eta=eta)
+        report = estimate_rip(ensemble, None, 30, seed=2)
+        assert report.to_json_dict() == explicit.to_json_dict()
+        # at N = 8 the bound is r + k, below N
+        wide = generate_sensing_ensemble(separated_truth(), 200, seed=8)
+        assert estimate_rip(wide, None, 3, seed=2).rank_bound == 5
+
+
+def assumptions_oracle(population, empirical, n_samples, seed, epsilon, eta, ball_radius):
     """check_assumptions' sampled quantities, one ball point at a time."""
-    gen = rng.stream(config.seed, "assumption-ball", 0)
+    gen = rng.stream(seed, "assumption-ball", 0)
     sup_grad = sup_hess = 0.0
     small_grad = 0
     violations = []
-    for _ in range(config.n_samples):
-        point = landscape._sample_ball(population, config.ball_radius, gen)
+    for _ in range(n_samples):
+        point = landscape._sample_ball(population, ball_radius, gen)
         grad_pop = population.euclidean_grad(point)
         diff = empirical.euclidean_grad(point) - grad_pop
         sup_grad = max(sup_grad, float(np.linalg.norm(diff)))
@@ -988,10 +1059,10 @@ def assumptions_oracle(population, empirical, config):
         )
         sup_hess = max(sup_hess, float(max(abs(eigs[0]), abs(eigs[-1]))))
         grad_norm = float(np.linalg.norm(grad_pop))
-        if grad_norm <= config.epsilon:
+        if grad_norm <= epsilon:
             small_grad += 1
             lam = min_eig(population, point)
-            if abs(lam) < config.eta:
+            if abs(lam) < eta:
                 violations.append(
                     {
                         "point_row_major": point.ravel().tolist(),
@@ -1021,17 +1092,17 @@ def rip_oracle(ensemble, rank_bound, n_probes, seed):
 def pr_assumption_case(epsilon, eta):
     signal = experiments._alternating_signal(5)
     empirical = PrEmpiricalRisk(generate_phase_problem(signal, 2000, seed=7))
-    radius = default_phase_assumption_config(signal).ball_radius
-    config = AssumptionConfig(epsilon, eta, radius, n_samples=130, seed=3)
-    return PrPopulationRisk(signal), empirical, config
+    radius = default_thresholds(signal)[2]
+    args = dict(n_samples=130, seed=3, epsilon=epsilon, eta=eta, ball_radius=radius)
+    return PrPopulationRisk(signal), empirical, args
 
 
 def ms_assumption_case(epsilon, eta):
     truth = separated_truth(n=5)
     empirical = MsEmpiricalRisk(generate_sensing_ensemble(truth, 300, seed=5))
-    radius = default_sensing_assumption_config(truth).ball_radius
-    config = AssumptionConfig(epsilon, eta, radius, n_samples=130, seed=3)
-    return MsPopulationRisk(truth), empirical, config
+    radius = default_thresholds(truth)[2]
+    args = dict(n_samples=130, seed=3, epsilon=epsilon, eta=eta, ball_radius=radius)
+    return MsPopulationRisk(truth), empirical, args
 
 
 class TestBlockedChecks:
@@ -1052,17 +1123,17 @@ class TestBlockedChecks:
     def test_assumption_reports_equal_a_loop_at_every_block(
         self, make, epsilon, eta, all_small, monkeypatch
     ):
-        population, empirical, config = make(epsilon, eta)
+        population, empirical, args = make(epsilon, eta)
         sup_grad, sup_hess, small_grad, violations = assumptions_oracle(
-            population, empirical, config
+            population, empirical, **args
         )
         # margin violations, and small-gradient points that are all the
         # points or only some
         assert violations and small_grad > 0
-        assert (small_grad == config.n_samples) == all_small
+        assert (small_grad == args["n_samples"]) == all_small
         for block in (1, 7, 64):
             monkeypatch.setattr(landscape, "BLOCK", block)
-            report = check_assumptions(population, empirical, config)
+            report = check_assumptions(population, empirical, **args)
             assert report.sup_grad_diff_est == sup_grad
             assert report.sup_hess_diff_est == sup_hess
             assert report.small_gradient_count == small_grad
