@@ -14,16 +14,16 @@ derives epsilon, eta and the ball radius from the tabled bounds.
 All sampled checks report Monte-Carlo evidence: a clean run certifies the
 sampled points only, never the full region.
 
-The samplers draw uniforms BLOCK rows at a time, so the stream is read
-exactly as by one rng call per draw, and build each block into a stack of
-proposals in one pass, each bit for bit the proposal built from its row
-alone. Each proposal is still classified on its own, one classify_region_*
-call per proposal, in order; the classifiers read the values that depend
-on the truth alone from the truth, which computes them once. The region
-checks then evaluate their samples in stacks of BLOCK, one min_eig or
-euclidean_grad call on the population risk per stack, as check_assumptions
-and estimate_rip check the points and probes they draw one at a time. Each
-value is bit for bit the single-point one, so no report depends on BLOCK.
+Every random point, of the region samplers, the assumption ball and the
+RIP probes, comes from one loop, _draws: it reads uniforms BLOCK rows at a
+time, so the stream is read exactly as by one rng call per draw, and builds
+each block into a stack of proposals in one pass, each bit for bit the
+proposal built from its row alone. The region samplers accept a proposal by
+one classify_region_* call of its own, in order; the classifiers read the
+values that depend on the truth alone from the truth, which computes them
+once. The points are then checked in stacks of at most BLOCK, one
+population-risk, energy or min_eig call per stack. Each value is bit for
+bit the single-point one, so no report depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -289,7 +288,7 @@ def classify_region_pr(signal, point) -> RegionLabelSet:
 
 
 # ---------------------------------------------------------------------------
-# region samplers
+# the draw loop and the region samplers
 # ---------------------------------------------------------------------------
 
 
@@ -299,58 +298,95 @@ ATTEMPT_FACTOR = 1000
 BLOCK = 64
 
 
-def _scaled_gaussian_factor(g, uut_target):
-    """The Gaussian factor G scaled so that ||G G^T||_F is uut_target; on a
-    (B, N, k) stack each item is scaled to its own target."""
-    gram_norms = item_norms(g @ np.swapaxes(g, -1, -2), 2)
-    return g * np.sqrt(uut_target / gram_norms)[..., None, None]
-
-
 def _unit_rows(g):
     """Each row of g divided by its norm, which item_norms rounds as
     np.linalg.norm rounds that row alone."""
     return g / item_norms(g, 1)[:, None]
 
 
-def _rejection_sample(propose, width, classify, region, n, gen):
-    """Keep proposals whose classify(...).labels hold the region, n of them.
+def _draws(propose, width, accept, n, gen, what):
+    """Yield n accepted proposals, as one (B, *shape) stack per block that
+    keeps any.
 
     Rows of width uniforms are drawn from gen BLOCK at a time (fewer where
-    the block would pass the starvation budget), so the stream is read as
-    by one draw per proposal, and propose(rows) builds the block's (B,
-    *shape) stack of proposals, each item bit for bit the proposal built
-    from its row alone. Every proposal is classified on its own, in order,
-    until n are kept or the budget is spent; proposals after the stop are
-    built but neither classified nor counted. gen may be left advanced past
-    the last accepted proposal, to the end of its block.
+    the block would pass the starvation budget), and propose(rows) builds
+    the block's stack. accept(stack) is read one proposal at a time, in
+    order, until n are kept or the budget is spent; later proposals are
+    built but neither read nor counted. gen may be left advanced to the end
+    of the last block.
     """
     budget = max(n * ATTEMPT_FACTOR, 1000)
-    out = []
-    attempts = 0
-    while len(out) < n:
+    kept = attempts = 0
+    while kept < n:
         if attempts >= budget:
-            raise SamplerStarved(
-                f"region {region}: {len(out)} of {n} samples after "
-                f"{attempts} proposals"
-            )
-        rows = rng.uniform(gen, (min(BLOCK, budget - attempts), width))
-        for candidate in propose(rows):
+            raise SamplerStarved(f"{what}: {kept} of {n} samples after {attempts} proposals")
+        stack = propose(rng.uniform(gen, (min(BLOCK, budget - attempts), width)))
+        keep = []
+        for i, ok in enumerate(accept(stack)):
             attempts += 1
-            if region in classify(candidate).labels:
-                out.append(candidate)
-                if len(out) == n:
+            if ok:
+                keep.append(i)
+                kept += 1
+                if kept == n:
                     break
-    return out
+        if keep:
+            yield stack[keep]
 
 
-def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> list:
-    """Draw n factor points whose label set contains the region.
+def _accept_all(stack):
+    return itertools.repeat(True, len(stack))
+
+
+def _full_rank(stack):
+    """Accept factors with sigma_min > 1e-12 sigma_max, from one stacked svd;
+    relative, as an absolute floor would reject all in a small enough ball."""
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    return sigma[:, -1] > 1e-12 * sigma[:, 0]
+
+
+def _region_samples(propose, width, classify, instance, region, n, gen):
+    """The first n proposals whose classify(instance, .) labels hold the
+    region, as an (n, *shape) array, from one classify call per proposal."""
+
+    def accept(stack):
+        return (region in classify(instance, p).labels for p in stack)
+
+    return np.concatenate(list(_draws(propose, width, accept, n, gen, f"region {region}")))
+
+
+def _factor_ball(n, k, cap, shell):
+    """(propose, width) of (n, k) Gaussian factors G scaled to ||G G^T||_F =
+    cap u, or cap (1 + 3u) on the shell, from rows of u then n k Gaussian
+    entries; each item is scaled to its own target."""
+
+    def propose(rows):
+        scale = 1.0 + 3.0 * rows[:, 0] if shell else rows[:, 0]
+        g = rng.gaussian(rows[:, 1:]).reshape(-1, n, k)
+        gram_norms = item_norms(g @ np.swapaxes(g, 1, 2), 2)
+        return g * np.sqrt(cap * scale / gram_norms)[:, None, None]
+
+    return propose, 1 + n * k
+
+
+def _vector_ball(dim, radius):
+    """(propose, width) of points radius u^{1/dim} w, uniform in the ball,
+    from rows of u then dim Gaussian entries of the direction w."""
+
+    def propose(rows):
+        # the root by Python's pow, row by row: numpy's vectorised power
+        # rounds differently on some hosts
+        roots = np.array([u ** (1.0 / dim) for u in rows[:, 0].tolist()])
+        return (radius * roots)[:, None] * _unit_rows(rng.gaussian(rows[:, 1:]))
+
+    return propose, 1 + dim
+
+
+def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> np.ndarray:
+    """Draw n factor points whose label set contains the region, (n, N, k).
 
     A proposal reads one row of uniforms: N k Gaussian entries then a radius
-    (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the others). Each
-    block of rows is built into proposals in one stacked pass: one
-    rng.gaussian call, and norms from item_norms. gen may be advanced past
-    the last accepted proposal.
+    (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the factor ball,
+    for the others). gen may be advanced past the last accepted proposal.
     """
     thresholds = ms_region_thresholds(truth)
     n_dim, k = truth.dim, truth.target_rank
@@ -388,31 +424,23 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> lis
         width = nk + 1
 
     elif region in (MS_R2PP, MS_R3P, MS_R3PP):
-        cap = thresholds["ball_cap"]
-
         # ||U U^T||_F uniform on (0, cap), or on (cap, 4 cap) for MS_R3pp
-        def propose(rows):
-            scale = 1.0 + 3.0 * rows[:, 0] if region == MS_R3PP else rows[:, 0]
-            g = rng.gaussian(rows[:, 1:]).reshape(-1, n_dim, k)
-            return _scaled_gaussian_factor(g, cap * scale)
-
-        width = 1 + nk
+        cap = thresholds["ball_cap"]
+        propose, width = _factor_ball(n_dim, k, cap, shell=region == MS_R3PP)
 
     else:
         raise InvalidConfig(f"unknown matrix-sensing region {region!r}")
 
-    classify = partial(classify_region_ms, truth)
-    return _rejection_sample(propose, width, classify, region, n, gen)
+    return _region_samples(propose, width, classify_region_ms, truth, region, n, gen)
 
 
-def sample_region_pr(signal, region: str, n: int, gen) -> list:
-    """Draw n vectors whose label set contains the region.
+def sample_region_pr(signal, region: str, n: int, gen) -> np.ndarray:
+    """Draw n vectors whose label set contains the region, (n, N).
 
     A proposal reads one row of uniforms: a radius then N for a direction
-    (PR_R1, PR_R4); a sign, a radius and N (PR_R2); N for the saddle
-    direction, a radius and N (PR_R3). Each block of rows is built into
-    proposals in one stacked pass, as for sample_region_ms. gen may be
-    advanced past the last accepted proposal.
+    (PR_R1, and the vector ball of PR_R4); a sign, a radius and N (PR_R2);
+    N for the saddle direction, a radius and N (PR_R3). gen may be advanced
+    past the last accepted proposal.
     """
     xstar = _phase_signal(signal)
     norm_star = _norm(xstar)
@@ -456,21 +484,12 @@ def sample_region_pr(signal, region: str, n: int, gen) -> list:
         width = 2 * dim + 1
 
     elif region == PR_R4:
-
-        def propose(rows):
-            # the root by Python's pow, row by row: numpy's vectorised power
-            # rounds differently on some hosts
-            roots = np.array([u ** (1.0 / dim) for u in rows[:, 0].tolist()])
-            radii = 1.5 * norm_star * roots
-            return radii[:, None] * _unit_rows(rng.gaussian(rows[:, 1:]))
-
-        width = 1 + dim
+        propose, width = _vector_ball(dim, 1.5 * norm_star)
 
     else:
         raise InvalidConfig(f"unknown phase-retrieval region {region!r}")
 
-    classify = partial(classify_region_pr, xstar)
-    return _rejection_sample(propose, width, classify, region, n, gen)
+    return _region_samples(propose, width, classify_region_pr, xstar, region, n, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +548,6 @@ class RegionBoundReport:
         }
 
 
-def _stacks(items):
-    """The items in order as consecutive (B, *shape) stacks of at most BLOCK.
-    A lazy iterable is read one stack at a time, so its draws are made in
-    order and only one stack of them is held."""
-    items = iter(items)
-    while block := list(itertools.islice(items, BLOCK)):
-        yield np.stack(block)
-
-
 def _check_values(model, kind, stack):
     """The checked quantity at each point of a stack, from one call: the
     Euclidean gradient norm for a gradient floor, else min_eig. Each equals
@@ -575,9 +585,8 @@ def _run_region_checks(family, model, bounds, sample, n_per_region, seed):
                 )
             )
             continue
-        vals = np.concatenate(
-            [_check_values(model, kind, stack) for stack in _stacks(samples)]
-        )
+        stacks = (samples[i : i + BLOCK] for i in range(0, len(samples), BLOCK))
+        vals = np.concatenate([_check_values(model, kind, s) for s in stacks])
         margins = bound - vals if kind == CURVATURE_CEILING else vals - bound
         worst = int(np.argmin(margins))
         bad = np.flatnonzero(margins < 0.0)
@@ -586,7 +595,7 @@ def _run_region_checks(family, model, bounds, sample, n_per_region, seed):
                 {
                     "region": region,
                     "margin": float(margins[i]),
-                    "point_row_major": np.asarray(samples[i]).ravel().tolist(),
+                    "point_row_major": samples[i].ravel().tolist(),
                 }
             )
         checks.append(
@@ -673,21 +682,6 @@ class AssumptionReport:
         return {**asdict(self), "overall_pass": self.overall_pass}
 
 
-def _sample_ball(population, radius, gen):
-    if population.is_factor:
-        n, k = population.shape
-        while True:
-            target = radius * float(rng.uniform(gen))
-            draw = _scaled_gaussian_factor(rng.normal(gen, (n, k)), target)
-            sigma = np.linalg.svd(draw, compute_uv=False)
-            # relative to sigma[0] alone: an absolute floor would reject
-            # every draw in a small enough ball
-            if sigma[-1] > 1e-12 * sigma[0]:
-                return draw
-    dim = population.shape[0]
-    return radius * float(rng.uniform(gen)) ** (1.0 / dim) * rng.unit_vector(gen, dim)
-
-
 def _thresholds(instance, *given) -> tuple:
     """given, in default_thresholds order, each None read from the instance."""
     return tuple(d if v is None else v for v, d in zip(given, default_thresholds(instance)))
@@ -704,12 +698,12 @@ def check_assumptions(
     operator norm, ball_radius the sampling ball: ||x|| <= l for vectors,
     ||U U^T||_F <= l for factors. A threshold left None is read from
     default_thresholds of the population's truth or signal. n_samples ball
-    points are drawn one at a time from the seed's stream and checked in
-    stacks of BLOCK: one euclidean_grad and hessian_form call per model, one
-    batched eigvalsh of the Hessian difference for its operator norm, and
-    min_eig of the small-gradient points from one eigh of the same
-    population forms. A nan deviation, where the risks overflow, raises
-    NonFiniteEntry."""
+    points, from the factor or vector ball of the region samplers, are drawn
+    and checked a block at a time: one euclidean_grad and hessian_form call
+    per model, one batched eigvalsh of the Hessian difference for its
+    operator norm, and min_eig of the small-gradient points from one eigh of
+    the same population forms. A nan deviation, where the risks overflow,
+    raises NonFiniteEntry."""
     instance = population.truth if population.is_factor else population.signal
     epsilon, eta, ball_radius = _thresholds(instance, epsilon, eta, ball_radius)
     if not (epsilon > 0.0 and eta > 0.0 and ball_radius > 0.0):
@@ -718,14 +712,17 @@ def check_assumptions(
         raise InvalidSampleCount("n_samples must be at least 1")
     if population.shape != empirical.shape:
         raise InvalidConfig("population and empirical models disagree on shape")
+    if population.is_factor:
+        ball, accept = _factor_ball(*population.shape, ball_radius, shell=False), _full_rank
+    else:
+        ball, accept = _vector_ball(population.shape[0], ball_radius), _accept_all
     gen = rng.stream(seed, "assumption-ball", 0)
-    draw = partial(_sample_ball, population, ball_radius, gen)
     item_ndim = len(population.shape)
     sup_grad = 0.0
     sup_hess = 0.0
     small_grad = 0
     violations = []
-    for points in _stacks(draw() for _ in range(n_samples)):
+    for points in _draws(*ball, accept, n_samples, gen, "assumption ball"):
         grad_pop = population.euclidean_grad(points)
         grad_diffs = item_norms(empirical.euclidean_grad(points) - grad_pop, item_ndim)
         form_pop = hessian_form(population, points)
@@ -840,11 +837,11 @@ def estimate_rip(
     """Probe the isometry defect of the ensemble on low-rank matrices.
 
     Probes are Z = G G^T - H H^T with Gaussian factors sized to make
-    rank(Z) <= rank_bound, normalized to unit Frobenius norm. Drawn one at a
-    time, they are checked in stacks of BLOCK, one energy call per stack. A
-    rank_bound of None is min(r + k, N), the largest rank a difference of
-    the truth and a k-factor point reaches; an epsilon or eta of None is
-    read from default_thresholds(ensemble.truth).
+    rank(Z) <= rank_bound, normalized to unit Frobenius norm. They are drawn
+    and checked a block at a time, one energy call per block. A rank_bound
+    of None is min(r + k, N), the largest rank a difference of the truth
+    and a k-factor point reaches; an epsilon or eta of None is read from
+    default_thresholds(ensemble.truth).
     """
     truth = ensemble.truth
     if rank_bound is None:
@@ -859,19 +856,18 @@ def estimate_rip(
     epsilon, eta = _thresholds(truth, epsilon, eta)
 
     gen = rng.stream(seed, "rip-probes", 0)
-    cols_pos = (rb + 1) // 2
-    cols_neg = rb // 2
+    dim = truth.dim
+    # a probe's row: G's N ceil(rb/2) entries, then H's N floor(rb/2)
+    split = dim * ((rb + 1) // 2)
 
-    def probe():
-        g = rng.normal(gen, (truth.dim, cols_pos))
-        z = g @ g.T
-        if cols_neg:
-            h = rng.normal(gen, (truth.dim, cols_neg))
-            z = z - h @ h.T
-        return z
+    def propose(rows):
+        gauss = rng.gaussian(rows)
+        g = gauss[:, :split].reshape(len(rows), dim, (rb + 1) // 2)
+        h = gauss[:, split:].reshape(len(rows), dim, rb // 2)
+        return g @ np.swapaxes(g, 1, 2) - h @ np.swapaxes(h, 1, 2)
 
     worst = 0.0
-    for z in _stacks(probe() for _ in range(int(n_probes))):
+    for z in _draws(propose, dim * rb, _accept_all, int(n_probes), gen, "rip probes"):
         energies = ensemble.energy(z / item_norms(z, 2)[:, None, None])
         worst = max(worst, *np.abs(energies - 1.0).tolist())
     return RipReport(

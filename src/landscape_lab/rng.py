@@ -31,16 +31,18 @@ def _tag_word(tag: str) -> int:
 
 
 def resolve_master_seed(explicit: int | None = None) -> int:
-    """Pick the master seed: explicit value, else env var, else default."""
-    if explicit is not None:
-        return int(explicit)
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MASTER_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidConfig(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    """Pick the master seed: explicit value, else env var, else default. It
+    must not be negative, as stream's SeedSequence requires."""
+    if explicit is None:
+        raw = os.environ.get(SEED_ENV_VAR, DEFAULT_MASTER_SEED)
+        try:
+            explicit = int(raw)
+        except ValueError as exc:
+            raise InvalidConfig(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    seed = int(explicit)
+    if seed < 0:
+        raise InvalidConfig(f"the master seed must not be negative, got {seed}")
+    return seed
 
 
 def stream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:

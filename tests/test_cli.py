@@ -527,6 +527,45 @@ class TestExitCodes:
         assert "x.csv would hold an infinite number" in done.stderr
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, environment_seed",
+        [
+            (["pr1d", "--seed", "-1"], None),
+            (["regions_pr", "--seed", "-5", "--samples", "3"], None),
+            (["--config", "seed.cfg"], None),
+            (["rip"], "-3"),
+        ],
+        ids=["pr1d-flag", "regions_pr-flag", "config-file", "environment"],
+    )
+    def test_negative_seed_is_three_and_writes_nothing(self, argv, environment_seed, tmp_path):
+        # the streams' SeedSequence refuses a negative seed; the line and
+        # plane experiments, which use only subseed, used to run with one
+        (tmp_path / "seed.cfg").write_text("experiment=pr1d\nseed=-2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env.pop(rng.SEED_ENV_VAR, None)
+        if environment_seed is not None:
+            env[rng.SEED_ENV_VAR] = environment_seed
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *argv, "--out", "x"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert done.returncode == cli.EXIT_INVALID_CONFIG, done.stderr
+        assert "the master seed must not be negative" in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.cfg"]
+
+    def test_config_file_not_utf8_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"experiment=pr1d\nm=\xff\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_unwritable_output_is_three(self, tmp_path):
         rc = cli.main(["pr1d", "--out", str(tmp_path / "no" / "dir" / "x")])
         assert rc == cli.EXIT_INVALID_CONFIG

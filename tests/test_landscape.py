@@ -446,6 +446,20 @@ class TestSamplers:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("region", MS_REGIONS)
+    def test_ms_samples_are_one_array(self, region):
+        # more than one block of samples, concatenated
+        truth = separated_truth()
+        samples = sample_region_ms(truth, region, BLOCK + 6, rng.stream(12, region, 0))
+        assert isinstance(samples, np.ndarray)
+        assert samples.shape == (BLOCK + 6, truth.dim, truth.target_rank)
+
+    @pytest.mark.parametrize("region", PR_REGIONS)
+    def test_pr_samples_are_one_array(self, region):
+        samples = sample_region_pr(XSTAR, region, BLOCK + 6, rng.stream(12, region, 0))
+        assert isinstance(samples, np.ndarray)
+        assert samples.shape == (BLOCK + 6, XSTAR.shape[0])
+
 
 # samples per region compared with the serial draws: in MS_R2p and PR_R2 a
 # small offset is added to an anchor, which absorbs most last-bit errors of
@@ -545,6 +559,59 @@ def pr_serial_proposer(signal, region):
             return radius * rng.unit_vector(gen, dim)
 
     return propose
+
+
+class TestDraws:
+    """The one draw loop of the samplers, the assumption ball and the RIP
+    probes: kept proposals in stream order, one stack per block that keeps
+    any, and accept read only up to the n-th kept proposal."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_kept_proposals_equal_a_per_draw_loop(self, block, monkeypatch):
+        monkeypatch.setattr(landscape, "BLOCK", block)
+        width, n = 3, 50
+        read = []
+
+        def every_third_rejected(stack):
+            for proposal in stack:
+                read.append(proposal)
+                yield len(read) % 3 != 0
+
+        stacks = list(
+            landscape._draws(
+                rng.gaussian, width, every_third_rejected, n, rng.stream(11, "draws", 0), "test"
+            )
+        )
+        gen = rng.stream(11, "draws", 0)
+        want = []
+        drawn = 0
+        while len(want) < n:
+            proposal = rng.normal(gen, (width,))
+            drawn += 1
+            if drawn % 3 != 0:
+                want.append(proposal)
+        assert all(0 < len(stack) <= block for stack in stacks)
+        assert np.array_equal(np.concatenate(stacks), np.stack(want))
+        assert len(read) == drawn
+
+    def test_factor_ball_rejects_rank_deficient_factors(self):
+        full = np.eye(3)[:, :2]
+        deficient = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
+        assert landscape._full_rank(np.stack([full, deficient, full])).tolist() == [
+            True,
+            False,
+            True,
+        ]
+
+    def test_ball_starves_within_the_sampler_budget(self, monkeypatch):
+        # no reachable input rejects every factor; the budget still bounds
+        # the ball's loop
+        population, empirical, args = ms_assumption_case(1.0, 0.3)
+        monkeypatch.setattr(landscape, "_full_rank", lambda stack: [False] * len(stack))
+        with pytest.raises(
+            SamplerStarved, match=r"^assumption ball: 0 of 130 samples after 130000 proposals$"
+        ):
+            check_assumptions(population, empirical, **args)
 
 
 class TestBlockDraws:
@@ -1043,6 +1110,23 @@ class TestDefaultThresholds:
         assert estimate_rip(wide, None, 3, seed=2).rank_bound == 5
 
 
+def ball_point(population, radius, gen):
+    """One ball point from one rng call per draw: for factors a uniform u,
+    then N k Gaussians scaled to ||G G^T||_F = radius u, drawn again while
+    sigma_min <= 1e-12 sigma_max; for vectors a uniform u, then the unit
+    direction, scaled to radius u^{1/N}."""
+    if population.is_factor:
+        while True:
+            target = radius * float(rng.uniform(gen))
+            g = rng.normal(gen, population.shape)
+            point = g * math.sqrt(target / np.linalg.norm(g @ g.T))
+            sigma = np.linalg.svd(point, compute_uv=False)
+            if sigma[-1] > 1e-12 * sigma[0]:
+                return point
+    dim = population.shape[0]
+    return radius * float(rng.uniform(gen)) ** (1.0 / dim) * rng.unit_vector(gen, dim)
+
+
 def assumptions_oracle(population, empirical, n_samples, seed, epsilon, eta, ball_radius):
     """check_assumptions' sampled quantities, one ball point at a time."""
     gen = rng.stream(seed, "assumption-ball", 0)
@@ -1050,7 +1134,7 @@ def assumptions_oracle(population, empirical, n_samples, seed, epsilon, eta, bal
     small_grad = 0
     violations = []
     for _ in range(n_samples):
-        point = landscape._sample_ball(population, ball_radius, gen)
+        point = ball_point(population, ball_radius, gen)
         grad_pop = population.euclidean_grad(point)
         diff = empirical.euclidean_grad(point) - grad_pop
         sup_grad = max(sup_grad, float(np.linalg.norm(diff)))
@@ -1106,10 +1190,10 @@ def ms_assumption_case(epsilon, eta):
 
 
 class TestBlockedChecks:
-    """check_assumptions and estimate_rip draw one point or probe at a time
-    and check them in stacks of BLOCK; 130 draws leave a ragged last stack
-    at BLOCK 7 and 64. Their reports must not depend on BLOCK, and must
-    equal a loop over single points."""
+    """check_assumptions and estimate_rip draw and check their points and
+    probes in stacks of BLOCK; 130 draws leave a ragged last stack at BLOCK
+    7 and 64. Their reports must not depend on BLOCK, and must equal a loop
+    over single points, each drawn by its own rng calls."""
 
     @pytest.mark.parametrize(
         "make, epsilon, eta, all_small",

@@ -56,3 +56,12 @@ def test_master_seed_resolution(monkeypatch):
         rng.resolve_master_seed()
     monkeypatch.delenv(rng.SEED_ENV_VAR)
     assert rng.resolve_master_seed() == rng.DEFAULT_MASTER_SEED
+
+
+def test_negative_master_seed_is_invalid(monkeypatch):
+    with pytest.raises(InvalidConfig, match="must not be negative, got -1"):
+        rng.resolve_master_seed(-1)
+    monkeypatch.setenv(rng.SEED_ENV_VAR, "-3")
+    with pytest.raises(InvalidConfig, match="must not be negative, got -3"):
+        rng.resolve_master_seed()
+    assert rng.resolve_master_seed(0) == 0
