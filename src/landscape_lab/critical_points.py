@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GramNotSPD, InvalidConfig
 from .manifold import _item_norms, _norm, procrustes_distance
-from .risk_models import SensingGroundTruth, _coerce
+from .risk_models import SensingGroundTruth, _coerce, stack_surfaces
 from .spectral import (
     dense_euclidean_hessian,
     min_eig,
@@ -92,7 +92,8 @@ def _backtrack(model, point, grad, grad_norm, step, polish):
     A Newton item passes when its gradient norm falls below grad_norm and
     gets MAX_BACKTRACKS tries; a polish item (polish True) passes below
     0.9 * grad_norm, or at an exact zero, and gets one try. Each try is one
-    euclidean_grad call on the items still trying, and a passed item keeps
+    euclidean_grad call on the items still trying, through
+    model.take(trying), and a passed item keeps
     the gradient that call computed, so the caller need not evaluate it
     again. Returns (point, grad, grad_norm, passed); an item that did not
     pass keeps its inputs.
@@ -104,7 +105,7 @@ def _backtrack(model, point, grad, grad_norm, step, polish):
     scale = 1.0
     for _ in range(MAX_BACKTRACKS):
         candidate = point[trying] + scale * step[trying]
-        cand_grad = model.euclidean_grad(candidate)
+        cand_grad = model.take(trying).euclidean_grad(candidate)
         norm = _item_norms(cand_grad, step.ndim - 1)
         ok = (norm < bar[trying]) | (norm == 0.0)
         took = trying[ok]
@@ -130,10 +131,14 @@ def damped_newton(model, seed_point):
 
     A stack runs every seed in lockstep, each with its own iterations,
     stalls, backtracking and phase, and each ends bit for bit where it
-    would alone (a single seed is a stack of one). A round makes one
-    dense_euclidean_hessian call and one batched eigh over the seeds still
-    active, and one euclidean_grad call per backtrack halving over the seeds
-    still halving. It returns ((B, *shape) points, (B,) gradient norms,
+    would alone (a single seed is a stack of one). The model may stack the
+    surfaces of several empirical risks (risk_models.stack_surfaces), with
+    each seed on its own surface: then the search of every surface runs in
+    the same rounds, and each seed still ends where it would on its own
+    model. A round makes one dense_euclidean_hessian call and one batched
+    eigh over the seeds still active, and one euclidean_grad call per
+    backtrack halving over the seeds still halving, each on model.take of
+    those seeds. It returns ((B, *shape) points, (B,) gradient norms,
     total Newton iterations, number of converged seeds): totals over the
     stack, so a caller that sums per-call iteration counts or counts
     converging calls reads a stack like a seed. A seed converged iff its
@@ -166,12 +171,12 @@ def damped_newton(model, seed_point):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        at, in_polish = points[idx], polish[idx]
-        hess = dense_euclidean_hessian(model, at)
+        at, in_polish, at_model = points[idx], polish[idx], model.take(idx)
+        hess = dense_euclidean_hessian(at_model, at)
         step = _damped_newton_step(hess, grad[idx].reshape(len(idx), -1))
         step, _ = _capped(step.reshape(at.shape), at)
         points[idx], grad[idx], grad_norm[idx], passed = _backtrack(
-            model, at, grad[idx], grad_norm[idx], step, in_polish
+            at_model, at, grad[idx], grad_norm[idx], step, in_polish
         )
         newton = idx[~in_polish]
         iters[newton] += 1
@@ -283,6 +288,14 @@ def _dedupe(model, points: np.ndarray, grad_norms: np.ndarray, tol: float) -> li
     return keep
 
 
+def _kind(lam: float, tau_eig: float) -> str:
+    if lam > tau_eig:
+        return KIND_MIN
+    if lam < -tau_eig:
+        return KIND_SADDLE
+    return KIND_DEGENERATE
+
+
 def _classify(model, point: np.ndarray):
     tau_eig = TAU_EIG_FACTOR * model.hessian_scale
     note = ""
@@ -294,54 +307,86 @@ def _classify(model, point: np.ndarray):
         # negative spectrum
         lam = np.linalg.eigh(dense_euclidean_hessian(model, point))[0][0]
         note = "rank-deficient factor, ambient curvature reported"
-    if lam > tau_eig:
-        kind = KIND_MIN
-    elif lam < -tau_eig:
-        kind = KIND_SADDLE
-    else:
-        kind = KIND_DEGENERATE
-    return float(lam), kind, note
+    return float(lam), _kind(lam, tau_eig), note
+
+
+def _classify_stack(model, points: np.ndarray) -> list:
+    """_classify for each point of a (R, *shape) stack, from one stacked
+    min_eig call; if some factor is rank-deficient, each point goes through
+    _classify alone, with its fallback."""
+    if not len(points):
+        return []
+    try:
+        lams = min_eig(model, points).tolist()
+    except GramNotSPD:
+        return [_classify(model, point) for point in points]
+    tau_eig = TAU_EIG_FACTOR * model.hessian_scale
+    return [(lam, _kind(lam, tau_eig), "") for lam in lams]
 
 
 def find_critical_points(model, seed_points) -> CriticalSearchResult:
-    """Run the damped Newton search from every seed and merge duplicates.
+    """Run the damped Newton search from every seed and merge duplicates;
+    the one-surface case of find_critical_points_each."""
+    return find_critical_points_each([model], seed_points)[0]
 
-    One damped_newton call takes the whole stack of seeds. The converged
-    endpoints are deduplicated in seed order by distance rows (_dedupe),
-    and then each surviving record is classified once, in record order.
-    Seeds that fail to converge are counted, not fatal. Duplicates merge
-    at 1e-4 times the domain scale, keeping the representative with the
-    smaller gradient norm.
+
+def find_critical_points_each(models, seed_points) -> list:
+    """find_critical_points on each model's surface from the same seeds, as
+    one list of results, with one damped_newton call for all of them.
+
+    Several models must be empirical risks of one class and one truth or
+    signal, which risk_models.stack_surfaces stacks into one model: every
+    surface then searches in the same Newton rounds, and each seed ends
+    bit for bit where a search of its surface alone ends it. Per surface,
+    the converged endpoints are deduplicated in seed order by distance
+    rows (_dedupe), and the surviving records are classified with one
+    stacked min_eig call, in record order. Seeds that fail to converge are
+    counted, not fatal. Duplicates merge at 1e-4 times the domain scale,
+    keeping the representative with the smaller gradient norm.
     """
-    dim = int(np.prod(model.shape))
+    models = list(models)
+    if not models:
+        return []
+    shape = models[0].shape
+    dim = int(np.prod(shape))
     if dim > MAX_SEARCH_DIM:
         raise InvalidConfig(
             f"dense search supports at most {MAX_SEARCH_DIM} dimensions, "
             f"model has {dim}"
         )
-    tol = TAU_DEDUPE_FACTOR * model.domain_scale
     seeds = list(seed_points)
-    points, grad_norms = np.empty((0, *model.shape)), np.empty(0)
+    n = len(seeds)
+    stack = stack_surfaces(models, n)
+    points, grad_norms = np.empty((0, *shape)), np.empty(0)
     if seeds:
         shapes = {np.shape(seed) for seed in seeds}
-        if shapes != {model.shape}:
+        if shapes != {shape}:
             raise DimensionMismatch(
-                f"seed shapes {sorted(shapes)} do not match model shape {model.shape}"
+                f"seed shapes {sorted(shapes)} do not match model shape {shape}"
             )
-        points, grad_norms, _, _ = damped_newton(model, np.stack(seeds))
-    converged = np.flatnonzero(grad_norms <= _tau(model))
-    points, grad_norms = points[converged], grad_norms[converged]
-    found = [
-        CriticalPointRecord(points[i], float(grad_norms[i]), *_classify(model, points[i]))
-        for i in _dedupe(model, points, grad_norms, tol)
-    ]
-    return CriticalSearchResult(
-        records=tuple(found),
-        n_seeds=len(seeds),
-        n_converged=len(converged),
-        n_failed=len(seeds) - len(converged),
-        dedupe_tol=tol,
-    )
+        tiled = np.tile(np.stack(seeds), (len(models), *(1,) * len(shape)))
+        points, grad_norms, _, _ = damped_newton(stack, tiled)
+    results = []
+    for s, model in enumerate(models):
+        tol = TAU_DEDUPE_FACTOR * model.domain_scale
+        ends, norms = points[s * n : (s + 1) * n], grad_norms[s * n : (s + 1) * n]
+        converged = np.flatnonzero(norms <= _tau(model))
+        ends, norms = ends[converged], norms[converged]
+        keep = _dedupe(model, ends, norms, tol)
+        found = [
+            CriticalPointRecord(ends[i], float(norms[i]), *curvature)
+            for i, curvature in zip(keep, _classify_stack(model, ends[keep]))
+        ]
+        results.append(
+            CriticalSearchResult(
+                records=tuple(found),
+                n_seeds=n,
+                n_converged=len(converged),
+                n_failed=n - len(converged),
+                dedupe_tol=tol,
+            )
+        )
+    return results
 
 
 def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:

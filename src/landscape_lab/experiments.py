@@ -13,6 +13,7 @@ reproduces identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, rng
 from .critical_points import (
     MAX_GRID_POINTS,
-    find_critical_points,
+    find_critical_points_each,
     grid_seed_points,
     refine_minimum_horizontal,
 )
@@ -166,13 +167,43 @@ def _stamp(resolved: dict) -> dict:
     }
 
 
+class _Coordinates:
+    """The x1 and x2 columns of a contour grid, which every surface's grid
+    table shares. text is each row's "x1,x2" cells, formatted as
+    format_float formats them, once, on first use. Each row keeps its own
+    text: a cache keyed by value would print -0.0 as 0, since 0.0 == -0.0."""
+
+    def __init__(self, columns: list):
+        self.columns = columns
+
+    @functools.cached_property
+    def text(self) -> list:
+        return list(map("%.17g,%.17g".__mod__, zip(*self.columns)))
+
+
+class _GridRows(list):
+    """A contour grid table's (x1, x2, value) rows, which _csv_text writes
+    from the shared coordinates' text and the values."""
+
+    def __init__(self, coordinates: _Coordinates, values: list):
+        super().__init__(zip(*coordinates.columns, values))
+        self.coordinates = coordinates
+        self.values = values
+
+
 def _csv_text(path: str, columns, rows, metadata: dict) -> str:
     """The text of one CSV table. An infinite cell raises NonFiniteEntry, as
     a non-finite number does in JSON; nan passes, as the null cell that
     ms_rank2_dist documents. A full row of Python floats is formatted in one
-    operation, as format_float formats each cell; other rows cell by cell."""
+    operation, as format_float formats each cell; other rows cell by cell.
+    A contour grid's rows (_GridRows) reuse the text of their coordinates."""
     lines = [f"# {key}: {_format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
+    if isinstance(rows, _GridRows):
+        body = "\n".join(map("%s,%.17g".__mod__, zip(rows.coordinates.text, rows.values)))
+        if "inf" in body:  # %.17g prints inf only for an infinity
+            raise NonFiniteEntry(f"{path} would hold an infinite number")
+        return "\n".join([*lines, body]) + "\n"
     float_row = ",".join(["%.17g"] * len(columns))
     for row in rows:
         if len(row) == len(columns) and all(type(cell) is float for cell in row):
@@ -323,15 +354,21 @@ def run_2d_landscape(config: ExperimentConfig, master: int):
     # the (P^2, 2) grid, x1 the outer axis, and the seeds; each is reshaped
     # to a stack of the surface's points, (2,) or (2, 1)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    newton_seeds = np.stack(grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2))
+    coordinates = _Coordinates(grid.T.tolist())
+    shape = surfaces[0][1].shape
+    newton_seeds = np.stack(grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2)).reshape(-1, *shape)
+    # the population surface has an operator of its own, so it searches
+    # alone; the empirical surfaces search as one stack
+    models = [model for _, model in surfaces]
+    searches = find_critical_points_each(models[:1], newton_seeds)
+    searches += find_critical_points_each(models[1:], newton_seeds)
 
     tables = []
     surface_payloads = {}
     counts = {}
-    for name, model in surfaces:
-        values = model.value(grid.reshape(-1, *model.shape))
-        grid_rows = list(zip(*grid.T.tolist(), values.tolist()))
-        search = find_critical_points(model, newton_seeds.reshape(-1, *model.shape))
+    for (name, model), search in zip(surfaces, searches):
+        values = model.value(grid.reshape(-1, *shape))
+        grid_rows = _GridRows(coordinates, values.tolist())
         point_rows = sorted(
             (
                 float(record.location.ravel()[0]),

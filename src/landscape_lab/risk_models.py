@@ -35,6 +35,11 @@ does not depend on M. The draw itself (raw, vectors) and the measurements
 are regenerated from (seed, M), block by block, whenever they are read; the
 blocks consume the stream in order, so they equal a one-shot draw bit for
 bit.
+
+The empirical risks of several ensembles of one truth or signal stack into
+one risk of their class (stack_surfaces), over a stack of points whose
+items each lie on one ensemble's surface; each item is bit for bit its own
+surface's value, and RiskModel.take restricts a stack to some of its items.
 """
 
 from __future__ import annotations
@@ -483,6 +488,55 @@ class _FourthMoment(_PopulationOperator):
     normal = _GramEnsemble.normal
 
 
+class _GramStack:
+    """The normal operators of several Gram ensembles, applied to a stack
+    of points whose items each lie on one ensemble's surface.
+
+    runs lists (ensemble, start, stop): the items start <= i < stop lie on
+    that ensemble's surface, and the runs follow each other from 0 to the
+    stack's size. energy and normal hand each run to its ensemble's own
+    method, one product per run, so every item rounds as on its ensemble
+    alone and no Gram matrix is gathered per item.
+    """
+
+    def __init__(self, runs: list, size: int):
+        self.runs = runs
+        self.size = size
+        self._edges = np.array([start for _, start, _ in runs] + [size])
+
+    def take(self, idx: np.ndarray):
+        """The operator of the items idx, an increasing index array: a run
+        keeps the items of idx that fell in it. Items that all lie on one
+        surface get that ensemble itself."""
+        if len(idx) == self.size:
+            return self
+        cuts = idx.searchsorted(self._edges).tolist()
+        runs = [
+            (ensemble, a, b)
+            for (ensemble, _, _), a, b in zip(self.runs, cuts, cuts[1:])
+            if a < b
+        ]
+        if len(runs) == 1:
+            return runs[0][0]
+        return _GramStack(runs, len(idx))
+
+    def _apply(self, method: str, z: np.ndarray) -> np.ndarray:
+        # a stack of points reaches the operator as (B, m, N, N)
+        if z.ndim != 4 or len(z) != self.size:
+            raise DimensionMismatch(
+                f"a stack of {self.size} surface items needs as many points"
+            )
+        return np.concatenate(
+            [getattr(ensemble, method)(z[a:b]) for ensemble, a, b in self.runs]
+        )
+
+    def energy(self, z: np.ndarray) -> np.ndarray:
+        return self._apply("energy", z)
+
+    def normal(self, z: np.ndarray) -> np.ndarray:
+        return self._apply("normal", z)
+
+
 class RiskModel:
     """The quartic c <R, N(R)> in the residual R = UU^T - X.
 
@@ -529,6 +583,21 @@ class RiskModel:
         super().__init_subclass__(**kwargs)
         for name in ("value", "euclidean_grad", "hess_vec"):
             setattr(cls, name, getattr(cls, name))
+
+    def take(self, idx: np.ndarray) -> "RiskModel":
+        """This model restricted to the items idx, an increasing index
+        array, of a stack of points: the model itself, unless it stacks
+        several surfaces (stack_surfaces), whose items each know theirs.
+        Items that all lie on one surface get that surface's operator, so
+        their model takes its items as a one-surface model does."""
+        if not isinstance(self.operator, _GramStack):
+            return self
+        operator = self.operator.take(idx)
+        if operator is self.operator:
+            return self
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__, operator=operator)
+        return model
 
     def _factor(self, arr: np.ndarray) -> np.ndarray:
         """A point as its N x k factor (a phase-retrieval vector as N x 1),
@@ -678,3 +747,41 @@ class PrEmpiricalRisk(_PhaseRisk):
         z = a @ x
         diag = 3.0 * z ** 2 - self.problem.measurements
         return (2.0 / self.problem.n_measurements) * (a.T * diag) @ a
+
+
+def stack_surfaces(models, per_surface: int) -> RiskModel:
+    """One empirical risk over the surfaces of several models, for a stack
+    of len(models) * per_surface points whose s-th block of per_surface
+    points lies on models[s]'s surface.
+
+    The models must be empirical risks of one class (MsEmpiricalRisk or
+    PrEmpiricalRisk) and of one truth or signal. The stack is an instance
+    of that class, with the models' scales, shape and target; its operator
+    applies each surface's Gram matrix to that surface's items, so every
+    item of value, euclidean_grad and hess_vec is bit for bit the value on
+    its own model. take(idx) restricts it to a subset of the items. It
+    holds no single ensemble or problem. One model is returned as it is.
+    """
+    models = list(models)
+    first = models[0]
+    if len(models) == 1:
+        return first
+    cls = type(first)
+    if not (
+        isinstance(first.operator, _GramEnsemble)
+        and all(
+            type(m) is cls and m.shape == first.shape and np.array_equal(m.target, first.target)
+            for m in models
+        )
+    ):
+        raise InvalidConfig(
+            "stacked surfaces must be empirical risks of one class and one truth or signal"
+        )
+    n = int(per_surface)
+    runs = [(m.operator, s * n, (s + 1) * n) for s, m in enumerate(models)]
+    stack = cls.__new__(cls)
+    # the class's own base, _SensingRisk or _PhaseRisk, sets the scales
+    # and the target from the truth or signal
+    instance = first.truth if first.is_factor else first.signal
+    super(cls, stack).__init__(instance, _GramStack(runs, len(models) * n))
+    return stack

@@ -46,8 +46,14 @@ def resolve_master_seed(explicit: int | None = None) -> int:
 
 
 def stream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Independent generator for (master_seed, tag, index)."""
-    seq = np.random.SeedSequence((int(master_seed), _tag_word(tag), int(index)))
+    """Independent generator for (master_seed, tag, index); a negative seed
+    or index, which SeedSequence cannot take, raises InvalidConfig."""
+    seed, index = int(master_seed), int(index)
+    if seed < 0 or index < 0:
+        raise InvalidConfig(
+            f"stream seed and index must not be negative, got {seed} and {index}"
+        )
+    seq = np.random.SeedSequence((seed, _tag_word(tag), index))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -60,12 +66,13 @@ def subseed(master_seed: int, tag: str, index: int = 0) -> int:
 def uniform(gen: np.random.Generator, shape=()) -> np.ndarray:
     """Uniforms on the open interval (0, 1), 53-bit resolution.
 
-    Each value spends one 64-bit word of the stream and none is rejected,
-    so a (rows, width) block holds, row by row, the values that rows
-    successive calls of width values each would return.
+    Each value is (b + 1/2) 2^-53 for the top 53 bits b of one 64-bit word
+    of the stream, and none is rejected, so a (rows, width) block holds,
+    row by row, the values that rows successive calls of width values each
+    would return. random() reads b 2^-53 from the word, and adding 2^-54
+    rounds exactly as (b + 0.5) * 2^-53 does.
     """
-    bits = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return (bits + 0.5) * (2.0 ** -53)
+    return gen.random(shape) + 2.0 ** -54
 
 
 def gaussian(u: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from landscape_lab.critical_points import (
     analytic_critical_points_pr,
     damped_newton,
     find_critical_points,
+    find_critical_points_each,
     grid_seed_points,
     match_correspondence,
     refine_minimum_horizontal,
@@ -32,7 +33,7 @@ from landscape_lab.risk_models import (
     generate_phase_problem,
     generate_sensing_ensemble,
 )
-from landscape_lab.spectral import dense_euclidean_hessian, restricted_hessian
+from landscape_lab.spectral import dense_euclidean_hessian, min_eig, restricted_hessian
 
 XSTAR_2D = np.array([1.0, -1.0])
 
@@ -269,6 +270,78 @@ class TestStackedSearch:
         assert sum(calls) == iters
 
 
+def plane_surfaces(experiment, m):
+    """The empirical surfaces of a plane experiment at the CLI's seed, one
+    per M."""
+    config = experiments._resolve(experiments.ExperimentConfig(experiment, m=m))
+    surfaces, _ = experiments._surface_models(config, config.master_seed)
+    return [model for _, model in surfaces[1:]]
+
+
+def assert_same_search(got, want):
+    assert (got.n_seeds, got.n_converged, got.n_failed, got.dedupe_tol) == (
+        want.n_seeds,
+        want.n_converged,
+        want.n_failed,
+        want.dedupe_tol,
+    )
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert a.location.tobytes() == b.location.tobytes()
+        assert (a.grad_norm, a.lambda_min, a.kind, a.note) == (
+            b.grad_norm,
+            b.lambda_min,
+            b.kind,
+            b.note,
+        )
+
+
+class TestSurfaceStack:
+    @pytest.mark.parametrize(
+        "experiment, m", [("pr2d", (1, 3, 10)), ("ms2d_rank1", (1, 3, 10, 30))]
+    )
+    def test_each_surface_ends_as_its_own_search(self, experiment, m, monkeypatch):
+        models = plane_surfaces(experiment, m)
+        seeds = plane_grid(0.5, models[0].shape)
+        alone = [find_critical_points(model, seeds) for model in models]
+        newton = []
+
+        def counted(model, seed_point):
+            newton.append(len(seed_point))
+            return damped_newton(model, seed_point)
+
+        monkeypatch.setattr(critical_points, "damped_newton", counted)
+        results = find_critical_points_each(models, seeds)
+        # one Newton stack for every surface
+        assert newton == [len(models) * len(seeds)]
+        assert len(results) == len(models)
+        for got, want in zip(results, alone):
+            assert_same_search(got, want)
+        # the M = 1 surface has a continuum of critical points: every seed
+        # converges, to more records than any other surface keeps
+        assert results[0].n_converged == len(seeds)
+        assert len(results[0].records) > max(len(r.records) for r in results[1:])
+
+    def test_stack_totals_are_the_surfaces_totals(self):
+        models = plane_surfaces("ms2d_rank1", (3, 10))
+        seeds = np.stack(plane_grid(0.5, models[0].shape))
+        alone = [damped_newton(model, seeds) for model in models]
+        stack = critical_points.stack_surfaces(models, len(seeds))
+        points, grad_norms, iters, n_converged = damped_newton(stack, np.concatenate([seeds] * 2))
+        assert points.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert grad_norms.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+        assert (iters, n_converged) == (sum(a[2] for a in alone), sum(a[3] for a in alone))
+        # the M = 3 surface fails some seeds, so those paths are in the stack
+        assert n_converged < len(points)
+
+    def test_mixed_surfaces_are_rejected(self):
+        population = PrPopulationRisk(XSTAR_2D)
+        empirical = PrEmpiricalRisk(generate_phase_problem(XSTAR_2D, 5, seed=1))
+        with pytest.raises(InvalidConfig, match="one class and one truth or signal"):
+            find_critical_points_each([population, empirical], [XSTAR_2D])
+        assert find_critical_points_each([], [XSTAR_2D]) == []
+
+
 class TestDedupe:
     @pytest.mark.parametrize(
         "model",
@@ -361,6 +434,10 @@ class TestBacktrack:
             # gradient norm is its distance from the origin
             def __init__(self):
                 self.calls = []
+
+            def take(self, idx):
+                # one surface: every item is on it
+                return self
 
             def euclidean_grad(self, point):
                 self.calls.append(len(point))
@@ -668,6 +745,36 @@ class TestKindThresholds:
             assert record.kind == KIND_SADDLE
             assert record.lambda_min == -1.0
             assert record.note == "rank-deficient factor, ambient curvature reported"
+
+
+    def test_one_min_eig_call_classifies_a_surface(self, monkeypatch):
+        calls = []
+
+        def counted(model, point):
+            calls.append(np.shape(point))
+            return min_eig(model, point)
+
+        monkeypatch.setattr(critical_points, "min_eig", counted)
+        result = find_critical_points(PrPopulationRisk(XSTAR_2D), plane_grid(0.5))
+        assert len(result.records) == 5
+        assert calls == [(5, 2)]
+
+    def test_a_rank_deficient_record_sends_its_surface_to_the_fallback(self):
+        # k = 2: the minimum has full rank and is read on the horizontal
+        # space; at U = 0 the Gram matrix U^T U is singular, so the stacked
+        # call fails and each record is classified alone, U = 0 through
+        # the ambient Hessian
+        truth = factor_truth()
+        model = MsPopulationRisk(truth)
+        points = np.stack([truth.canonical_minimum(), np.zeros((5, 2))])
+        got = critical_points._classify_stack(model, points)
+        assert got == [critical_points._classify(model, p) for p in points]
+        assert [(kind, note) for _, kind, note in got] == [
+            (KIND_MIN, ""),
+            (KIND_SADDLE, "rank-deficient factor, ambient curvature reported"),
+        ]
+        result = find_critical_points(model, list(points))
+        assert [(r.lambda_min, r.kind, r.note) for r in result.records] == got
 
 
 def counting(model_class):

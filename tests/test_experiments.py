@@ -613,6 +613,30 @@ class TestCsvText:
             experiments._csv_text("t.csv", self.COLUMNS, rows, {})
 
 
+    # a contour grid's coordinate columns, with both signs of zero at
+    # different rows, and its surfaces' values
+    GRID = [[0.0, -0.0, 5e-324, 1 / 3], [-0.0, 0.0, -1.7976931348623157e308, 2.5]]
+
+    def test_grid_rows_equal_the_float_rows(self):
+        coordinates = experiments._Coordinates(self.GRID)
+        tables = [[1.0, -0.0, math.nan, 0.1], [-2.5e300, 0.0, 1e-7, -0.0]]
+        for values in tables:
+            rows = experiments._GridRows(coordinates, values)
+            assert rows == list(zip(*self.GRID, values))
+            columns = ("x1", "x2", "value")
+            text = experiments._csv_text("t.csv", columns, rows, {"surface": "m3"})
+            assert text == experiments._csv_text("t.csv", columns, list(rows), {"surface": "m3"})
+        assert text.splitlines()[2:4] == ["0,-0,-2.5000000000000001e+300", "-0,0,0"]
+        # formatted once, for the first table, and kept for the second
+        assert vars(coordinates)["text"][:2] == ["0,-0", "-0,0"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_an_infinite_grid_value_raises(self, value):
+        rows = experiments._GridRows(experiments._Coordinates(self.GRID), [0.0, value, 1.0, 2.0])
+        with pytest.raises(NonFiniteEntry, match="t.csv would hold an infinite number"):
+            experiments._csv_text("t.csv", ("x1", "x2", "value"), rows, {})
+
+
 class TestFloatFormatting:
     def test_seventeen_significant_digits(self):
         assert experiments.format_float(1.0 / 3.0) == "0.33333333333333331"

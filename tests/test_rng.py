@@ -65,3 +65,29 @@ def test_negative_master_seed_is_invalid(monkeypatch):
     with pytest.raises(InvalidConfig, match="must not be negative, got -3"):
         rng.resolve_master_seed()
     assert rng.resolve_master_seed(0) == 0
+
+
+def test_uniform_is_the_integer_form_bit_for_bit():
+    # the form uniform had before it read random(): the top 53 bits of a
+    # word as an integer, plus one half, times 2^-53
+    old, new = rng.stream(9, "uniform-oracle", 0), rng.stream(9, "uniform-oracle", 0)
+    want = (old.integers(0, 1 << 53, size=10**6, dtype=np.int64) + 0.5) * 2.0**-53
+    got = rng.uniform(new, (10**6,))
+    assert got.tobytes() == want.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+    one = (old.integers(0, 1 << 53, size=(), dtype=np.int64) + 0.5) * 2.0**-53
+    assert rng.uniform(new) == one
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (1, -1), (-5, -2)])
+def test_negative_stream_seed_or_index_is_invalid(seed, index):
+    with pytest.raises(InvalidConfig, match="must not be negative"):
+        rng.stream(seed, "tag", index)
+    rng.stream(0, "tag", 0)
+
+
+def test_library_caller_gets_invalid_config_for_a_negative_seed():
+    from landscape_lab.landscape import verify_region_bounds_pr
+
+    with pytest.raises(InvalidConfig, match="must not be negative"):
+        verify_region_bounds_pr(np.array([1.0, -1.0, 1.0]), 3, -1)
