@@ -43,6 +43,7 @@ MAX_STALLS = 5
 MAX_SEARCH_DIM = 64
 MAX_GRID_POINTS = 10**6  # seeds of a seed grid, values of a line or plane grid
 DEDUPE_BLOCK = 64  # converged seeds per block of dedupe distance rows
+EIGH2_MIN_STACK = 192  # 2 x 2 Hessian stacks from this size skip LAPACK
 
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
@@ -54,15 +55,94 @@ def _tau(model) -> float:
     return TAU_CRIT_FACTOR * (1.0 + model.value_scale)
 
 
+def _eigh_2x2(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a (B, 2, 2) stack of symmetric matrices, bit for
+    bit, in a fixed number of array operations instead of a LAPACK call
+    per item.
+
+    numpy's eigh reads the lower triangle (a, b, c) into LAPACK's dsyevd.
+    At n = 2 its tridiagonal reduction leaves the matrix as it is (the one
+    reflector has tau = 0) and dstedc hands it to dsteqr, which this
+    follows. An item deflates, keeping (a, c) and Z = I, when
+    |b| <= (sqrt|a| sqrt|c|) eps or b^2 <= (eps^2 |x|) |y| + safmin, with
+    (x, y) = (a, c) in dsteqr's QL order (|c| >= |a|) and (c, a) in its QR
+    order: the product order decides the last bit. Any other item takes
+    dlaev2's eigenvalues rt1, rt2 and rotation (cs1, sn1), applied to
+    Z = I as dlasr applies it. The pairs are then sorted ascending, columns
+    swapped along, as dsteqr sorts them. A stack holding an item whose
+    largest |entry| is neither zero nor inside [1e-120, 1e145] goes to
+    np.linalg.eigh whole: LAPACK rescales below about 1.5e-122 (dsteqr)
+    and above about 1e146 (dsyevd).
+    """
+    # dsteqr's machine constants, dlamch('E') and dlamch('S')
+    eps, safmin = 2.0**-53, 2.0**-1022
+    mag = np.abs(hess)
+    top = mag.max(axis=(1, 2))
+    if not (top.max() <= 1e145 and np.all((top >= 1e-120) | (top == 0.0))):
+        return np.linalg.eigh(hess)
+    a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
+    # dlaev2's larger- and smaller-magnitude diagonal entries; |acmn| is x
+    acmx_first = mag[:, 0, 0] > mag[:, 1, 1]
+    acmx, acmn = np.where(acmx_first, a, c), np.where(acmx_first, c, a)
+    deflate = (mag[:, 1, 0] <= np.sqrt(mag[:, 0, 0]) * np.sqrt(mag[:, 1, 1]) * eps) | (
+        b * b <= eps**2 * np.abs(acmn) * np.abs(acmx) + safmin
+    )
+    # dlaev2 on every item; a deflated one gets b = 1, so that nothing
+    # divides by zero, and its results are replaced below
+    b = np.where(deflate, 1.0, b)
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = np.abs(df), np.abs(tb)
+    # ADF sqrt(1 + (AB/ADF)^2), AB sqrt(1 + (ADF/AB)^2) or AB sqrt(2),
+    # whichever of ADF and AB is larger
+    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    rt = big * np.sqrt(1.0 + (small / big) ** 2)
+    negative = sm < 0.0
+    rt1 = 0.5 * np.where(negative, sm - rt, sm + rt)
+    rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    cs = df + np.where(df < 0.0, -rt, rt)
+    over = np.abs(cs) > ab
+    # -TB/CS if |CS| > AB, else -CS/TB; then (cs1, sn1) as dlaev2 picks
+    # them, swapped and negated where SGN1 = SGN2
+    t = -np.where(over, tb, cs) / np.where(over, cs, tb)
+    u = 1.0 / np.sqrt(1.0 + t * t)
+    t *= u
+    same = negative == (df < 0.0)
+    flip = over != same
+    cs1, sn1 = np.where(flip, t, u), np.where(flip, u, t)
+    np.negative(cs1, out=cs1, where=same)
+    # cs1 and sn1 are nonzero here (u >= 1/sqrt(2), and |t| > 1e-300 as
+    # |b| > sqrt(safmin) and no entry exceeds 1e145), so dlasr's rotation
+    # of I, c*1 - s*0 and so on, is [[c, -s], [s, c]]
+    d0, d1 = np.where(deflate, a, rt1), np.where(deflate, c, rt2)
+    cos = np.where(deflate, 1.0, cs1)
+    sin = np.where(deflate, 0.0, sn1)
+    # columns (cos, sin) and (-sin, cos), swapped where the values are;
+    # 0.0 - sin keeps a deflated item's +0.0
+    swap, minus_sin = d1 < d0, 0.0 - sin
+    eigvals = np.empty((len(hess), 2))
+    eigvecs = np.empty((len(hess), 2, 2))
+    eigvals[:, 0], eigvals[:, 1] = np.where(swap, d1, d0), np.where(swap, d0, d1)
+    eigvecs[:, 0, 0] = np.where(swap, minus_sin, cos)
+    eigvecs[:, 0, 1] = np.where(swap, cos, minus_sin)
+    eigvecs[:, 1, 0] = np.where(swap, cos, sin)
+    eigvecs[:, 1, 1] = np.where(swap, sin, cos)
+    return eigvals, eigvecs
+
+
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     """Newton step that repels saddles: eigenvalues keep their sign but
     their magnitude is floored, so the step stays finite near degeneracy.
 
     Takes one (n, n) Hessian and (n,) gradient, or (B, n, n) and (B, n)
     stacks, whose steps each equal the single step bit for bit: one batched
-    eigh, and a matrix-vector product per item either way.
+    eigh, and a matrix-vector product per item either way. A stack of at
+    least EIGH2_MIN_STACK 2 x 2 Hessians is decomposed by _eigh_2x2, which
+    equals np.linalg.eigh bit for bit without a LAPACK call per item.
     """
-    eigvals, eigvecs = np.linalg.eigh(hess)
+    if hess.shape[1:] == (2, 2) and len(hess) >= EIGH2_MIN_STACK:
+        eigvals, eigvecs = _eigh_2x2(hess)
+    else:
+        eigvals, eigvecs = np.linalg.eigh(hess)
     mags = np.abs(eigvals)
     floor = 1e-10 * np.maximum(mags.max(axis=-1, keepdims=True), 1e-30)
     signs = np.where(eigvals >= 0.0, 1.0, -1.0)
@@ -132,11 +212,13 @@ def damped_newton(model, seed_point):
     A stack runs every seed in lockstep, each with its own iterations,
     stalls, backtracking and phase, and each ends bit for bit where it
     would alone (a single seed is a stack of one). The model may stack the
-    surfaces of several empirical risks (risk_models.stack_surfaces), with
-    each seed on its own surface: then the search of every surface runs in
-    the same rounds, and each seed still ends where it would on its own
-    model. A round makes one dense_euclidean_hessian call and one batched
-    eigh over the seeds still active, and one euclidean_grad call per
+    surfaces of several risks, population and empirical
+    (risk_models.stack_surfaces), with each seed on its own surface: then
+    the search of every surface runs in the same rounds, and each seed
+    still ends where it would on its own model. A round makes one
+    dense_euclidean_hessian call and one batched eigh over the seeds still
+    active (at n = 2, from EIGH2_MIN_STACK seeds up, _eigh_2x2's bit-exact
+    port of it), and one euclidean_grad call per
     backtrack halving over the seeds still halving, each on model.take of
     those seeds. It returns ((B, *shape) points, (B,) gradient norms,
     total Newton iterations, number of converged seeds): totals over the
@@ -334,15 +416,16 @@ def find_critical_points_each(models, seed_points) -> list:
     """find_critical_points on each model's surface from the same seeds, as
     one list of results, with one damped_newton call for all of them.
 
-    Several models must be empirical risks of one class and one truth or
-    signal, which risk_models.stack_surfaces stacks into one model: every
-    surface then searches in the same Newton rounds, and each seed ends
-    bit for bit where a search of its surface alone ends it. Per surface,
-    the converged endpoints are deduplicated in seed order by distance
-    rows (_dedupe), and the surviving records are classified with one
-    stacked min_eig call, in record order. Seeds that fail to converge are
-    counted, not fatal. Duplicates merge at 1e-4 times the domain scale,
-    keeping the representative with the smaller gradient norm.
+    Several models must be risks of one family, population or empirical,
+    and of one truth or signal, which risk_models.stack_surfaces stacks
+    into one model: every surface then searches in the same Newton rounds,
+    and each seed ends bit for bit where a search of its surface alone ends
+    it. Per surface, the converged endpoints are deduplicated in seed order
+    by distance rows (_dedupe), and the surviving records are classified
+    with one stacked min_eig call, in record order. Seeds that fail to
+    converge are counted, not fatal. Duplicates merge at 1e-4 times the
+    domain scale, keeping the representative with the smaller gradient
+    norm.
     """
     models = list(models)
     if not models:

@@ -357,11 +357,8 @@ def run_2d_landscape(config: ExperimentConfig, master: int):
     coordinates = _Coordinates(grid.T.tolist())
     shape = surfaces[0][1].shape
     newton_seeds = np.stack(grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2)).reshape(-1, *shape)
-    # the population surface has an operator of its own, so it searches
-    # alone; the empirical surfaces search as one stack
-    models = [model for _, model in surfaces]
-    searches = find_critical_points_each(models[:1], newton_seeds)
-    searches += find_critical_points_each(models[1:], newton_seeds)
+    # the population and every empirical surface search as one stack
+    searches = find_critical_points_each([model for _, model in surfaces], newton_seeds)
 
     tables = []
     surface_payloads = {}
@@ -568,7 +565,8 @@ _READ_BY_ALL = {"experiment", "master_seed", "out", "fmt"}
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """``config`` with the defaults of its ``SETTINGS`` entry filled in. A key
-    set that the entry lacks, or an M list for one M, is an error."""
+    set that the entry lacks, an M list for one M, or an M list that
+    repeats a count, is an error."""
     entry = SETTINGS[config.experiment]
     if config.experiment == "assumptions":
         family = config.family or next(iter(entry))
@@ -586,6 +584,12 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         if one and len(counts) > 1:
             listed = ",".join(map(str, counts))
             raise InvalidConfig(f"{config.experiment} takes one measurement count, got {listed}")
+        # each count names a surface or a row, so it may appear once
+        repeated = next((m for i, m in enumerate(counts) if m in counts[:i]), None)
+        if repeated is not None:
+            raise InvalidConfig(
+                f"{config.experiment} lists measurement count {repeated} more than once"
+            )
         filled["m"] = counts[0] if one else counts
     return replace(config, **filled)
 
@@ -606,8 +610,9 @@ def run(config: ExperimentConfig) -> ExperimentOutcome:
     - ``ok``: the verdict, which sets the exit code.
 
     The runner reads ``config`` with its ``SETTINGS`` defaults filled in; a
-    set key that the entry lacks, or an M list for one M, raises
-    ``InvalidConfig`` before anything runs or is written.
+    set key that the entry lacks, an M list for one M, or an M list that
+    repeats a count, raises ``InvalidConfig`` before anything runs or is
+    written.
 
     CSV writes one file per table, once every table has been checked for
     infinite cells; JSON writes one file holding the config, the stamp and

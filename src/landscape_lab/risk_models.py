@@ -36,10 +36,10 @@ are regenerated from (seed, M), block by block, whenever they are read; the
 blocks consume the stream in order, so they equal a one-shot draw bit for
 bit.
 
-The empirical risks of several ensembles of one truth or signal stack into
-one risk of their class (stack_surfaces), over a stack of points whose
-items each lie on one ensemble's surface; each item is bit for bit its own
-surface's value, and RiskModel.take restricts a stack to some of its items.
+The population and empirical risks of one truth or signal stack into one
+risk (stack_surfaces), over a stack of points whose items each lie on one
+model's surface; each item is bit for bit its own surface's value, and
+RiskModel.take restricts a stack to some of its items.
 """
 
 from __future__ import annotations
@@ -489,13 +489,14 @@ class _FourthMoment(_PopulationOperator):
 
 
 class _GramStack:
-    """The normal operators of several Gram ensembles, applied to a stack
-    of points whose items each lie on one ensemble's surface.
+    """The operators of several surfaces, Gram ensembles or the population
+    operators (_Identity, _FourthMoment), applied to a stack of points
+    whose items each lie on one surface.
 
-    runs lists (ensemble, start, stop): the items start <= i < stop lie on
-    that ensemble's surface, and the runs follow each other from 0 to the
-    stack's size. energy and normal hand each run to its ensemble's own
-    method, one product per run, so every item rounds as on its ensemble
+    runs lists (operator, start, stop): the items start <= i < stop lie on
+    that operator's surface, and the runs follow each other from 0 to the
+    stack's size. energy and normal hand each run to its operator's own
+    method, one product per run, so every item rounds as on its surface
     alone and no Gram matrix is gathered per item.
     """
 
@@ -507,13 +508,13 @@ class _GramStack:
     def take(self, idx: np.ndarray):
         """The operator of the items idx, an increasing index array: a run
         keeps the items of idx that fell in it. Items that all lie on one
-        surface get that ensemble itself."""
+        surface get that surface's operator itself."""
         if len(idx) == self.size:
             return self
         cuts = idx.searchsorted(self._edges).tolist()
         runs = [
-            (ensemble, a, b)
-            for (ensemble, _, _), a, b in zip(self.runs, cuts, cuts[1:])
+            (operator, a, b)
+            for (operator, _, _), a, b in zip(self.runs, cuts, cuts[1:])
             if a < b
         ]
         if len(runs) == 1:
@@ -527,7 +528,7 @@ class _GramStack:
                 f"a stack of {self.size} surface items needs as many points"
             )
         return np.concatenate(
-            [getattr(ensemble, method)(z[a:b]) for ensemble, a, b in self.runs]
+            [getattr(operator, method)(z[a:b]) for operator, a, b in self.runs]
         )
 
     def energy(self, z: np.ndarray) -> np.ndarray:
@@ -750,32 +751,40 @@ class PrEmpiricalRisk(_PhaseRisk):
 
 
 def stack_surfaces(models, per_surface: int) -> RiskModel:
-    """One empirical risk over the surfaces of several models, for a stack
-    of len(models) * per_surface points whose s-th block of per_surface
-    points lies on models[s]'s surface.
+    """One risk over the surfaces of several models, for a stack of
+    len(models) * per_surface points whose s-th block of per_surface points
+    lies on models[s]'s surface.
 
-    The models must be empirical risks of one class (MsEmpiricalRisk or
-    PrEmpiricalRisk) and of one truth or signal. The stack is an instance
-    of that class, with the models' scales, shape and target; its operator
-    applies each surface's Gram matrix to that surface's items, so every
-    item of value, euclidean_grad and hess_vec is bit for bit the value on
-    its own model. take(idx) restricts it to a subset of the items. It
-    holds no single ensemble or problem. One model is returned as it is.
+    The models must be risks of one family, population or empirical
+    (MsPopulationRisk and MsEmpiricalRisk, or PrPopulationRisk and
+    PrEmpiricalRisk), of one truth or signal and one shape. The stack is an
+    instance of the first empirical model's class, or of the first model's
+    if all are population risks, so the tracer counts its calls there and
+    no item on an empirical surface is offered the population closed form
+    of PrPopulationRisk.hess_matrix. It has the models' scales, shape and
+    target; its operator applies each surface's operator (the identity,
+    the fourth moment or an ensemble's Gram matrix) to that surface's
+    items, so every item of value, euclidean_grad and hess_vec is bit for
+    bit the value on its own model. take(idx) restricts it to a subset of
+    the items. It holds no single ensemble or problem. One model is
+    returned as it is.
     """
     models = list(models)
     first = models[0]
     if len(models) == 1:
         return first
-    cls = type(first)
-    if not (
-        isinstance(first.operator, _GramEnsemble)
-        and all(
-            type(m) is cls and m.shape == first.shape and np.array_equal(m.target, first.target)
-            for m in models
-        )
+    cls = next((type(m) for m in models if isinstance(m.operator, _GramEnsemble)), type(first))
+    family = _SensingRisk if first.is_factor else _PhaseRisk
+    if not all(
+        isinstance(m, family)
+        and isinstance(m.operator, (_GramEnsemble, _PopulationOperator))
+        and m.shape == first.shape
+        and np.array_equal(m.target, first.target)
+        for m in models
     ):
         raise InvalidConfig(
-            "stacked surfaces must be empirical risks of one class and one truth or signal"
+            "stacked surfaces must be risks of one family (matrix sensing or "
+            "phase retrieval), of one truth or signal and one shape"
         )
     n = int(per_surface)
     runs = [(m.operator, s * n, (s + 1) * n) for s, m in enumerate(models)]

@@ -558,6 +558,33 @@ class TestExitCodes:
         assert "the master seed must not be negative" in done.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.cfg"]
 
+    @pytest.mark.parametrize(
+        "argv, repeated",
+        [
+            (["pr2d", "--grid", "-1:1:5", "--m", "3,3"], 3),
+            (["ms2d_rank1", "--grid", "-1:1:5", "--m", "10,3,10"], 10),
+            (["ms_rank2_dist", "--trials", "2", "--m", "50,50"], 50),
+        ],
+        ids=["pr2d", "ms2d_rank1", "ms_rank2_dist"],
+    )
+    def test_repeated_measurement_count_is_three_and_writes_nothing(self, argv, repeated, tmp_path):
+        # a count names a surface or a row: a repeated one searched its
+        # surface twice and wrote its files twice, or wrote two equal rows
+        # under one summary key
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "landscape_lab.cli", *argv, "--out", "x"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert done.returncode == cli.EXIT_INVALID_CONFIG, done.stderr
+        assert f"lists measurement count {repeated} more than once" in done.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_config_file_not_utf8_is_three(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"experiment=pr1d\nm=\xff\n")

@@ -271,11 +271,11 @@ class TestStackedSearch:
 
 
 def plane_surfaces(experiment, m):
-    """The empirical surfaces of a plane experiment at the CLI's seed, one
-    per M."""
+    """The surfaces of a plane experiment at the CLI's seed: the population
+    surface first, then one empirical surface per M."""
     config = experiments._resolve(experiments.ExperimentConfig(experiment, m=m))
     surfaces, _ = experiments._surface_models(config, config.master_seed)
-    return [model for _, model in surfaces[1:]]
+    return [model for _, model in surfaces]
 
 
 def assert_same_search(got, want):
@@ -319,15 +319,17 @@ class TestSurfaceStack:
             assert_same_search(got, want)
         # the M = 1 surface has a continuum of critical points: every seed
         # converges, to more records than any other surface keeps
-        assert results[0].n_converged == len(seeds)
-        assert len(results[0].records) > max(len(r.records) for r in results[1:])
+        assert results[1].n_converged == len(seeds)
+        others = results[:1] + results[2:]
+        assert len(results[1].records) > max(len(r.records) for r in others)
 
     def test_stack_totals_are_the_surfaces_totals(self):
         models = plane_surfaces("ms2d_rank1", (3, 10))
         seeds = np.stack(plane_grid(0.5, models[0].shape))
         alone = [damped_newton(model, seeds) for model in models]
         stack = critical_points.stack_surfaces(models, len(seeds))
-        points, grad_norms, iters, n_converged = damped_newton(stack, np.concatenate([seeds] * 2))
+        tiled = np.concatenate([seeds] * len(models))
+        points, grad_norms, iters, n_converged = damped_newton(stack, tiled)
         assert points.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
         assert grad_norms.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
         assert (iters, n_converged) == (sum(a[2] for a in alone), sum(a[3] for a in alone))
@@ -337,9 +339,33 @@ class TestSurfaceStack:
     def test_mixed_surfaces_are_rejected(self):
         population = PrPopulationRisk(XSTAR_2D)
         empirical = PrEmpiricalRisk(generate_phase_problem(XSTAR_2D, 5, seed=1))
-        with pytest.raises(InvalidConfig, match="one class and one truth or signal"):
-            find_critical_points_each([population, empirical], [XSTAR_2D])
+        # a population and an empirical surface of one signal stack
+        seeds = plane_grid(1.0)
+        results = find_critical_points_each([population, empirical], seeds)
+        for got, model in zip(results, [population, empirical]):
+            assert_same_search(got, find_critical_points(model, seeds))
+        other_signal = PrEmpiricalRisk(generate_phase_problem(np.array([1.0, 0.5]), 5, seed=1))
+        other_family = MsPopulationRisk(rank_one_truth())
+        for models in ([population, other_family], [population, other_signal]):
+            with pytest.raises(InvalidConfig, match="one family .* one truth or signal"):
+                find_critical_points_each(models, [XSTAR_2D])
         assert find_critical_points_each([], [XSTAR_2D]) == []
+
+    @pytest.mark.parametrize("experiment", ["pr2d", "ms2d_rank1"])
+    def test_each_plane_runner_makes_one_newton_call(self, experiment, monkeypatch):
+        config = experiments._resolve(
+            experiments.ExperimentConfig(experiment, m=(3, 10), grid=(-1.0, 1.0, 5))
+        )
+        newton = []
+
+        def counted(model, seed_point):
+            newton.append(len(seed_point))
+            return damped_newton(model, seed_point)
+
+        monkeypatch.setattr(critical_points, "damped_newton", counted)
+        experiments.RUNNERS[experiment](config, config.master_seed)
+        # the population surface and both empirical ones, 21 x 21 seeds each
+        assert newton == [3 * 21 * 21]
 
 
 class TestDedupe:
@@ -425,6 +451,111 @@ class TestDedupe:
         assert len(result.records) == result.n_converged == len(seeds) == 1681
         blocks = math.ceil(result.n_converged / critical_points.DEDUPE_BLOCK)
         assert len(calls) <= len(result.records) + blocks
+
+
+def symmetric_2x2(a, b, c):
+    hess = np.empty((len(a), 2, 2))
+    hess[:, 0, 0], hess[:, 1, 0], hess[:, 0, 1], hess[:, 1, 1] = a, b, b, c
+    return hess
+
+
+def eigh_2x2_families(n):
+    """(name, (n, 2, 2) stack) pairs: random matrices, zero off-diagonals of
+    both signs, the ties dlaev2 branches on, off-diagonals around both of
+    dsteqr's deflation thresholds (scaled by 0.25 to 4, and a few ulps
+    either side), and scales inside and outside the window where LAPACK
+    does not rescale. The product eps^2 |x| |y| of the second threshold
+    rounds by its order only where eps^2 |x| is subnormal, so it is also
+    taken with a diagonal entry near 1e-290, in QR order (c tiny) and in
+    QL order (a tiny)."""
+    gen = rng.stream(11, "eigh-2x2", 0)
+    a, b, c = rng.normal(gen, (3, n))
+    sign = np.sign(b)
+    eps, tiny = 2.0**-53, np.finfo(float).tiny
+    yield "random", symmetric_2x2(a, b, c)
+    yield "b=+0", symmetric_2x2(a, np.zeros(n), c)
+    yield "b=-0", symmetric_2x2(a, -np.zeros(n), c)
+    yield "a=c", symmetric_2x2(a, b, a)
+    yield "a=-c", symmetric_2x2(a, b, -a)
+    yield "|a-c|=|2b|", symmetric_2x2(a, 0.5 * (a - c) * sign, c)
+    factor = np.exp(np.log(0.25) + np.log(16.0) * rng.uniform(gen, (n,)))
+    small = 1e-290 * c
+    thresholds = {
+        "sqrt": (a, c, np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * eps),
+        "square": (a, c, np.sqrt(eps**2 * np.abs(a) * np.abs(c) + tiny)),
+        "square, c tiny": (a, small, np.sqrt(eps**2 * np.abs(small) * np.abs(a) + tiny)),
+        "square, a tiny": (small, a, np.sqrt(eps**2 * np.abs(small) * np.abs(a) + tiny)),
+    }
+    for name, (diag_a, diag_c, threshold) in thresholds.items():
+        b_scaled = factor * threshold * sign
+        yield f"b={name} threshold x [0.25, 4]", symmetric_2x2(diag_a, b_scaled, diag_c)
+        for ulps in range(-3, 4):
+            b_near = (threshold + ulps * np.spacing(threshold)) * sign
+            yield f"b={name} threshold {ulps:+d} ulps", symmetric_2x2(diag_a, b_near, diag_c)
+    yield "c=0, b tiny", symmetric_2x2(a, 1e-154 * b, np.zeros(n))
+    yield "zero", np.zeros((n, 2, 2))
+    yield "a=-0", symmetric_2x2(-np.zeros(n), np.zeros(n), np.zeros(n))
+    for scale in (1e11, 1e-11, 1e-118, 1e140, 1e-125, 1e-140, 1e-150, 1e150):
+        yield f"scale {scale:g}", symmetric_2x2(scale * a, scale * b, scale * c)
+
+
+def assert_eigh_bytes(hess):
+    """_eigh_2x2 equals np.linalg.eigh on the stack, as int64 views."""
+    got, want = critical_points._eigh_2x2(hess), np.linalg.eigh(hess)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestEigh2x2:
+    @pytest.mark.parametrize("family", [name for name, _ in eigh_2x2_families(1)])
+    def test_equals_lapack_bit_for_bit(self, family):
+        assert_eigh_bytes(dict(eigh_2x2_families(4000))[family])
+
+    def test_equals_lapack_on_every_search_hessian(self, monkeypatch):
+        stacks = []
+        step = critical_points._damped_newton_step
+
+        def captured(hess, grad_flat):
+            stacks.append(hess)
+            return step(hess, grad_flat)
+
+        monkeypatch.setattr(critical_points, "_damped_newton_step", captured)
+        for experiment in ("pr2d", "ms2d_rank1"):
+            models = plane_surfaces(experiment, (1, 3, 10))
+            find_critical_points_each(models, plane_grid(0.25, models[0].shape))
+        # from several thousand items down to the polishing few
+        assert min(map(len, stacks)) < critical_points.EIGH2_MIN_STACK < max(map(len, stacks))
+        for hess in stacks:
+            assert_eigh_bytes(hess)
+
+    @pytest.mark.parametrize("scale", [1e-125, 1e150])
+    def test_a_stack_outside_the_window_goes_to_lapack(self, scale, monkeypatch):
+        hess = next(h for name, h in eigh_2x2_families(8) if name == "random")
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(stack):
+            calls.append(len(stack))
+            return eigh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        critical_points._eigh_2x2(hess)
+        critical_points._eigh_2x2(np.zeros((8, 2, 2)))
+        assert calls == []
+        # one item out of the window sends the whole stack
+        hess[5] *= scale
+        got = critical_points._eigh_2x2(hess)
+        assert calls == [8]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, eigh(hess)))
+
+    def test_newton_steps_equal_the_lapack_steps(self, monkeypatch):
+        gen = rng.stream(12, "eigh-2x2-steps", 0)
+        hess = next(h for name, h in eigh_2x2_families(500) if name == "random")
+        grad = rng.normal(gen, (500, 2))
+        ported = critical_points._damped_newton_step(hess, grad)
+        monkeypatch.setattr(critical_points, "EIGH2_MIN_STACK", 10**9)
+        assert ported.tobytes() == critical_points._damped_newton_step(hess, grad).tobytes()
 
 
 class TestBacktrack:

@@ -717,12 +717,29 @@ def each_surface(models, per_surface, method, *args):
     return np.concatenate(blocks)
 
 
+def population_of(model):
+    """The population risk of an empirical model's truth or signal."""
+    if model.is_factor:
+        return MsPopulationRisk(model.truth)
+    return PrPopulationRisk(model.signal)
+
+
 @pytest.mark.parametrize("kind", ["ms", "pr"])
 def test_stack_evaluates_each_item_on_its_own_surface(kind):
+    assert_stack_evaluates_each_item_on_its_own_surface(surface_family(kind))
+
+
+@pytest.mark.parametrize("kind", ["ms", "pr"])
+def test_stack_with_the_population_first_evaluates_each_item_on_its_surface(kind):
     models = surface_family(kind)
+    assert_stack_evaluates_each_item_on_its_own_surface([population_of(models[0]), *models])
+
+
+def assert_stack_evaluates_each_item_on_its_own_surface(models):
     points = stack_points(models, 4)
     stack = stack_surfaces(models, 4)
-    assert type(stack) is type(models[0])
+    # the empirical class, wherever the population surface stands
+    assert type(stack) is type(models[-1])
     gen = rng.stream(MASTER, "stack-directions", 0)
     directions = rng.normal(gen, (len(points), 3, *models[0].shape))
     for method, args in [
@@ -767,15 +784,34 @@ def test_stack_of_one_surface_is_the_model():
 
 def test_stack_rejects_surfaces_it_cannot_share():
     ms, pr = surface_family("ms"), surface_family("pr")
+    # population and empirical surfaces of one truth or signal stack, as
+    # the class of the first empirical model
+    for models, cls in (
+        ([ms[0], population_of(ms[0])], MsEmpiricalRisk),
+        ([population_of(ms[0]), population_of(ms[0])], MsPopulationRisk),
+        ([population_of(pr[0]), *pr], PrEmpiricalRisk),
+    ):
+        stack = stack_surfaces(models, 2)
+        assert type(stack) is cls
+        if cls is PrEmpiricalRisk:
+            # no population closed form for the empirical items
+            with pytest.raises(AttributeError):
+                stack.hess_matrix(np.ones(3))
+        points = stack_points(models, 2)
+        want = each_surface(models, 2, "euclidean_grad", points)
+        assert stack.euclidean_grad(points).tobytes() == want.tobytes()
     other = default_truth(seed=8)
+    truth = ms[0].truth
+    wider = SensingGroundTruth(truth.eigvecs, truth.eigvals, target_rank=3)
     for models in (
         [ms[0], pr[0]],
-        [ms[0], MsPopulationRisk(ms[0].truth)],
-        [MsPopulationRisk(ms[0].truth), MsPopulationRisk(ms[0].truth)],
+        [population_of(ms[0]), population_of(pr[0])],
         [ms[0], MsEmpiricalRisk(generate_sensing_ensemble(other, 3, MASTER))],
+        [ms[0], MsPopulationRisk(wider)],
         [pr[0], PrEmpiricalRisk(generate_phase_problem(np.array([1.0, 0.5, 0.3]), 3, MASTER))],
+        [pr[0], PrPopulationRisk(np.array([1.0, 0.5, 0.3]))],
     ):
-        with pytest.raises(InvalidConfig, match="one class and one truth or signal"):
+        with pytest.raises(InvalidConfig, match="one family .* one truth or signal and one shape"):
             stack_surfaces(models, 2)
 
 
