@@ -387,7 +387,7 @@ def _classify(model, point: np.ndarray):
         # the quotient geometry breaks down at rank-deficient factors;
         # fall back to the ambient Hessian, which only widens the
         # negative spectrum
-        lam = np.linalg.eigh(dense_euclidean_hessian(model, point))[0][0]
+        lam = np.linalg.eigvalsh(dense_euclidean_hessian(model, point))[0]
         note = "rank-deficient factor, ambient curvature reported"
     return float(lam), _kind(lam, tau_eig), note
 

@@ -16,14 +16,18 @@ sampled points only, never the full region.
 
 Every random point, of the region samplers, the assumption ball and the
 RIP probes, comes from one loop, _draws: it reads uniforms BLOCK rows at a
-time, so the stream is read exactly as by one rng call per draw, and builds
-each block into a stack of proposals in one pass, each bit for bit the
-proposal built from its row alone. The region samplers accept a proposal by
-one classify_region_* call of its own, in order; the classifiers read the
-values that depend on the truth alone from the truth, which computes them
-once. The points are then checked in stacks of at most BLOCK, one
-population-risk, energy or min_eig call per stack. Each value is bit for
-bit the single-point one, so no report depends on BLOCK.
+time, or as many as are still wanted if fewer, so the stream is read
+exactly as by one rng call per draw, and builds each block into a stack of
+proposals in one pass, each bit for bit the proposal built from its row
+alone. No proposal is built that is not read. The region samplers accept a
+proposal by one classify_region_* call of its own, in order. Each call
+validates its point once and computes each witness value once; what
+depends on the truth alone (the canonical minimum, the region thresholds
+and the notes) the truth computes on first use and keeps. The points are
+then checked in stacks of at most BLOCK, one population-risk, energy or
+min_eig call per stack; curvature is read from eigvalsh, eigenvalues only.
+Each value is bit for bit the single-point one, so no report depends on
+BLOCK.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     NonFiniteEntry,
     SamplerStarved,
 )
-from .manifold import _norm, item_norms, procrustes_distance
+from .manifold import _norm, _procrustes, item_norms
 from .risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
@@ -50,6 +54,7 @@ from .risk_models import (
     SensingGroundTruth,
     _coerce,
     _phase_signal,
+    _signal_norm,
 )
 from .spectral import hessian_form, min_eig
 
@@ -160,21 +165,32 @@ def _truth_notes(truth: SensingGroundTruth) -> tuple:
     return tuple(notes)
 
 
+def _ms_truth_constants(truth: SensingGroundTruth) -> tuple:
+    """(ms_region_thresholds, _truth_notes) of the truth, computed on its
+    first classification and kept with it."""
+    derived = truth._derived
+    if "ms_regions" not in derived:
+        derived["ms_regions"] = ms_region_thresholds(truth), _truth_notes(truth)
+    return derived["ms_regions"]
+
+
 def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
     """All matrix-sensing regions containing the factor point.
 
     Distance to the minima is measured as the Procrustes distance to the
     canonical minimum; Procrustes absorbs the gauge orbit, and spectra
     whose minima extend beyond one orbit are flagged advisory rather than
-    resolved.
+    resolved. The witness's gradient is the population one, (UU^T - X) U,
+    from the same UU^T as its norm.
     """
-    model = MsPopulationRisk(truth)
-    u = _coerce(point, model.shape)
-    thresholds = ms_region_thresholds(truth)
+    thresholds, notes = _ms_truth_constants(truth)
+    minimum = truth.canonical_minimum()
+    u = _coerce(point, minimum.shape)
     sigma_k = float(np.linalg.svd(u, compute_uv=False)[-1])
-    uut_norm = _norm(u @ u.T)
-    grad_norm = _norm(model._gradient(u))
-    distance = procrustes_distance(u, truth.canonical_minimum())
+    uut = u @ u.T
+    uut_norm = _norm(uut)
+    grad_norm = _norm((uut - truth.matrix) @ u)
+    distance = _procrustes(u, minimum)[0]
 
     labels = set()
     if distance <= thresholds["r1_radius"]:
@@ -201,7 +217,7 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
         "minimum_distance": distance,
         **thresholds,
     }
-    return RegionLabelSet(frozenset(labels), witness, _truth_notes(truth))
+    return RegionLabelSet(frozenset(labels), witness, notes)
 
 
 def saddle_sphere_distance(signal, x) -> float:
@@ -210,8 +226,8 @@ def saddle_sphere_distance(signal, x) -> float:
     Empty in dimension one, where the distance is infinite. The signal is
     rejected as the phase risks reject it, and x must be finite and of its
     shape."""
-    xstar = _phase_signal(signal)
-    return _saddle_distance(xstar, _norm(xstar), _coerce(x, xstar.shape))
+    xstar, norm_star = _signal_norm(signal)
+    return _saddle_distance(xstar, norm_star, _coerce(x, xstar.shape))
 
 
 def _saddle_distance(xstar, norm_star, x) -> float:
@@ -259,9 +275,8 @@ def default_thresholds(instance) -> tuple:
 
 def classify_region_pr(signal, point) -> RegionLabelSet:
     """All phase-retrieval regions containing the point."""
-    xstar = _phase_signal(signal)
+    xstar, norm_star = _signal_norm(signal)
     x = _coerce(point, xstar.shape)
-    norm_star = _norm(xstar)
     norm_x = _norm(x)
     sign_dist = min(_norm(x - xstar), _norm(x + xstar))
     saddle_dist = _saddle_distance(xstar, norm_star, x)
@@ -308,27 +323,22 @@ def _draws(propose, width, accept, n, gen, what):
     """Yield n accepted proposals, as one (B, *shape) stack per block that
     keeps any.
 
-    Rows of width uniforms are drawn from gen BLOCK at a time (fewer where
-    the block would pass the starvation budget), and propose(rows) builds
-    the block's stack. accept(stack) is read one proposal at a time, in
-    order, until n are kept or the budget is spent; later proposals are
-    built but neither read nor counted. gen may be left advanced to the end
-    of the last block.
+    Rows of width uniforms are drawn from gen BLOCK at a time, or fewer:
+    never more than are still wanted (n less those kept) or left in the
+    starvation budget. propose(rows) builds the block's stack, and
+    accept(stack) is read through, one proposal at a time, in order. Every
+    proposal built is so read and counted, the n-th kept is the last, and
+    gen is left where one rng.uniform call per proposal read would leave it.
     """
     budget = max(n * ATTEMPT_FACTOR, 1000)
     kept = attempts = 0
     while kept < n:
         if attempts >= budget:
             raise SamplerStarved(f"{what}: {kept} of {n} samples after {attempts} proposals")
-        stack = propose(rng.uniform(gen, (min(BLOCK, budget - attempts), width)))
-        keep = []
-        for i, ok in enumerate(accept(stack)):
-            attempts += 1
-            if ok:
-                keep.append(i)
-                kept += 1
-                if kept == n:
-                    break
+        stack = propose(rng.uniform(gen, (min(BLOCK, n - kept, budget - attempts), width)))
+        keep = [i for i, ok in enumerate(accept(stack)) if ok]
+        attempts += len(stack)
+        kept += len(keep)
         if keep:
             yield stack[keep]
 
@@ -701,9 +711,9 @@ def check_assumptions(
     points, from the factor or vector ball of the region samplers, are drawn
     and checked a block at a time: one euclidean_grad and hessian_form call
     per model, one batched eigvalsh of the Hessian difference for its
-    operator norm, and min_eig of the small-gradient points from one eigh of
-    the same population forms. A nan deviation, where the risks overflow,
-    raises NonFiniteEntry."""
+    operator norm, and min_eig of the small-gradient points from one
+    eigvalsh of the same population forms, as spectral.min_eig reads it. A
+    nan deviation, where the risks overflow, raises NonFiniteEntry."""
     instance = population.truth if population.is_factor else population.signal
     epsilon, eta, ball_radius = _thresholds(instance, epsilon, eta, ball_radius)
     if not (epsilon > 0.0 and eta > 0.0 and ball_radius > 0.0):
@@ -740,7 +750,7 @@ def check_assumptions(
         small = np.flatnonzero(grad_norms <= epsilon)
         small_grad += len(small)
         # min_eig of the population form, at the small-gradient points only
-        lams = np.linalg.eigh(form_pop[small])[0][:, 0]
+        lams = np.linalg.eigvalsh(form_pop[small])[:, 0]
         for i, lam in zip(small, lams.tolist()):
             if abs(lam) < eta:
                 violations.append(

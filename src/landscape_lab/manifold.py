@@ -212,6 +212,15 @@ def procrustes_align(u, v) -> tuple[float, np.ndarray]:
         raise DimensionMismatch(
             f"cannot compare factors of shapes {u_mat.shape} and {v_mat.shape}"
         )
+    return _procrustes(u_mat, v_mat)
+
+
+def _procrustes(u_mat: np.ndarray, v_mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """procrustes_align of two float matrices of one shape, unchecked.
+
+    Private for the reason _norm is: region classification takes it once
+    per proposal.
+    """
     cross = v_mat.T @ u_mat
     left, _, right_t = np.linalg.svd(cross)
     q_opt = left @ right_t

@@ -59,7 +59,7 @@ from .errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
-from .manifold import procrustes_distance
+from .manifold import _norm, procrustes_distance
 
 EIGENVALUE_CLUSTER_RTOL = 1e-9
 CHUNK = 2048  # measurements per block of a seeded draw
@@ -110,7 +110,9 @@ class SensingGroundTruth:
 
     The truth is frozen, so the values derived from it (matrix, kappa,
     well_separated, boundary_multiplicity and the canonical minimum) are
-    computed on first use and kept; the kept arrays are read-only.
+    computed on first use and kept; the kept arrays are read-only. Values
+    that other modules derive from the truth alone are kept in _derived,
+    by name, on the same terms.
     """
 
     eigvecs: np.ndarray
@@ -194,6 +196,11 @@ class SensingGroundTruth:
     def _canonical_minimum(self) -> np.ndarray:
         k = self.target_rank
         return _frozen(self.eigvecs[:, :k] * np.sqrt(self.eigvals[:k]))
+
+    @functools.cached_property
+    def _derived(self) -> dict:
+        # name -> a value another module computes from this truth alone
+        return {}
 
     def canonical_point(self, selection) -> np.ndarray:
         """Critical factor for an arbitrary k-subset of eigendirections."""
@@ -374,12 +381,19 @@ def generate_sensing_ensemble(
 def _phase_signal(signal) -> np.ndarray:
     """The phase-retrieval signal x* as a frozen vector: finite, 1-d and
     nonzero, else NonFiniteEntry or ZeroTruthSignal."""
+    return _frozen(_signal_norm(signal)[0])
+
+
+def _signal_norm(signal) -> tuple[np.ndarray, float]:
+    """(x*, ||x*||) of a signal that _phase_signal accepts, raising as it
+    does; x* is not copied, so it may be the caller's own array."""
     x = np.asarray(signal, dtype=float)
     if not np.isfinite(x).all():
         raise NonFiniteEntry("signal entries must be finite")
-    if x.ndim != 1 or np.linalg.norm(x) == 0.0:
+    norm = _norm(x) if x.ndim == 1 else 0.0
+    if norm == 0.0:
         raise ZeroTruthSignal("phase retrieval needs a nonzero 1-d signal")
-    return _frozen(x)
+    return x, norm
 
 
 @dataclass(frozen=True)
@@ -619,10 +633,7 @@ class RiskModel:
         return values.ravel() if u.ndim > 2 else float(values)
 
     def euclidean_grad(self, point) -> np.ndarray:
-        return self._gradient(_coerce(point, self.shape, stack=True))
-
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
-        # euclidean_grad at a point or stack already through _coerce
+        x = _coerce(point, self.shape, stack=True)
         u = self._factor(x)
         residual = u @ u.swapaxes(-1, -2) - self.target
         return self._scaled(self.operator.normal(residual) @ u).reshape(x.shape)

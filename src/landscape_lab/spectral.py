@@ -9,7 +9,7 @@ the whole stack; each item equals the single-point value bit for bit. The
 canonical stack is built once per model shape and stack size and shared
 read-only, so a hess_vec that wrote into its directions would raise instead
 of corrupting the next Hessian. Problem sizes here are small
-by design, so dense eigh is the right tool.
+by design, so a dense eigensolver is the right tool.
 
 uses_quotient alone picks which of the two a model's curvature is read in:
 factors with k >= 2 columns carry the O(k) gauge zeros in their ambient
@@ -113,8 +113,10 @@ def hessian_form(model, point) -> np.ndarray:
 def min_eig(model, point) -> float | np.ndarray:
     """Smallest eigenvalue of hessian_form at a point, as a float; at a
     (B, *shape) stack of points, the (B,) array of them from one batched
-    eigh, each equal to the value at that point alone."""
-    lam = np.linalg.eigh(hessian_form(model, point))[0][..., 0]
+    eigvalsh, each equal to the value at that point alone. eigvalsh skips
+    the eigenvectors eigh would form; its eigenvalues may differ from
+    eigh's in the last bits."""
+    lam = np.linalg.eigvalsh(hessian_form(model, point))[..., 0]
     return lam if lam.ndim else float(lam)
 
 

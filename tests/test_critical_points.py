@@ -22,7 +22,7 @@ from landscape_lab.critical_points import (
     match_correspondence,
     refine_minimum_horizontal,
 )
-from landscape_lab.errors import InvalidConfig, NonFiniteEntry
+from landscape_lab.errors import GramNotSPD, InvalidConfig, NonFiniteEntry
 from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
@@ -906,6 +906,29 @@ class TestKindThresholds:
         ]
         result = find_critical_points(model, list(points))
         assert [(r.lambda_min, r.kind, r.note) for r in result.records] == got
+
+    @pytest.mark.parametrize("empirical", [False, True], ids=["population", "empirical"])
+    def test_fallback_reads_the_smallest_eigvalsh_eigenvalue(self, empirical):
+        # k = 2 factors of rank one and zero: min_eig has no horizontal
+        # basis, and the ambient Hessian's eigenvalues are read alone
+        truth = factor_truth()
+        model = (
+            MsEmpiricalRisk(generate_sensing_ensemble(truth, 40, seed=2))
+            if empirical
+            else MsPopulationRisk(truth)
+        )
+        gen = rng.stream(17, "rank-deficient", int(empirical))
+        points = [np.zeros((5, 2))] + [
+            np.outer(rng.normal(gen, (5,)), rng.normal(gen, (2,))) for _ in range(4)
+        ]
+        for point in points:
+            with pytest.raises(GramNotSPD):
+                min_eig(model, point)
+            lam, _, note = critical_points._classify(model, point)
+            want = np.linalg.eigvalsh(dense_euclidean_hessian(model, point))[0]
+            assert type(lam) is float
+            assert lam == want
+            assert note == "rank-deficient factor, ambient curvature reported"
 
 
 def counting(model_class):

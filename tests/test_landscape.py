@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from landscape_lab import experiments, landscape, rng
+from landscape_lab import experiments, landscape, risk_models, rng
 from landscape_lab.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -58,7 +58,7 @@ from landscape_lab.landscape import (
     verify_region_bounds_ms,
     verify_region_bounds_pr,
 )
-from landscape_lab.manifold import procrustes_distance
+from landscape_lab.manifold import procrustes_align, procrustes_distance
 from landscape_lab.spectral import hessian_form, min_eig
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
@@ -394,6 +394,84 @@ class TestClassifierOracle:
                 assert got.notes == ()
 
 
+def count_calls(monkeypatch, fn):
+    """Rebind fn, in every package module that holds it, to a wrapper that
+    logs the first argument of each call (as perfbench's tracer rebinds a
+    public function); returns the log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("landscape_lab"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestClassifierWork:
+    """Each classify_region_* call does its own work once: with two truths
+    classified in alternation, the thresholds and notes of each are built on
+    its first classification only, and no population risk is built and no
+    public Procrustes function called per proposal."""
+
+    DIMS = ({}, {"n": 6, "k": 3, "r": 4})
+
+    def alternate(self, n=6):
+        """(truth, point) pairs of two fresh truths, which nothing has
+        classified yet, in alternation; the points are sampled on copies."""
+        points = [
+            sample_region_ms(cli_truth(**dims), MS_R3P, n, rng.stream(41, "work", i))
+            for i, dims in enumerate(self.DIMS)
+        ]
+        truths = [cli_truth(**dims) for dims in self.DIMS]
+        return truths, [(t, p) for pair in zip(*points) for t, p in zip(truths, pair)]
+
+    def test_ms_thresholds_and_notes_are_built_once_per_truth(self, monkeypatch):
+        truths, pairs = self.alternate()
+        thresholds = count_calls(monkeypatch, landscape.ms_region_thresholds)
+        notes = count_calls(monkeypatch, landscape._truth_notes)
+        got = [classify_region_ms(truth, p) for truth, p in pairs]
+        assert [id(t) for t in thresholds] == [id(t) for t in truths]
+        assert [id(t) for t in notes] == [id(t) for t in truths]
+        for (truth, point), labels in zip(pairs, got):
+            witness, want_notes = ms_oracle(truth, point)
+            assert labels.witness == witness
+            assert labels.notes == want_notes
+
+    def test_ms_builds_no_risk_and_calls_no_public_procrustes(self, monkeypatch):
+        _, pairs = self.alternate()
+        built = []
+        init = MsPopulationRisk.__init__
+
+        def counted_init(self, truth):
+            built.append(truth)
+            init(self, truth)
+
+        monkeypatch.setattr(MsPopulationRisk, "__init__", counted_init)
+        public = [count_calls(monkeypatch, fn) for fn in (procrustes_distance, procrustes_align)]
+        for truth, point in pairs:
+            classify_region_ms(truth, point)
+        assert built == []
+        assert public == [[], []]
+
+    def test_pr_checks_the_signal_without_copying_it(self, monkeypatch):
+        frozen = count_calls(monkeypatch, risk_models._frozen)
+        signals = (XSTAR, np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+        points = [
+            sample_region_pr(signal, PR_R4, 6, rng.stream(42, "work", i))
+            for i, signal in enumerate(signals)
+        ]
+        del frozen[:]  # the samplers freeze their signal once each
+        for pair in zip(*points):
+            for signal, x in zip(signals, pair):
+                assert classify_region_pr(signal, x).witness == pr_oracle(signal, x)
+        assert frozen == []
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -594,6 +672,42 @@ class TestDraws:
         assert np.array_equal(np.concatenate(stacks), np.stack(want))
         assert len(read) == drawn
 
+    @pytest.mark.parametrize("n", [1, 40, 64, 65, 130])
+    def test_accepting_all_reads_exactly_n_rows(self, n):
+        # the assumption ball of 40 points builds 40 factors, not a block
+        # of 64; gen then goes on as after one uniform call of n rows
+        built = []
+
+        def propose(rows):
+            built.append(len(rows))
+            return rng.gaussian(rows)
+
+        width = 7
+        gen = rng.stream(12, "draws-all", n)
+        stacks = list(landscape._draws(propose, width, landscape._accept_all, n, gen, "test"))
+        fresh = rng.stream(12, "draws-all", n)
+        want = rng.normal(fresh, (n, width))
+        assert sum(built) == n
+        assert np.array_equal(np.concatenate(stacks), want)
+        assert np.array_equal(gen.random(9), fresh.random(9))
+
+    def test_rejecting_draws_stop_after_the_last_proposal_read(self):
+        # with n - kept rows at most per block, the n-th kept proposal ends
+        # its block: gen goes on as after one uniform call per proposal read
+        read = []
+
+        def every_third_rejected(stack):
+            for proposal in stack:
+                read.append(proposal)
+                yield len(read) % 3 != 0
+
+        gen = rng.stream(13, "draws-some", 0)
+        list(landscape._draws(rng.gaussian, 4, every_third_rejected, 50, gen, "test"))
+        fresh = rng.stream(13, "draws-some", 0)
+        rng.uniform(fresh, (len(read), 4))
+        assert len(read) == 74  # the 50th kept proposal, 74 - 74 // 3 = 50
+        assert np.array_equal(gen.random(9), fresh.random(9))
+
     def test_factor_ball_rejects_rank_deficient_factors(self):
         full = np.eye(3)[:, :2]
         deficient = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
@@ -714,6 +828,41 @@ class TestBlockDraws:
         samples = sample_region_pr(XSTAR, PR_R4, n, rng.stream(9, "block-stop", 0))
         assert len(samples) == n
         assert len(calls) == 7 * n
+
+
+class TestCurvatureFromEigenvaluesOnly:
+    """The region checks read min_eig, the smallest eigvalsh eigenvalue. On
+    samples of every region it stays within 1e-13 of eigh's smallest
+    eigenvalue, relative to the form's largest eigenvalue in magnitude: the
+    two drivers differ in rounding only."""
+
+    @staticmethod
+    def assert_close_to_eigh(model, points):
+        form = hessian_form(model, points)
+        spectrum = np.linalg.eigh(form)[0]
+        gap = np.abs(min_eig(model, points) - spectrum[:, 0])
+        assert (gap <= 1e-13 * np.abs(spectrum).max(axis=1)).all()
+
+    @pytest.mark.parametrize("dims", [{}, {"n": 6, "k": 3, "r": 4}, {"k": 1, "r": 1}])
+    def test_ms_region_samples(self, dims):
+        truth = cli_truth(**dims)
+        model = MsPopulationRisk(truth)
+        for region in MS_REGIONS:
+            try:
+                points = sample_region_ms(truth, region, 64, rng.stream(43, region, 0))
+            except SamplerStarved:
+                continue  # MS_R2p, where no swap saddle lies off the minima
+            self.assert_close_to_eigh(model, points)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_pr_region_samples(self, dim):
+        signal = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(dim)])
+        model = PrPopulationRisk(signal)
+        for region in PR_REGIONS:
+            if region == PR_R3 and dim == 1:
+                continue  # the saddle sphere is empty
+            points = sample_region_pr(signal, region, 64, rng.stream(44, region, dim))
+            self.assert_close_to_eigh(model, points)
 
 
 # ---------------------------------------------------------------------------

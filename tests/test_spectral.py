@@ -23,6 +23,7 @@ from landscape_lab.spectral import (
     dense_euclidean_hessian,
     fd_grad_check,
     fd_hess_check,
+    hessian_form,
     min_eig,
     restricted_hessian,
 )
@@ -271,6 +272,18 @@ def test_min_eig_on_a_stack_is_per_point_bit_for_bit(label):
     stacked = min_eig(model, points)
     assert stacked.shape == (len(points),)
     assert (stacked == np.array([min_eig(model, p) for p in points])).all()
+
+
+@pytest.mark.parametrize("label", list(STACK_CASES))
+def test_min_eig_is_the_smallest_eigvalsh_eigenvalue(label):
+    # eigenvalues only, bit for bit, at one point and on a stack
+    model, points = stack_case(label, size=20)
+    want = np.linalg.eigvalsh(hessian_form(model, points))[..., 0]
+    assert (min_eig(model, points) == want).all()
+    for point, lam in zip(points, want.tolist()):
+        single = min_eig(model, point)
+        assert type(single) is float
+        assert single == lam == np.linalg.eigvalsh(hessian_form(model, point))[0]
 
 
 @pytest.mark.parametrize("label", list(STACK_CASES))
