@@ -10,6 +10,7 @@ reproduction experiments built on top of them.
 __version__ = "0.1.0"
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     GramNotSPD,
     InvalidConfig,
@@ -19,6 +20,7 @@ from .errors import (
     NonFiniteEntry,
     NotHorizontal,
     NotSkew,
+    NumericalFailure,
     SamplerStarved,
     ZeroTruthSignal,
 )
@@ -26,6 +28,8 @@ from .errors import (
 __all__ = [
     "__version__",
     "LandscapeError",
+    "ConfigError",
+    "NumericalFailure",
     "InvalidConfig",
     "DimensionMismatch",
     "InvalidRank",

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from LandscapeError so callers can
-catch one base class at the CLI boundary and map it to an exit code.
+Everything raised on purpose derives from LandscapeError, through one of
+two bases, one per failure exit code of the command line: ConfigError, an
+invalid configuration (exit 3), and NumericalFailure, a numerical failure
+(exit 4). The CLI catches the two bases; a new error class picks its exit
+code by the base it derives from.
 """
 
 
@@ -9,41 +12,49 @@ class LandscapeError(Exception):
     """Base class for all package-specific failures."""
 
 
-class InvalidConfig(LandscapeError):
+class ConfigError(LandscapeError):
+    """An invalid configuration or input; the CLI exits 3."""
+
+
+class NumericalFailure(LandscapeError):
+    """A computation that cannot give a finite, valid result; the CLI exits 4."""
+
+
+class InvalidConfig(ConfigError):
     """A configuration value is missing, malformed, or out of range."""
 
 
-class DimensionMismatch(LandscapeError):
+class DimensionMismatch(ConfigError):
     """Array shapes are inconsistent with the declared problem dimensions."""
 
 
-class InvalidRank(LandscapeError):
+class InvalidRank(ConfigError):
     """A rank parameter violates its admissible range."""
 
 
-class InvalidSampleCount(LandscapeError):
+class InvalidSampleCount(ConfigError):
     """A measurement or sample count is below one."""
 
 
-class ZeroTruthSignal(LandscapeError):
+class ZeroTruthSignal(ConfigError):
     """The ground-truth signal is identically zero."""
 
 
-class GramNotSPD(LandscapeError):
+class GramNotSPD(NumericalFailure):
     """A Gram matrix required to be positive definite is numerically singular."""
 
 
-class NotSkew(LandscapeError):
+class NotSkew(NumericalFailure):
     """A matrix required to be skew-symmetric is not, beyond tolerance."""
 
 
-class NotHorizontal(LandscapeError):
+class NotHorizontal(NumericalFailure):
     """A tangent direction violates the horizontality condition."""
 
 
-class NonFiniteEntry(LandscapeError):
+class NonFiniteEntry(NumericalFailure):
     """A NaN or Inf surfaced where finite values are required."""
 
 
-class SamplerStarved(LandscapeError):
+class SamplerStarved(NumericalFailure):
     """A rejection sampler exhausted its attempt budget for a region."""

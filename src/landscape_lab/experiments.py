@@ -47,18 +47,6 @@ from .risk_models import (
 )
 from .spectral import dense_euclidean_hessian
 
-EXPERIMENTS = (
-    "pr1d",
-    "pr2d",
-    "ms2d_rank1",
-    "ms_rank2_dist",
-    "assumptions",
-    "regions_ms",
-    "regions_pr",
-    "rip",
-)
-VERIFICATION_EXPERIMENTS = ("assumptions", "regions_ms", "regions_pr", "rip")
-
 # the planar signal every two-dimensional figure uses
 XSTAR_PLANE = np.array([1.0, -1.0])
 
@@ -526,16 +514,21 @@ def _verification(report_of):
     return run_verification
 
 
+# the verification experiments, each by the report its runner wraps
+VERIFICATION_EXPERIMENTS = {
+    "assumptions": _assumptions_report,
+    "regions_ms": _regions_ms_report,
+    "regions_pr": _regions_pr_report,
+    "rip": _rip_report,
+}
 RUNNERS = {
     "pr1d": run_pr1d,
     "pr2d": run_2d_landscape,
     "ms2d_rank1": run_2d_landscape,
     "ms_rank2_dist": run_ms_rank2_distance,
-    "assumptions": _verification(_assumptions_report),
-    "regions_ms": _verification(_regions_ms_report),
-    "regions_pr": _verification(_regions_pr_report),
-    "rip": _verification(_rip_report),
+    **{name: _verification(report) for name, report in VERIFICATION_EXPERIMENTS.items()},
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 # The keys each experiment reads besides master_seed, out and fmt, which all
 # read, and their defaults; a None default is derived from the instance, by

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -534,11 +534,16 @@ class RegionCheck:
 
 @dataclass(frozen=True)
 class RegionBoundReport:
+    """The region checks of one family. notes carries the truth's advisories
+    (matrix sensing, as classify_region_ms notes them); JSON holds them only
+    when there are some."""
+
     family: str
     n_per_region: int
     seed: int
     checks: tuple
     violations: tuple = ()
+    notes: tuple = ()
 
     @property
     def all_clear(self) -> bool:
@@ -551,11 +556,14 @@ class RegionBoundReport:
         raise KeyError(region)
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             **asdict(self),
             "all_clear": self.all_clear,
             "checks": [c.to_json_dict() for c in self.checks],
         }
+        if not self.notes:
+            del payload["notes"]
+        return payload
 
 
 def _check_values(model, kind, stack):
@@ -632,8 +640,8 @@ def verify_region_bounds_ms(
     truth: SensingGroundTruth, n_per_region: int, seed: int
 ) -> RegionBoundReport:
     """Sample every matrix-sensing region and verify its curvature or
-    gradient bound on each sample."""
-    return _run_region_checks(
+    gradient bound on each sample; the report carries the truth's notes."""
+    report = _run_region_checks(
         "ms",
         MsPopulationRisk(truth),
         ms_region_bounds(truth),
@@ -641,6 +649,7 @@ def verify_region_bounds_ms(
         n_per_region,
         seed,
     )
+    return replace(report, notes=_ms_truth_constants(truth)[1])
 
 
 def verify_region_bounds_pr(signal, n_per_region: int, seed: int) -> RegionBoundReport:

@@ -59,16 +59,10 @@ from .errors import (
     NonFiniteEntry,
     ZeroTruthSignal,
 )
-from .manifold import _norm, procrustes_distance
+from .manifold import _frozen_copy, _norm, procrustes_distance
 
 EIGENVALUE_CLUSTER_RTOL = 1e-9
 CHUNK = 2048  # measurements per block of a seeded draw
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +73,8 @@ def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact derivative of ||C vec Z||^2 / 2 after the clipping.
     """
     w, v = np.linalg.eigh(gram)
-    root = _frozen(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
-    return root, _frozen(root.T @ root)
+    root = _frozen_copy(np.sqrt(np.maximum(w, 0.0))[:, None] * v.T)
+    return root, _frozen_copy(root.T @ root)
 
 
 def _summed_gram(stacks) -> np.ndarray:
@@ -148,8 +142,8 @@ class SensingGroundTruth:
                 f"target rank {k} outside [ceil(r/2), r] = "
                 f"[{math.ceil(r / 2)}, {r}]"
             )
-        object.__setattr__(self, "eigvecs", _frozen(w))
-        object.__setattr__(self, "eigvals", _frozen(lam))
+        object.__setattr__(self, "eigvecs", _frozen_copy(w))
+        object.__setattr__(self, "eigvals", _frozen_copy(lam))
         object.__setattr__(self, "target_rank", k)
 
     @classmethod
@@ -173,7 +167,7 @@ class SensingGroundTruth:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return _frozen((self.eigvecs * self.eigvals) @ self.eigvecs.T)
+        return _frozen_copy((self.eigvecs * self.eigvals) @ self.eigvecs.T)
 
     @functools.cached_property
     def kappa(self) -> float:
@@ -195,7 +189,7 @@ class SensingGroundTruth:
     @functools.cached_property
     def _canonical_minimum(self) -> np.ndarray:
         k = self.target_rank
-        return _frozen(self.eigvecs[:, :k] * np.sqrt(self.eigvals[:k]))
+        return _frozen_copy(self.eigvecs[:, :k] * np.sqrt(self.eigvals[:k]))
 
     @functools.cached_property
     def _derived(self) -> dict:
@@ -381,7 +375,7 @@ def generate_sensing_ensemble(
 def _phase_signal(signal) -> np.ndarray:
     """The phase-retrieval signal x* as a frozen vector: finite, 1-d and
     nonzero, else NonFiniteEntry or ZeroTruthSignal."""
-    return _frozen(_signal_norm(signal)[0])
+    return _frozen_copy(_signal_norm(signal)[0])
 
 
 def _signal_norm(signal) -> tuple[np.ndarray, float]:
@@ -497,7 +491,7 @@ class _FourthMoment(_PopulationOperator):
         eye = np.eye(n * n)
         transpose = np.arange(n * n).reshape(n, n).T.ravel()
         flat_identity = np.eye(n).ravel()
-        self.gram = _frozen(eye + eye[transpose] + np.outer(flat_identity, flat_identity))
+        self.gram = _frozen_copy(eye + eye[transpose] + np.outer(flat_identity, flat_identity))
 
     normal = _GramEnsemble.normal
 
@@ -704,7 +698,7 @@ class _PhaseRisk(RiskModel):
     is_factor = False
 
     def __init__(self, signal: np.ndarray, operator):
-        super().__init__(operator, _frozen(np.outer(signal, signal)), 0.5, signal.shape)
+        super().__init__(operator, _frozen_copy(np.outer(signal, signal)), 0.5, signal.shape)
         self.signal = signal
 
     @property

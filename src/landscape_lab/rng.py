@@ -64,15 +64,19 @@ def subseed(master_seed: int, tag: str, index: int = 0) -> int:
 
 
 def uniform(gen: np.random.Generator, shape=()) -> np.ndarray:
-    """Uniforms on the open interval (0, 1), 53-bit resolution.
+    """Uniforms on the open interval (0, 1), one per 64-bit word of the stream.
 
-    Each value is (b + 1/2) 2^-53 for the top 53 bits b of one 64-bit word
-    of the stream, and none is rejected, so a (rows, width) block holds,
-    row by row, the values that rows successive calls of width values each
-    would return. random() reads b 2^-53 from the word, and adding 2^-54
-    rounds exactly as (b + 0.5) * 2^-53 does.
+    random() reads b 2^-53 from the top 53 bits b of a word, and 2^-54 is
+    added to it. Below 1/2 (b < 2^52) the sum is exactly (b + 1/2) 2^-53.
+    Above, it is a tie that rounds to even, to b 2^-53 or (b + 1) 2^-53,
+    and the top word b = 2^53 - 1 would round to 1, where gaussian is
+    infinite: it is clamped to 1 - 2^-53. None is rejected, so a
+    (rows, width) block holds, row by row, the values that rows successive
+    calls of width values each would return.
     """
-    return gen.random(shape) + 2.0 ** -54
+    u = gen.random(shape)
+    u += 2.0 ** -54
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def gaussian(u: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import cli, experiments, rng
-from landscape_lab.errors import InvalidConfig, NonFiniteEntry
+from landscape_lab import cli, errors, experiments, rng
+from landscape_lab.errors import ConfigError, InvalidConfig, NonFiniteEntry, NumericalFailure
 
 
 class TestParsing:
@@ -598,6 +598,28 @@ class TestExitCodes:
         assert rc == cli.EXIT_INVALID_CONFIG
 
     @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (["pr1d", "--grid", "-1:1:5"], ".csv"),
+            (["pr2d", "--grid", "-1:1:5"], "_population_grid.csv"),
+            (["regions_pr", "--samples", "3"], ".json"),
+        ],
+        ids=["pr1d-csv", "pr2d-six-tables", "regions_pr-json"],
+    )
+    def test_output_into_a_missing_directory_is_three_and_writes_nothing(
+        self, argv, first, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing" / "x"
+        rc = cli.main([*argv, "--out", str(missing)])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}{first}: ")
+        assert not any(tmp_path.iterdir())
+        if argv[0] == "pr2d":
+            # the same run into a directory that exists writes six tables
+            assert cli.main([*argv, "--out", str(tmp_path / "x")]) == cli.EXIT_OK
+            assert len(list(tmp_path.glob("x_*.csv"))) == 6
+
+    @pytest.mark.parametrize(
         "error",
         [
             NonFiniteEntry("NaN in table"),
@@ -613,3 +635,49 @@ class TestExitCodes:
         rc = cli.main(["pr1d"])
         assert rc == cli.EXIT_NUMERICAL_FAILURE
         assert "numerical failure" in capsys.readouterr().err
+
+
+# the README's exit-code table: each error class of the package, the exit
+# code it maps to and the stderr prefix of that code
+CONFIG_ERRORS = (
+    "InvalidConfig", "DimensionMismatch", "InvalidRank", "InvalidSampleCount", "ZeroTruthSignal"
+)
+NUMERICAL_ERRORS = ("NonFiniteEntry", "GramNotSPD", "NotSkew", "NotHorizontal", "SamplerStarved")
+PREFIX = {cli.EXIT_INVALID_CONFIG: "error: ", cli.EXIT_NUMERICAL_FAILURE: "numerical failure: "}
+
+
+class TestErrorBases:
+    def test_each_error_derives_from_exactly_one_base(self):
+        bases = (errors.LandscapeError, ConfigError, NumericalFailure)
+        classes = [
+            value
+            for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.LandscapeError)
+            and value not in bases
+        ]
+        assert sorted(c.__name__ for c in classes) == sorted(CONFIG_ERRORS + NUMERICAL_ERRORS)
+        for cls in classes:
+            assert [issubclass(cls, ConfigError), issubclass(cls, NumericalFailure)] == [
+                cls.__name__ in CONFIG_ERRORS,
+                cls.__name__ in NUMERICAL_ERRORS,
+            ], cls.__name__
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(getattr(errors, name), cli.EXIT_INVALID_CONFIG) for name in CONFIG_ERRORS]
+        + [(getattr(errors, name), cli.EXIT_NUMERICAL_FAILURE) for name in NUMERICAL_ERRORS]
+        + [
+            (np.linalg.LinAlgError, cli.EXIT_NUMERICAL_FAILURE),
+            (FloatingPointError, cli.EXIT_NUMERICAL_FAILURE),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+    )
+    def test_main_maps_each_error_to_its_exit_code(self, error, code, monkeypatch, capsys):
+        def explode(config):
+            raise error("the message")
+
+        monkeypatch.setattr(experiments, "run", explode)
+        assert cli.main(["pr1d"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{PREFIX[code]}the message\n"
+        assert captured.out == ""

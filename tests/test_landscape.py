@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from landscape_lab import experiments, landscape, risk_models, rng
+from landscape_lab import experiments, landscape, manifold, rng
 from landscape_lab.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -459,7 +459,7 @@ class TestClassifierWork:
         assert public == [[], []]
 
     def test_pr_checks_the_signal_without_copying_it(self, monkeypatch):
-        frozen = count_calls(monkeypatch, risk_models._frozen)
+        frozen = count_calls(monkeypatch, manifold._frozen_copy)
         signals = (XSTAR, np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
         points = [
             sample_region_pr(signal, PR_R4, 6, rng.stream(42, "work", i))
@@ -945,6 +945,30 @@ class TestRegionBounds:
         parsed = json.loads(blob)
         assert parsed["all_clear"] is True
         assert len(parsed["checks"]) == 4
+
+    @pytest.mark.parametrize(
+        "dims, n_notes",
+        [({}, 0), ({"k": 1, "r": 2}, 1), ({"n": 6, "k": 3, "r": 4}, 2)],
+        ids=["default", "k1-r2", "n6-k3-r4"],
+    )
+    def test_ms_report_carries_the_truth_notes(self, dims, n_notes, tmp_path):
+        # k = 1, r = 2: the spectrum (1.3, 1.0) is not separated; n = 6, k = 3,
+        # r = 4: nor is ones(4), whose minima extend beyond one orbit. The
+        # default truth has no notes, and its payload keeps its keys.
+        truth = cli_truth(**dims)
+        notes = verify_region_bounds_ms(truth, 3, 20250817).notes
+        assert notes == landscape._truth_notes(truth)
+        assert len(notes) == n_notes
+        if notes:
+            assert notes[0].startswith("spectrum separation fails")
+        config = experiments.ExperimentConfig(
+            "regions_ms", samples=3, out=str(tmp_path / "rm"), **dims
+        )
+        (path,) = experiments.run(config).paths
+        report = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["report"]
+        keys = {"family", "n_per_region", "seed", "checks", "violations", "all_clear"}
+        assert set(report) == (keys | {"notes"} if notes else keys)
+        assert report.get("notes", []) == list(notes)
 
     def test_config_validation(self):
         with pytest.raises(InvalidSampleCount):

@@ -91,3 +91,36 @@ def test_library_caller_gets_invalid_config_for_a_negative_seed():
 
     with pytest.raises(InvalidConfig, match="must not be negative"):
         verify_region_bounds_pr(np.array([1.0, -1.0, 1.0]), 3, -1)
+
+
+class _TopWord:
+    """A generator stub whose every word is the top one, b = 2^53 - 1."""
+
+    def random(self, shape=()):
+        return np.full(shape, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "row", "block"])
+def test_top_word_stays_below_one(shape):
+    # (1 - 2^-53) + 2^-54 rounds, ties to even, to 1.0, where gaussian is +inf
+    u = rng.uniform(_TopWord(), shape)
+    assert u.shape == shape
+    assert np.all(u == 1.0 - 2.0 ** -53)
+    assert np.all(np.isfinite(rng.gaussian(u)))
+
+
+def test_uniform_equals_the_unclamped_sum_bit_for_bit():
+    # a million seeded draws hold no top word, so the clamp moves none
+    got = rng.uniform(rng.stream(7, "unit", 1), (1_000_000,))
+    old = rng.stream(7, "unit", 1).random((1_000_000,)) + 2.0 ** -54
+    assert got.tobytes() == old.tobytes()
+
+
+def test_uniform_values_lie_on_the_stated_grid():
+    # (b + 1/2) 2^-53 below 1/2; above, the even one of b 2^-53 and (b + 1) 2^-53
+    words = rng.stream(7, "unit", 2).random((100_000,))
+    u = rng.uniform(rng.stream(7, "unit", 2), (100_000,))
+    b = (words * 2.0 ** 53).astype(np.int64)
+    low = b < 2 ** 52
+    assert np.array_equal(u[low] * 2.0 ** 54, 2.0 * b[low] + 1.0)
+    assert np.array_equal(u[~low] * 2.0 ** 53, b[~low] + (b[~low] & 1))
