@@ -12,8 +12,9 @@ A config file holds flat ``key=value`` lines (``#`` starts a comment). Its
 keys are ``experiment`` and the flag names without the leading dashes. The
 file's entries become the parser's defaults, so a file value is typed as
 the flag's value is, and a flag given on the command line overrides it.
-A key the experiment does not read (see ``experiments.SETTINGS``), or an M
-list for an experiment that takes one M, is an invalid configuration.
+A key given twice in the file, a key the experiment does not read (see
+``experiments.SETTINGS``), or an M list for an experiment that takes one M,
+is an invalid configuration.
 
 Exit codes: 0 success, 2 verification failure, 3 invalid configuration
 (errors.ConfigError), 4 numerical failure (errors.NumericalFailure, and
@@ -65,7 +66,7 @@ def parse_grid(text: str):
 
 
 def load_config_file(path: str, keys) -> dict:
-    """Read ``key=value`` lines; every key must be one of ``keys``."""
+    """Read ``key=value`` lines; every key must be one of ``keys``, once."""
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -81,6 +82,8 @@ def load_config_file(path: str, keys) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in entries:
+            raise InvalidConfig(f"{path}:{lineno}: config key {key!r} given twice")
         if not value:
             raise InvalidConfig(f"{path}:{lineno}: empty value for {key!r}")
         entries[key] = value
@@ -146,8 +149,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = build_config(argv)
-        outcome = experiments.run(config)
+        # an overflow or invalid value reaches the user as exit 4 through
+        # the NonFiniteEntry checks, not as numpy's RuntimeWarning lines
+        with np.errstate(over="ignore", invalid="ignore"):
+            config = build_config(argv)
+            outcome = experiments.run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

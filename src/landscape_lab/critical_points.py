@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, GramNotSPD, InvalidConfig
 from .manifold import _item_norms, _norm, procrustes_distance
-from .risk_models import SensingGroundTruth, _coerce, stack_surfaces
+from .risk_models import (
+    MsEmpiricalRisk,
+    MsPopulationRisk,
+    PrEmpiricalRisk,
+    PrPopulationRisk,
+    SensingGroundTruth,
+    _coerce,
+)
 from .spectral import (
     dense_euclidean_hessian,
     min_eig,
@@ -165,18 +172,78 @@ def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return step * factor.reshape(-1, *(1,) * item_ndim), cap
 
 
-def _backtrack(model, point, grad, grad_norm, step, polish):
+class _GramStack:
+    """The operators of several surfaces, Gram ensembles or the population
+    operators, applied to a stack of points whose items each lie on one
+    surface.
+
+    runs lists (operator, start, stop): the items start <= i < stop lie on
+    that operator's surface, and the runs follow each other from 0 to the
+    stack's size. energy and normal hand each run to its operator's own
+    method, one product per run, so every item rounds as on its surface
+    alone and no Gram matrix is gathered per item.
+    """
+
+    def __init__(self, runs: list, size: int):
+        self.runs = runs
+        self.size = size
+
+    def _apply(self, method: str, z: np.ndarray) -> np.ndarray:
+        # a stack of points reaches the operator as (B, m, N, N)
+        if z.ndim != 4 or len(z) != self.size:
+            raise DimensionMismatch(
+                f"a stack of {self.size} surface items needs as many points"
+            )
+        return np.concatenate(
+            [getattr(operator, method)(z[a:b]) for operator, a, b in self.runs]
+        )
+
+    def energy(self, z: np.ndarray) -> np.ndarray:
+        return self._apply("energy", z)
+
+    def normal(self, z: np.ndarray) -> np.ndarray:
+        return self._apply("normal", z)
+
+
+def _surface_risk(models, per_surface: int, idx: np.ndarray):
+    """The risk to evaluate on the items idx, an increasing index array, of
+    a stack whose s-th block of per_surface items lies on models[s]'s
+    surface.
+
+    Items that all lie on one surface get that surface's model itself.
+    Items of several surfaces get a shallow copy of the first empirical
+    model (the first model, if all are population risks), so the tracer
+    counts its calls under that class, whose operator is a _GramStack of
+    the surfaces' operators: each item of value, euclidean_grad and
+    hess_vec is then bit for bit the value on its own model.
+    """
+    if len(models) == 1:
+        return models[0]
+    cuts = idx.searchsorted(np.arange(len(models) + 1) * per_surface).tolist()
+    runs = [(m, a, b) for m, a, b in zip(models, cuts, cuts[1:]) if a < b]
+    if len(runs) < 2:
+        return runs[0][0] if runs else models[0]
+    first = next(
+        (m for m in models if isinstance(m, (MsEmpiricalRisk, PrEmpiricalRisk))), models[0]
+    )
+    risk = object.__new__(type(first))
+    operator = _GramStack([(m.operator, a, b) for m, a, b in runs], len(idx))
+    risk.__dict__.update(first.__dict__, operator=operator)
+    return risk
+
+
+def _backtrack(risk_of, point, grad, grad_norm, step, polish):
     """Try point + step for each item of a (B, *shape) stack, halving the
     steps that fail, and keep each item's first candidate that passes.
 
     A Newton item passes when its gradient norm falls below grad_norm and
     gets MAX_BACKTRACKS tries; a polish item (polish True) passes below
     0.9 * grad_norm, or at an exact zero, and gets one try. Each try is one
-    euclidean_grad call on the items still trying, through
-    model.take(trying), and a passed item keeps
-    the gradient that call computed, so the caller need not evaluate it
-    again. Returns (point, grad, grad_norm, passed); an item that did not
-    pass keeps its inputs.
+    euclidean_grad call on the items still trying, through risk_of(trying),
+    the risk of those items of point, and a passed item keeps the gradient
+    that call computed, so the caller need not evaluate it again. Returns
+    (point, grad, grad_norm, passed); an item that did not pass keeps its
+    inputs.
     """
     point, grad, grad_norm = point.copy(), grad.copy(), grad_norm.copy()
     bar = np.where(polish, 0.9 * grad_norm, grad_norm)
@@ -185,7 +252,7 @@ def _backtrack(model, point, grad, grad_norm, step, polish):
     scale = 1.0
     for _ in range(MAX_BACKTRACKS):
         candidate = point[trying] + scale * step[trying]
-        cand_grad = model.take(trying).euclidean_grad(candidate)
+        cand_grad = risk_of(trying).euclidean_grad(candidate)
         norm = _item_norms(cand_grad, step.ndim - 1)
         ok = (norm < bar[trying]) | (norm == 0.0)
         took = trying[ok]
@@ -211,30 +278,53 @@ def damped_newton(model, seed_point):
 
     A stack runs every seed in lockstep, each with its own iterations,
     stalls, backtracking and phase, and each ends bit for bit where it
-    would alone (a single seed is a stack of one). The model may stack the
-    surfaces of several risks, population and empirical
-    (risk_models.stack_surfaces), with each seed on its own surface: then
-    the search of every surface runs in the same rounds, and each seed
-    still ends where it would on its own model. A round makes one
+    would alone (a single seed is a stack of one). model may also be a
+    list of risks of one family, population or empirical, of one truth or
+    signal and one shape (else InvalidConfig): the stack then splits into
+    len(model) equal consecutive blocks, block s on model[s]'s surface, and
+    the search of every surface runs in the same rounds, each seed still
+    ending where it would on its own model. A round makes one
     dense_euclidean_hessian call and one batched eigh over the seeds still
     active (at n = 2, from EIGH2_MIN_STACK seeds up, _eigh_2x2's bit-exact
-    port of it), and one euclidean_grad call per
-    backtrack halving over the seeds still halving, each on model.take of
-    those seeds. It returns ((B, *shape) points, (B,) gradient norms,
-    total Newton iterations, number of converged seeds): totals over the
-    stack, so a caller that sums per-call iteration counts or counts
-    converging calls reads a stack like a seed. A seed converged iff its
-    gradient norm is at most the tolerance, since polishing only accepts a
-    smaller norm.
+    port of it), and one euclidean_grad call per backtrack halving over the
+    seeds still halving, each on _surface_risk of those seeds. It returns
+    ((B, *shape) points, (B,) gradient norms, total Newton iterations,
+    number of converged seeds): totals over the stack, so a caller that
+    sums per-call iteration counts or counts converging calls reads a
+    stack like a seed. A seed converged iff its gradient norm is at most
+    the tolerance, since polishing only accepts a smaller norm.
     """
+    models = model if isinstance(model, list) else [model]
+    shape = models[0].shape
+    if models[0].is_factor:
+        family = (MsPopulationRisk, MsEmpiricalRisk)
+    else:
+        family = (PrPopulationRisk, PrEmpiricalRisk)
+    if len(models) > 1 and not all(
+        isinstance(m, family) and m.shape == shape and np.array_equal(m.target, models[0].target)
+        for m in models
+    ):
+        raise InvalidConfig(
+            "stacked surfaces must be risks of one family (matrix sensing or "
+            "phase retrieval), of one truth or signal and one shape"
+        )
     # a copy, which the search updates in place
-    points = _coerce(seed_point, model.shape, stack=True).copy()
-    single = points.shape == model.shape
+    points = _coerce(seed_point, shape, stack=True).copy()
+    single = points.shape == shape
     if single:
         points = points[None]
-    tau = _tau(model)
-    grad = model.euclidean_grad(points)
-    grad_norm = _item_norms(grad, len(model.shape))
+    per_surface, ragged = divmod(len(points), len(models))
+    if ragged:
+        raise DimensionMismatch(
+            f"a stack of {len(points)} seeds does not split into {len(models)} surfaces"
+        )
+
+    def risk_of(items):
+        return _surface_risk(models, per_surface, items)
+
+    tau = _tau(models[0])
+    grad = risk_of(np.arange(len(points))).euclidean_grad(points)
+    grad_norm = _item_norms(grad, len(shape))
     iters = np.zeros(len(points), dtype=int)
     stalls = np.zeros(len(points), dtype=int)
     polished = np.zeros(len(points), dtype=int)
@@ -253,12 +343,12 @@ def damped_newton(model, seed_point):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        at, in_polish, at_model = points[idx], polish[idx], model.take(idx)
-        hess = dense_euclidean_hessian(at_model, at)
+        at, in_polish = points[idx], polish[idx]
+        hess = dense_euclidean_hessian(risk_of(idx), at)
         step = _damped_newton_step(hess, grad[idx].reshape(len(idx), -1))
         step, _ = _capped(step.reshape(at.shape), at)
         points[idx], grad[idx], grad_norm[idx], passed = _backtrack(
-            at_model, at, grad[idx], grad_norm[idx], step, in_polish
+            lambda trying: risk_of(idx[trying]), at, grad[idx], grad_norm[idx], step, in_polish
         )
         newton = idx[~in_polish]
         iters[newton] += 1
@@ -417,15 +507,15 @@ def find_critical_points_each(models, seed_points) -> list:
     one list of results, with one damped_newton call for all of them.
 
     Several models must be risks of one family, population or empirical,
-    and of one truth or signal, which risk_models.stack_surfaces stacks
-    into one model: every surface then searches in the same Newton rounds,
-    and each seed ends bit for bit where a search of its surface alone ends
-    it. Per surface, the converged endpoints are deduplicated in seed order
-    by distance rows (_dedupe), and the surviving records are classified
-    with one stacked min_eig call, in record order. Seeds that fail to
-    converge are counted, not fatal. Duplicates merge at 1e-4 times the
-    domain scale, keeping the representative with the smaller gradient
-    norm.
+    of one truth or signal and one shape: damped_newton takes them as a
+    list, with the seeds tiled once per model, so every surface searches in
+    the same Newton rounds, and each seed ends bit for bit where a search
+    of its surface alone ends it. Per surface, the converged endpoints are
+    deduplicated in seed order by distance rows (_dedupe), and the
+    surviving records are classified with one stacked min_eig call, in
+    record order. Seeds that fail to converge are counted, not fatal.
+    Duplicates merge at 1e-4 times the domain scale, keeping the
+    representative with the smaller gradient norm.
     """
     models = list(models)
     if not models:
@@ -439,7 +529,6 @@ def find_critical_points_each(models, seed_points) -> list:
         )
     seeds = list(seed_points)
     n = len(seeds)
-    stack = stack_surfaces(models, n)
     points, grad_norms = np.empty((0, *shape)), np.empty(0)
     if seeds:
         shapes = {np.shape(seed) for seed in seeds}
@@ -448,7 +537,7 @@ def find_critical_points_each(models, seed_points) -> list:
                 f"seed shapes {sorted(shapes)} do not match model shape {shape}"
             )
         tiled = np.tile(np.stack(seeds), (len(models), *(1,) * len(shape)))
-        points, grad_norms, _, _ = damped_newton(stack, tiled)
+        points, grad_norms, _, _ = damped_newton(models, tiled)
     results = []
     for s, model in enumerate(models):
         tol = TAU_DEDUPE_FACTOR * model.domain_scale
@@ -508,7 +597,7 @@ def refine_minimum_horizontal(model, seed_point):
         # the stacked helpers, on a stack of this one point
         step, cap = _capped((coeffs @ flat).reshape(1, *point.shape), point[None])
         points, grads, norms, passed = _backtrack(
-            model, point[None], grad[None], np.array([grad_norm]), step, np.zeros(1, bool)
+            lambda _: model, point[None], grad[None], np.array([grad_norm]), step, np.zeros(1, bool)
         )
         point, grad, grad_norm = points[0], grads[0], float(norms[0])
         if not passed[0]:

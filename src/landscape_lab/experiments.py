@@ -75,6 +75,15 @@ class ExperimentConfig:
     family: str | None = None
 
     def __post_init__(self):
+        # _resolve compares each field with its default, which an array
+        # would do elementwise: an array or list m or grid is kept as a tuple
+        for name in ("m", "grid"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            if isinstance(value, list):
+                value = tuple(value)
+            object.__setattr__(self, name, value)
         # the seed and the format resolve here, once: an explicit seed, else
         # the environment, else the default; JSON for verification, else CSV
         object.__setattr__(self, "master_seed", rng.resolve_master_seed(self.master_seed))

@@ -35,11 +35,6 @@ does not depend on M. The draw itself (raw, vectors) and the measurements
 are regenerated from (seed, M), block by block, whenever they are read; the
 blocks consume the stream in order, so they equal a one-shot draw bit for
 bit.
-
-The population and empirical risks of one truth or signal stack into one
-risk (stack_surfaces), over a stack of points whose items each lie on one
-model's surface; each item is bit for bit its own surface's value, and
-RiskModel.take restricts a stack to some of its items.
 """
 
 from __future__ import annotations
@@ -496,56 +491,6 @@ class _FourthMoment(_PopulationOperator):
     normal = _GramEnsemble.normal
 
 
-class _GramStack:
-    """The operators of several surfaces, Gram ensembles or the population
-    operators (_Identity, _FourthMoment), applied to a stack of points
-    whose items each lie on one surface.
-
-    runs lists (operator, start, stop): the items start <= i < stop lie on
-    that operator's surface, and the runs follow each other from 0 to the
-    stack's size. energy and normal hand each run to its operator's own
-    method, one product per run, so every item rounds as on its surface
-    alone and no Gram matrix is gathered per item.
-    """
-
-    def __init__(self, runs: list, size: int):
-        self.runs = runs
-        self.size = size
-        self._edges = np.array([start for _, start, _ in runs] + [size])
-
-    def take(self, idx: np.ndarray):
-        """The operator of the items idx, an increasing index array: a run
-        keeps the items of idx that fell in it. Items that all lie on one
-        surface get that surface's operator itself."""
-        if len(idx) == self.size:
-            return self
-        cuts = idx.searchsorted(self._edges).tolist()
-        runs = [
-            (operator, a, b)
-            for (operator, _, _), a, b in zip(self.runs, cuts, cuts[1:])
-            if a < b
-        ]
-        if len(runs) == 1:
-            return runs[0][0]
-        return _GramStack(runs, len(idx))
-
-    def _apply(self, method: str, z: np.ndarray) -> np.ndarray:
-        # a stack of points reaches the operator as (B, m, N, N)
-        if z.ndim != 4 or len(z) != self.size:
-            raise DimensionMismatch(
-                f"a stack of {self.size} surface items needs as many points"
-            )
-        return np.concatenate(
-            [getattr(operator, method)(z[a:b]) for operator, a, b in self.runs]
-        )
-
-    def energy(self, z: np.ndarray) -> np.ndarray:
-        return self._apply("energy", z)
-
-    def normal(self, z: np.ndarray) -> np.ndarray:
-        return self._apply("normal", z)
-
-
 class RiskModel:
     """The quartic c <R, N(R)> in the residual R = UU^T - X.
 
@@ -592,21 +537,6 @@ class RiskModel:
         super().__init_subclass__(**kwargs)
         for name in ("value", "euclidean_grad", "hess_vec"):
             setattr(cls, name, getattr(cls, name))
-
-    def take(self, idx: np.ndarray) -> "RiskModel":
-        """This model restricted to the items idx, an increasing index
-        array, of a stack of points: the model itself, unless it stacks
-        several surfaces (stack_surfaces), whose items each know theirs.
-        Items that all lie on one surface get that surface's operator, so
-        their model takes its items as a one-surface model does."""
-        if not isinstance(self.operator, _GramStack):
-            return self
-        operator = self.operator.take(idx)
-        if operator is self.operator:
-            return self
-        model = object.__new__(type(self))
-        model.__dict__.update(self.__dict__, operator=operator)
-        return model
 
     def _factor(self, arr: np.ndarray) -> np.ndarray:
         """A point as its N x k factor (a phase-retrieval vector as N x 1),
@@ -753,49 +683,3 @@ class PrEmpiricalRisk(_PhaseRisk):
         z = a @ x
         diag = 3.0 * z ** 2 - self.problem.measurements
         return (2.0 / self.problem.n_measurements) * (a.T * diag) @ a
-
-
-def stack_surfaces(models, per_surface: int) -> RiskModel:
-    """One risk over the surfaces of several models, for a stack of
-    len(models) * per_surface points whose s-th block of per_surface points
-    lies on models[s]'s surface.
-
-    The models must be risks of one family, population or empirical
-    (MsPopulationRisk and MsEmpiricalRisk, or PrPopulationRisk and
-    PrEmpiricalRisk), of one truth or signal and one shape. The stack is an
-    instance of the first empirical model's class, or of the first model's
-    if all are population risks, so the tracer counts its calls there and
-    no item on an empirical surface is offered the population closed form
-    of PrPopulationRisk.hess_matrix. It has the models' scales, shape and
-    target; its operator applies each surface's operator (the identity,
-    the fourth moment or an ensemble's Gram matrix) to that surface's
-    items, so every item of value, euclidean_grad and hess_vec is bit for
-    bit the value on its own model. take(idx) restricts it to a subset of
-    the items. It holds no single ensemble or problem. One model is
-    returned as it is.
-    """
-    models = list(models)
-    first = models[0]
-    if len(models) == 1:
-        return first
-    cls = next((type(m) for m in models if isinstance(m.operator, _GramEnsemble)), type(first))
-    family = _SensingRisk if first.is_factor else _PhaseRisk
-    if not all(
-        isinstance(m, family)
-        and isinstance(m.operator, (_GramEnsemble, _PopulationOperator))
-        and m.shape == first.shape
-        and np.array_equal(m.target, first.target)
-        for m in models
-    ):
-        raise InvalidConfig(
-            "stacked surfaces must be risks of one family (matrix sensing or "
-            "phase retrieval), of one truth or signal and one shape"
-        )
-    n = int(per_surface)
-    runs = [(m.operator, s * n, (s + 1) * n) for s, m in enumerate(models)]
-    stack = cls.__new__(cls)
-    # the class's own base, _SensingRisk or _PhaseRisk, sets the scales
-    # and the target from the truth or signal
-    instance = first.truth if first.is_factor else first.signal
-    super(cls, stack).__init__(instance, _GramStack(runs, len(models) * n))
-    return stack

@@ -294,6 +294,13 @@ class TestSeedResolution:
         assert config.master_seed == rng.DEFAULT_MASTER_SEED
 
 
+def assert_one_numerical_failure_line(stderr):
+    """An overflow reaches the user as the one line of exit 4, without
+    numpy's RuntimeWarning lines and the source paths they print."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), stderr
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         rc = cli.main(
@@ -477,8 +484,9 @@ class TestExitCodes:
         ids=["assumptions-radius-1e80", "pr1d-grid-1e100"],
     )
     def test_non_finite_json_is_four_and_writes_nothing(self, argv, tmp_path):
-        # the values overflow to Infinity on the way, with a RuntimeWarning,
-        # which this suite makes an error; a child process runs without it
+        # the values overflow to Infinity on the way, which numpy would
+        # report as a RuntimeWarning, an error in this suite; a child
+        # process runs without that filter, as a user does
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         done = subprocess.run(
@@ -489,6 +497,7 @@ class TestExitCodes:
             timeout=60,
         )
         assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert_one_numerical_failure_line(done.stderr)
         assert "x.json would hold a non-finite number" in done.stderr
         assert not any(tmp_path.iterdir())
 
@@ -507,6 +516,7 @@ class TestExitCodes:
             timeout=60,
         )
         assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert_one_numerical_failure_line(done.stderr)
         assert "deviation is nan" in done.stderr
         assert not any(tmp_path.iterdir())
 
@@ -524,6 +534,7 @@ class TestExitCodes:
             timeout=60,
         )
         assert done.returncode == cli.EXIT_NUMERICAL_FAILURE, done.stderr
+        assert_one_numerical_failure_line(done.stderr)
         assert "x.csv would hold an infinite number" in done.stderr
         assert not any(tmp_path.iterdir())
 
@@ -584,6 +595,24 @@ class TestExitCodes:
         assert done.returncode == cli.EXIT_INVALID_CONFIG, done.stderr
         assert f"lists measurement count {repeated} more than once" in done.stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "text, lineno, key",
+        [
+            ("experiment=pr1d\nm=10\nm=20\n", 3, "m"),
+            ("experiment = pr1d\n# a comment\nseed=1\n\nexperiment=pr2d\n", 5, "experiment"),
+        ],
+        ids=["m", "experiment"],
+    )
+    def test_key_given_twice_in_file_is_three(self, text, lineno, key, tmp_path, capsys):
+        # the second value used to replace the first without a word
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:{lineno}: config key {key!r} given twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
 
     def test_config_file_not_utf8_is_three(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -22,7 +22,7 @@ from landscape_lab.critical_points import (
     match_correspondence,
     refine_minimum_horizontal,
 )
-from landscape_lab.errors import GramNotSPD, InvalidConfig, NonFiniteEntry
+from landscape_lab.errors import DimensionMismatch, GramNotSPD, InvalidConfig, NonFiniteEntry
 from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
@@ -296,6 +296,96 @@ def assert_same_search(got, want):
         )
 
 
+SURFACE_SEED = 31415
+
+
+def surface_family(kind):
+    """Empirical risks at M = 1, 3 and 40 of one truth (N = 6, k = 2) or
+    one signal in R^3, each on its own ensemble."""
+    if kind == "ms":
+        truth = SensingGroundTruth.from_random_basis(6, (1.3, 1.0, 0.08), 2, seed=7)
+        return [
+            MsEmpiricalRisk(generate_sensing_ensemble(truth, m, SURFACE_SEED + m))
+            for m in (1, 3, 40)
+        ]
+    xstar = np.array([1.2, -0.5, 0.3])
+    return [
+        PrEmpiricalRisk(generate_phase_problem(xstar, m, SURFACE_SEED + m)) for m in (1, 3, 40)
+    ]
+
+
+def population_of(model):
+    """The population risk of an empirical model's truth or signal."""
+    if model.is_factor:
+        return MsPopulationRisk(model.truth)
+    return PrPopulationRisk(model.signal)
+
+
+def surface_points(models, per_surface):
+    gen = rng.stream(SURFACE_SEED, "stack-points", 0)
+    return rng.normal(gen, (len(models) * per_surface, *models[0].shape))
+
+
+def each_surface(models, per_surface, idx, call, *args):
+    """call(model, *args) of each model on its items of idx, which index a
+    stack of per_surface items a surface, concatenated in item order; args
+    hold one entry per item of idx."""
+    surface = idx // per_surface
+    return np.concatenate(
+        [
+            call(model, *(a[surface == s] for a in args))
+            for s, model in enumerate(models)
+            if (surface == s).any()
+        ]
+    )
+
+
+class TestSurfaceRisk:
+    @pytest.mark.parametrize("kind", ["ms", "pr"])
+    @pytest.mark.parametrize("population", ["first", "last"])
+    def test_each_item_is_on_its_own_surface(self, kind, population):
+        empirical = surface_family(kind)
+        pop = [population_of(empirical[0])]
+        models = pop + empirical if population == "first" else empirical + pop
+        points = surface_points(models, 4)
+        gen = rng.stream(SURFACE_SEED, "stack-directions", 0)
+        directions = rng.normal(gen, (len(points), 3, *models[0].shape))
+        # every item, then items of the first and last surfaces only, then
+        # a subset that spans the first and last surfaces
+        for idx in (np.arange(16), np.array([0, 3, 12, 15]), np.array([1, 2, 6, 11, 13])):
+            risk = critical_points._surface_risk(models, 4, idx)
+            # the empirical class, wherever the population surface stands
+            assert type(risk) is type(empirical[0])
+            at = points[idx]
+            for call, args in [
+                (lambda model, p: model.value(p), (at,)),
+                (lambda model, p: model.euclidean_grad(p), (at,)),
+                (lambda model, p, d: model.hess_vec(p, d), (at, directions[idx])),
+                (dense_euclidean_hessian, (at,)),
+            ]:
+                want = each_surface(models, 4, idx, call, *args)
+                assert call(risk, *args).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ms", "pr"])
+    def test_items_of_one_surface_get_its_model(self, kind):
+        models = [population_of(surface_family(kind)[0]), *surface_family(kind)]
+        assert critical_points._surface_risk(models, 4, np.array([5, 6])) is models[1]
+        assert critical_points._surface_risk(models, 4, np.array([0, 3])) is models[0]
+        assert critical_points._surface_risk(models[2:], 4, np.arange(4)) is models[2]
+        # population surfaces alone keep the first model's class
+        both = [models[0], population_of(models[1])]
+        assert type(critical_points._surface_risk(both, 1, np.arange(2))) is type(models[0])
+
+    def test_a_short_stack_is_a_dimension_mismatch(self):
+        models = surface_family("pr")
+        risk = critical_points._surface_risk(models, 1, np.arange(3))
+        points = surface_points(models, 1)
+        with pytest.raises(DimensionMismatch):
+            risk.euclidean_grad(points[:2])
+        with pytest.raises(DimensionMismatch):
+            risk.value(points[0])
+
+
 class TestSurfaceStack:
     @pytest.mark.parametrize(
         "experiment, m", [("pr2d", (1, 3, 10)), ("ms2d_rank1", (1, 3, 10, 30))]
@@ -327,14 +417,16 @@ class TestSurfaceStack:
         models = plane_surfaces("ms2d_rank1", (3, 10))
         seeds = np.stack(plane_grid(0.5, models[0].shape))
         alone = [damped_newton(model, seeds) for model in models]
-        stack = critical_points.stack_surfaces(models, len(seeds))
         tiled = np.concatenate([seeds] * len(models))
-        points, grad_norms, iters, n_converged = damped_newton(stack, tiled)
+        points, grad_norms, iters, n_converged = damped_newton(models, tiled)
         assert points.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
         assert grad_norms.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
         assert (iters, n_converged) == (sum(a[2] for a in alone), sum(a[3] for a in alone))
         # the M = 3 surface fails some seeds, so those paths are in the stack
         assert n_converged < len(points)
+        # the stack splits into one equal block per surface
+        with pytest.raises(DimensionMismatch, match="does not split into 3 surfaces"):
+            damped_newton(models, tiled[:-1])
 
     def test_mixed_surfaces_are_rejected(self):
         population = PrPopulationRisk(XSTAR_2D)
@@ -350,6 +442,25 @@ class TestSurfaceStack:
             with pytest.raises(InvalidConfig, match="one family .* one truth or signal"):
                 find_critical_points_each(models, [XSTAR_2D])
         assert find_critical_points_each([], [XSTAR_2D]) == []
+        # each way two surfaces can differ: family, population family,
+        # truth, shape, and signal, empirical or population
+        ms, pr = surface_family("ms"), surface_family("pr")
+        other = SensingGroundTruth.from_random_basis(6, (1.3, 1.0, 0.08), 2, seed=8)
+        truth = ms[0].truth
+        wider = SensingGroundTruth(truth.eigvecs, truth.eigvals, target_rank=3)
+        signal = np.array([1.0, 0.5, 0.3])
+        for models in (
+            [ms[0], pr[0]],
+            [population_of(ms[0]), population_of(pr[0])],
+            [ms[0], MsEmpiricalRisk(generate_sensing_ensemble(other, 3, SURFACE_SEED))],
+            [ms[0], MsPopulationRisk(wider)],
+            [pr[0], PrEmpiricalRisk(generate_phase_problem(signal, 3, SURFACE_SEED))],
+            [pr[0], PrPopulationRisk(signal)],
+        ):
+            tiled = np.ones((2, *models[0].shape))
+            match = "one family .* one truth or signal and one shape"
+            with pytest.raises(InvalidConfig, match=match):
+                damped_newton(models, tiled)
 
     @pytest.mark.parametrize("experiment", ["pr2d", "ms2d_rank1"])
     def test_each_plane_runner_makes_one_newton_call(self, experiment, monkeypatch):
@@ -566,10 +677,6 @@ class TestBacktrack:
             def __init__(self):
                 self.calls = []
 
-            def take(self, idx):
-                # one surface: every item is on it
-                return self
-
             def euclidean_grad(self, point):
                 self.calls.append(len(point))
                 return np.array(point)
@@ -582,7 +689,7 @@ class TestBacktrack:
         )
         polish = np.array([False, True, False, False, True, True])
         new_point, new_grad, new_norm, passed = critical_points._backtrack(
-            model, point, point.copy(), grad_norm, step, polish
+            lambda trying: model, point, point.copy(), grad_norm, step, polish
         )
         # a Newton item passes below its norm, a polish item below 0.9 of
         # it or at an exact zero; the third passes at its second halving

@@ -89,6 +89,31 @@ class TestConfigValidation:
         config = experiments.ExperimentConfig(experiment="pr1d", master_seed=3)
         assert config.master_seed == 3
 
+    @pytest.mark.parametrize(
+        "experiment, m, grid, twin",
+        [
+            ("pr1d", np.array([10]), np.array([-1.0, 1.0, 5.0]), ((10,), (-1.0, 1.0, 5))),
+            ("pr1d", np.array(10), [-1.0, 1.0, 5], (10, (-1.0, 1.0, 5))),
+            ("pr2d", np.array([3, 10]), np.array([-1.0, 1.0, 5.0]), ((3, 10), (-1.0, 1.0, 5))),
+            ("pr2d", [3], np.array([-1.0, 1.0, 5.0]), ((3,), (-1.0, 1.0, 5))),
+        ],
+        ids=["pr1d-arrays", "pr1d-scalar-array", "pr2d-arrays", "pr2d-list"],
+    )
+    def test_array_settings_write_what_their_tuples_write(
+        self, experiment, m, grid, twin, tmp_path
+    ):
+        # an array m or grid used to reach _resolve's comparison with the
+        # field default, which an array makes elementwise: a ValueError
+        config = experiments.ExperimentConfig(experiment, m=m, grid=grid, out=str(tmp_path / "a_"))
+        assert (config.m, config.grid) == twin
+        a = experiments.run(config)
+        m, grid = twin
+        b = run_config(experiment=experiment, m=m, grid=grid, out=str(tmp_path / "b_"))
+        assert len(a.paths) == len(b.paths) > 0
+        for left, right in zip(a.paths, b.paths):
+            assert Path(left).read_bytes() == Path(right).read_bytes()
+        assert a.summary == b.summary
+
     def test_verification_run_writes_json_by_default(self, tmp_path):
         out = tmp_path / "rp"
         outcome = run_config(experiment="regions_pr", samples=5, out=str(out))

@@ -34,9 +34,8 @@ from landscape_lab.risk_models import (
     _gram_factors,
     generate_phase_problem,
     generate_sensing_ensemble,
-    stack_surfaces,
 )
-from landscape_lab.spectral import dense_euclidean_hessian, fd_grad_check, fd_hess_check
+from landscape_lab.spectral import fd_grad_check, fd_hess_check
 
 MASTER = 31415
 
@@ -683,143 +682,3 @@ def test_derivatives_reject_misshapen_points(model_index):
         model.euclidean_grad(point)
     with pytest.raises(DimensionMismatch):
         model.hess_vec(point, direction)
-
-
-# ---- several surfaces as one stack ------------------------------------
-
-
-def surface_family(kind):
-    """Empirical risks at M = 1, 3 and 40 of one truth (k = 2) or one
-    signal, each on its own ensemble."""
-    if kind == "ms":
-        truth = default_truth()
-        return [
-            MsEmpiricalRisk(generate_sensing_ensemble(truth, m, MASTER + m))
-            for m in (1, 3, 40)
-        ]
-    xstar = np.array([1.2, -0.5, 0.3])
-    return [
-        PrEmpiricalRisk(generate_phase_problem(xstar, m, MASTER + m)) for m in (1, 3, 40)
-    ]
-
-
-def stack_points(models, per_surface):
-    gen = rng.stream(MASTER, "stack-points", 0)
-    return rng.normal(gen, (len(models) * per_surface, *models[0].shape))
-
-
-def each_surface(models, per_surface, method, *args):
-    """method on each model's block of the stacked arguments, concatenated."""
-    blocks = [
-        getattr(model, method)(*(a[s * per_surface : (s + 1) * per_surface] for a in args))
-        for s, model in enumerate(models)
-    ]
-    return np.concatenate(blocks)
-
-
-def population_of(model):
-    """The population risk of an empirical model's truth or signal."""
-    if model.is_factor:
-        return MsPopulationRisk(model.truth)
-    return PrPopulationRisk(model.signal)
-
-
-@pytest.mark.parametrize("kind", ["ms", "pr"])
-def test_stack_evaluates_each_item_on_its_own_surface(kind):
-    assert_stack_evaluates_each_item_on_its_own_surface(surface_family(kind))
-
-
-@pytest.mark.parametrize("kind", ["ms", "pr"])
-def test_stack_with_the_population_first_evaluates_each_item_on_its_surface(kind):
-    models = surface_family(kind)
-    assert_stack_evaluates_each_item_on_its_own_surface([population_of(models[0]), *models])
-
-
-def assert_stack_evaluates_each_item_on_its_own_surface(models):
-    points = stack_points(models, 4)
-    stack = stack_surfaces(models, 4)
-    # the empirical class, wherever the population surface stands
-    assert type(stack) is type(models[-1])
-    gen = rng.stream(MASTER, "stack-directions", 0)
-    directions = rng.normal(gen, (len(points), 3, *models[0].shape))
-    for method, args in [
-        ("value", (points,)),
-        ("euclidean_grad", (points,)),
-        ("hess_vec", (points, directions)),
-    ]:
-        got = getattr(stack, method)(*args)
-        assert got.tobytes() == each_surface(models, 4, method, *args).tobytes()
-    hessians = dense_euclidean_hessian(stack, points)
-    want = np.concatenate(
-        [dense_euclidean_hessian(m, points[4 * s : 4 * s + 4]) for s, m in enumerate(models)]
-    )
-    assert hessians.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["ms", "pr"])
-def test_take_keeps_each_item_on_its_surface(kind):
-    models = surface_family(kind)
-    points = stack_points(models, 4)
-    stack = stack_surfaces(models, 4)
-    assert stack.take(np.arange(12)) is stack
-    # items of the first and last surfaces, then of a taken stack
-    idx = np.array([0, 3, 8, 11])
-    taken = stack.take(idx)
-    want = [models[s].euclidean_grad(points[i]) for s, i in zip([0, 0, 2, 2], idx)]
-    assert taken.euclidean_grad(points[idx]).tobytes() == np.stack(want).tobytes()
-    again = taken.take(np.array([1, 2]))
-    assert again.euclidean_grad(points[[3, 8]]).tobytes() == np.stack(want[1:3]).tobytes()
-    # items of one surface take that surface's own operator
-    alone = stack.take(np.array([5, 6]))
-    assert alone.operator is models[1].operator
-    assert alone.take(np.array([1])) is alone
-    for model in (*models, *all_models()):
-        assert model.take(np.array([0])) is model
-
-
-def test_stack_of_one_surface_is_the_model():
-    model = surface_family("pr")[0]
-    assert stack_surfaces([model], 5) is model
-
-
-def test_stack_rejects_surfaces_it_cannot_share():
-    ms, pr = surface_family("ms"), surface_family("pr")
-    # population and empirical surfaces of one truth or signal stack, as
-    # the class of the first empirical model
-    for models, cls in (
-        ([ms[0], population_of(ms[0])], MsEmpiricalRisk),
-        ([population_of(ms[0]), population_of(ms[0])], MsPopulationRisk),
-        ([population_of(pr[0]), *pr], PrEmpiricalRisk),
-    ):
-        stack = stack_surfaces(models, 2)
-        assert type(stack) is cls
-        if cls is PrEmpiricalRisk:
-            # no population closed form for the empirical items
-            with pytest.raises(AttributeError):
-                stack.hess_matrix(np.ones(3))
-        points = stack_points(models, 2)
-        want = each_surface(models, 2, "euclidean_grad", points)
-        assert stack.euclidean_grad(points).tobytes() == want.tobytes()
-    other = default_truth(seed=8)
-    truth = ms[0].truth
-    wider = SensingGroundTruth(truth.eigvecs, truth.eigvals, target_rank=3)
-    for models in (
-        [ms[0], pr[0]],
-        [population_of(ms[0]), population_of(pr[0])],
-        [ms[0], MsEmpiricalRisk(generate_sensing_ensemble(other, 3, MASTER))],
-        [ms[0], MsPopulationRisk(wider)],
-        [pr[0], PrEmpiricalRisk(generate_phase_problem(np.array([1.0, 0.5, 0.3]), 3, MASTER))],
-        [pr[0], PrPopulationRisk(np.array([1.0, 0.5, 0.3]))],
-    ):
-        with pytest.raises(InvalidConfig, match="one family .* one truth or signal and one shape"):
-            stack_surfaces(models, 2)
-
-
-def test_stack_needs_one_point_per_item():
-    models = surface_family("pr")
-    stack = stack_surfaces(models, 1)
-    points = stack_points(models, 1)
-    with pytest.raises(DimensionMismatch):
-        stack.euclidean_grad(points[:2])
-    with pytest.raises(DimensionMismatch):
-        stack.value(points[0])
