@@ -31,8 +31,11 @@ point alone.
 An ensemble is (truth or signal, M, seed) plus those two factors; each
 supplies only how its G is summed and how its draw is read. G is
 accumulated over blocks of CHUNK measurements of the seeded draw, so memory
-does not depend on M. The draw itself (raw, vectors) and the measurements
-are regenerated from (seed, M), block by block, whenever they are read; the
+does not depend on M: each block is scaled and symmetrized in the memory its
+uniforms were drawn into and let go once summed, so a sum holds at most two
+blocks: one and the next block's uniforms, or one and numpy's transposed
+copy of it. The draw itself (raw, vectors) and the measurements are
+regenerated from (seed, M), block by block, whenever they are read; the
 blocks consume the stream in order, so they equal a one-shot draw bit for
 bit.
 """
@@ -73,8 +76,9 @@ def _gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _summed_gram(stacks) -> np.ndarray:
-    """sum_c S_c^T S_c over blocks of rows; one block gives S^T S exactly."""
-    return functools.reduce(np.add, (s.T @ s for s in stacks))
+    """sum_c S_c^T S_c over blocks of rows; one block gives S^T S exactly.
+    A block is let go once its product is formed, before the next is made."""
+    return functools.reduce(np.add, map(lambda s: s.T @ s, stacks))
 
 
 def _vec(z: np.ndarray) -> np.ndarray:
@@ -326,18 +330,22 @@ class SensingEnsemble(_GramEnsemble):
 
     def _gram_matrix(self) -> np.ndarray:
         n = self.truth.dim
-        # rows are 2 vec(A_m), hence the 1/4
+        # rows are 2 vec(A_m), hence the 1/4. Each block becomes
+        # raw + raw^T in its own memory: numpy copies the overlapping
+        # transposed operand, and that copy lives while no earlier block does
         stacks = (
-            (raw + np.transpose(raw, (0, 2, 1))).reshape(-1, n * n)
+            np.add(raw, np.transpose(raw, (0, 2, 1)), out=raw).reshape(-1, n * n)
             for raw in self._raw_blocks()
         )
         return 0.25 * _summed_gram(stacks)
 
     def _raw_blocks(self):
+        # each block is new, scaled in the memory it was drawn into
         n = self.truth.dim
         scale = np.sqrt(self.n_measurements)
         for block in self._normal_blocks("sensing-ensemble", (n, n)):
-            yield block / scale
+            block /= scale
+            yield block
 
     def _contract(self, w: np.ndarray) -> np.ndarray:
         # (<B_m, W>)_m, block by block

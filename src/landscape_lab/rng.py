@@ -8,7 +8,8 @@ inverse normal CDF (gaussian) instead of the Generator's rejection sampler,
 which makes the draw a pure function of the uniform bit stream and
 therefore stable across numpy versions and platforms. A consumer may draw a
 block of uniforms at once and map its Gaussian columns through gaussian
-itself: the values come out as from one call per draw.
+itself: the values come out as from one call per draw. gaussian leaves its
+uniforms as they are; normal maps the uniforms it draws in place.
 """
 
 from __future__ import annotations
@@ -80,13 +81,17 @@ def uniform(gen: np.random.Generator, shape=()) -> np.ndarray:
 
 
 def gaussian(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniforms on (0, 1), by the inverse normal CDF."""
+    """Standard normals from uniforms on (0, 1), by the inverse normal CDF,
+    in a new array: u is left as it is."""
     return ndtri(u)
 
 
 def normal(gen: np.random.Generator, shape=()) -> np.ndarray:
-    """Standard normals via the inverse CDF of the uniform stream."""
-    return gaussian(uniform(gen, shape))
+    """Standard normals via the inverse CDF of the uniform stream, mapped in
+    the memory the uniforms were drawn into; bit for bit
+    gaussian(uniform(gen, shape)), and a float64 scalar for shape ()."""
+    u = uniform(gen, shape)
+    return ndtri(u, out=u)[()]
 
 
 def unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:

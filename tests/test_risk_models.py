@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,37 @@ def test_phase_problem_peak_memory_is_flat_in_m():
     small = peak_rss_kb(10_000)
     large = peak_rss_kb(3_000_000)
     assert large <= 1.1 * small, (small, large)
+
+
+def test_sensing_gram_sum_holds_a_block_and_the_next_uniforms():
+    # each block is scaled and symmetrized in the memory its uniforms were
+    # drawn into, and let go once its product is summed: at most the last
+    # block and the next one's uniforms are alive (a copy per step read 5.1)
+    n = 8
+    block = CHUNK * n * n * 8
+    truth = SensingGroundTruth.from_random_basis(n, (1.3, 1.0, 0.08), 2, 7)
+    m = 3 * CHUNK + 5
+    generate_sensing_ensemble(truth, m, 24)
+    tracemalloc.start()
+    try:
+        generate_sensing_ensemble(truth, m, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block, peak / block
+
+
+def test_every_block_of_the_draw_is_new_memory():
+    # raw, measurements and apply keep or read every block, so no block may
+    # be drawn into the memory of another
+    truth = default_truth(n=3, r=2, k=1, eigvals=(1.0, 0.4))
+    blocks = list(generate_sensing_ensemble(truth, 3 * CHUNK + 5, 26)._raw_blocks())
+    problem = generate_phase_problem(np.array([1.2, -0.5, 0.3]), 3 * CHUNK + 5, 26)
+    for stack in (blocks, list(problem._vector_blocks())):
+        assert len(stack) == 4
+        for i, first in enumerate(stack):
+            for second in stack[i + 1 :]:
+                assert not np.shares_memory(first, second)
 
 
 def test_regenerated_draw_is_the_one_shot_draw():

@@ -124,3 +124,31 @@ def test_uniform_values_lie_on_the_stated_grid():
     low = b < 2 ** 52
     assert np.array_equal(u[low] * 2.0 ** 54, 2.0 * b[low] + 1.0)
     assert np.array_equal(u[~low] * 2.0 ** 53, b[~low] + (b[~low] & 1))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 3, 3)], ids=["scalar", "row", "block"])
+def test_normal_is_gaussian_of_uniform_bit_for_bit(shape):
+    got = rng.normal(rng.stream(7, "unit", 3), shape)
+    expected = rng.gaussian(rng.uniform(rng.stream(7, "unit", 3), shape))
+    # shape () gives a float64 scalar, as gaussian of a 0-d array does
+    assert type(got) is (np.float64 if shape == () else np.ndarray)
+    assert type(got) is type(expected)
+    assert np.shape(got) == shape
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_normal_draws_into_new_memory_each_call():
+    gen = rng.stream(7, "unit", 5)
+    first, second = rng.normal(gen, (4, 3)), rng.normal(gen, (4, 3))
+    assert not np.shares_memory(first, second)
+
+
+def test_gaussian_leaves_its_uniforms_as_they_are():
+    # a caller may map a whole block of rows and then read one of its
+    # uniform columns again, as the phase-retrieval R3 proposer reads its
+    # radius column after mapping every row
+    u = rng.uniform(rng.stream(7, "unit", 6), (64, 4))
+    before = u.copy()
+    g = rng.gaussian(u)
+    assert u.tobytes() == before.tobytes()
+    assert not np.shares_memory(g, u)
