@@ -29,6 +29,7 @@ from .risk_models import (
     PrPopulationRisk,
     SensingGroundTruth,
     _coerce,
+    _signal_norm,
 )
 from .spectral import (
     dense_euclidean_hessian,
@@ -376,16 +377,6 @@ class CriticalPointRecord:
     kind: str
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "location_row_major": self.location.ravel().tolist(),
-            "shape": list(self.location.shape),
-            "grad_norm": self.grad_norm,
-            "lambda_min": self.lambda_min,
-            "kind": self.kind,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class CriticalSearchResult:
@@ -395,21 +386,8 @@ class CriticalSearchResult:
     n_failed: int
     dedupe_tol: float
 
-    @property
-    def locations(self) -> list:
-        return [r.location for r in self.records]
-
     def of_kind(self, kind: str) -> list:
         return [r for r in self.records if r.kind == kind]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_seeds": self.n_seeds,
-            "n_converged": self.n_converged,
-            "n_failed": self.n_failed,
-            "dedupe_tol": self.dedupe_tol,
-            "records": [r.to_json_dict() for r in self.records],
-        }
 
 
 def _distance_rows(model, records: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -563,8 +541,8 @@ def find_critical_points_each(models, seed_points) -> list:
 
 def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
     """Uniform grid seeds over [lo, hi]^dim, inclusive of both ends."""
-    if not (hi > lo and spacing > 0.0):
-        raise InvalidConfig("grid needs hi > lo and positive spacing")
+    if not (hi > lo and spacing > 0.0 and math.isfinite((hi - lo) / spacing)):
+        raise InvalidConfig("grid needs hi > lo, positive spacing and a finite step count")
     count = int(round((hi - lo) / spacing)) + 1
     # checked before the axis is built: a wide span would not fit in memory
     if dim * math.log(count) > math.log(MAX_GRID_POINTS):
@@ -657,11 +635,11 @@ def analytic_critical_points_pr(signal) -> list:
     representative saddle pair per orthocomplement direction.
 
     For N = 2 the saddle set is exactly those two points; for N >= 3 it is
-    a whole sphere and the returned saddles are representatives only.
+    a whole sphere and the returned saddles are representatives only. The
+    signal is rejected as the phase risks reject it.
     """
-    xstar = np.asarray(signal, dtype=float)
+    xstar, norm_star = _signal_norm(signal)
     dim = xstar.shape[0]
-    norm_star = float(np.linalg.norm(xstar))
     points = [np.zeros(dim), xstar.copy(), -xstar.copy()]
     if dim >= 2:
         basis, _ = np.linalg.qr(
@@ -738,8 +716,8 @@ def match_correspondence(
     accepted greedily while both sides are unused, which realizes the
     mutual-nearest matching for separated references.
     """
-    if eta <= 0.0 or epsilon < 0.0:
-        raise InvalidConfig("need epsilon >= 0 and eta > 0 for the bound")
+    if not (math.isfinite(epsilon) and math.isfinite(eta) and epsilon >= 0.0 and eta > 0.0):
+        raise InvalidConfig("need finite epsilon >= 0 and eta > 0 for the bound")
     found = [np.asarray(p, dtype=float) for p in found]
     reference = [np.asarray(p, dtype=float) for p in reference]
     candidates = sorted(

@@ -191,9 +191,8 @@ class _GridRows(list):
 def _csv_text(path: str, columns, rows, metadata: dict) -> str:
     """The text of one CSV table. An infinite cell raises NonFiniteEntry, as
     a non-finite number does in JSON; nan passes, as the null cell that
-    ms_rank2_dist documents. A full row of Python floats is formatted in one
-    operation, as format_float formats each cell; other rows cell by cell.
-    A contour grid's rows (_GridRows) reuse the text of their coordinates."""
+    ms_rank2_dist documents. Rows are formatted cell by cell, but a contour
+    grid's rows (_GridRows) reuse the text of their coordinates."""
     lines = [f"# {key}: {_format_cell(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
     if isinstance(rows, _GridRows):
@@ -201,19 +200,10 @@ def _csv_text(path: str, columns, rows, metadata: dict) -> str:
         if "inf" in body:  # %.17g prints inf only for an infinity
             raise NonFiniteEntry(f"{path} would hold an infinite number")
         return "\n".join([*lines, body]) + "\n"
-    float_row = ",".join(["%.17g"] * len(columns))
     for row in rows:
-        if len(row) == len(columns) and all(type(cell) is float for cell in row):
-            line = float_row % tuple(row)
-            infinite = "inf" in line  # %.17g prints inf only for an infinity
-        else:
-            line = ",".join(_format_cell(cell) for cell in row)
-            infinite = any(
-                isinstance(cell, (float, np.floating)) and math.isinf(cell) for cell in row
-            )
-        if infinite:
+        if any(isinstance(cell, (float, np.floating)) and math.isinf(cell) for cell in row):
             raise NonFiniteEntry(f"{path} would hold an infinite number")
-        lines.append(line)
+        lines.append(",".join(_format_cell(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     NonFiniteEntry,
     SamplerStarved,
 )
-from .manifold import _norm, _procrustes, item_norms
+from .manifold import _item_norms, _norm, _procrustes
 from .risk_models import (
     MsPopulationRisk,
     PrPopulationRisk,
@@ -105,23 +105,12 @@ class RegionLabelSet:
 
     Regions deliberately overlap near their boundaries, so this is a set.
     notes carries advisories (for instance a truth whose spectrum violates
-    the separation condition); advisory mirrors their presence.
+    the separation condition).
     """
 
     labels: frozenset
     witness: dict
     notes: tuple = ()
-
-    @property
-    def advisory(self) -> bool:
-        return bool(self.notes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": sorted(self.labels),
-            "witness": {k: float(v) for k, v in self.witness.items()},
-            "notes": list(self.notes),
-        }
 
 
 def ms_region_thresholds(truth: SensingGroundTruth) -> dict:
@@ -266,7 +255,7 @@ def default_thresholds(instance) -> tuple:
         return (
             min(v for kind, v in bounds.values() if kind == GRADIENT_FLOOR),
             -bounds[MS_R2P][1],
-            ms_region_thresholds(instance)["ball_cap"],
+            _ms_truth_constants(instance)[0]["ball_cap"],
         )
     xstar = _phase_signal(instance)
     bounds = pr_region_bounds(xstar)
@@ -314,9 +303,9 @@ BLOCK = 64
 
 
 def _unit_rows(g):
-    """Each row of g divided by its norm, which item_norms rounds as
+    """Each row of g divided by its norm, which _item_norms rounds as
     np.linalg.norm rounds that row alone."""
-    return g / item_norms(g, 1)[:, None]
+    return g / _item_norms(g, 1)[:, None]
 
 
 def _draws(propose, width, accept, n, gen, what):
@@ -329,7 +318,11 @@ def _draws(propose, width, accept, n, gen, what):
     accept(stack) is read through, one proposal at a time, in order. Every
     proposal built is so read and counted, the n-th kept is the last, and
     gen is left where one rng.uniform call per proposal read would leave it.
+    An n below one raises InvalidSampleCount, naming what, on the first
+    next, before gen is read.
     """
+    if n < 1:
+        raise InvalidSampleCount(f"{what}: need at least one sample, got {n}")
     budget = max(n * ATTEMPT_FACTOR, 1000)
     kept = attempts = 0
     while kept < n:
@@ -372,7 +365,7 @@ def _factor_ball(n, k, cap, shell):
     def propose(rows):
         scale = 1.0 + 3.0 * rows[:, 0] if shell else rows[:, 0]
         g = rng.gaussian(rows[:, 1:]).reshape(-1, n, k)
-        gram_norms = item_norms(g @ np.swapaxes(g, 1, 2), 2)
+        gram_norms = _item_norms(g @ np.swapaxes(g, 1, 2), 2)
         return g * np.sqrt(cap * scale / gram_norms)[:, None, None]
 
     return propose, 1 + n * k
@@ -398,7 +391,7 @@ def sample_region_ms(truth: SensingGroundTruth, region: str, n: int, gen) -> np.
     (MS_R1, MS_R2p), or a scale then N k Gaussian entries (the factor ball,
     for the others). gen may be advanced past the last accepted proposal.
     """
-    thresholds = ms_region_thresholds(truth)
+    thresholds = _ms_truth_constants(truth)[0]
     n_dim, k = truth.dim, truth.target_rank
     nk = n_dim * k
 
@@ -571,17 +564,15 @@ def _check_values(model, kind, stack):
     Euclidean gradient norm for a gradient floor, else min_eig. Each equals
     the value at that point alone, bit for bit."""
     if kind == GRADIENT_FLOOR:
-        return item_norms(model.euclidean_grad(stack), len(model.shape))
+        return _item_norms(model.euclidean_grad(stack), len(model.shape))
     return min_eig(model, stack)
 
 
-def _run_region_checks(family, model, bounds, sample, n_per_region, seed):
+def _run_region_checks(family, model, bounds, sample, n_per_region, seed, notes=()):
     """Check each tabled bound on n_per_region samples of its region: min_eig
     against a curvature bound, the Euclidean gradient norm against a gradient
     floor. The samples are checked in stacks of BLOCK, one population-risk
-    call per stack."""
-    if n_per_region < 1:
-        raise InvalidSampleCount("n_per_region must be at least 1")
+    call per stack. The report carries notes."""
     checks = []
     violations = []
     for region, (kind, bound) in bounds.items():
@@ -633,6 +624,7 @@ def _run_region_checks(family, model, bounds, sample, n_per_region, seed):
         seed=seed,
         checks=tuple(checks),
         violations=tuple(violations),
+        notes=notes,
     )
 
 
@@ -641,15 +633,15 @@ def verify_region_bounds_ms(
 ) -> RegionBoundReport:
     """Sample every matrix-sensing region and verify its curvature or
     gradient bound on each sample; the report carries the truth's notes."""
-    report = _run_region_checks(
+    return _run_region_checks(
         "ms",
         MsPopulationRisk(truth),
         ms_region_bounds(truth),
         lambda region, n, gen: sample_region_ms(truth, region, n, gen),
         n_per_region,
         seed,
+        _ms_truth_constants(truth)[1],
     )
-    return replace(report, notes=_ms_truth_constants(truth)[1])
 
 
 def verify_region_bounds_pr(signal, n_per_region: int, seed: int) -> RegionBoundReport:
@@ -725,10 +717,8 @@ def check_assumptions(
     nan deviation, where the risks overflow, raises NonFiniteEntry."""
     instance = population.truth if population.is_factor else population.signal
     epsilon, eta, ball_radius = _thresholds(instance, epsilon, eta, ball_radius)
-    if not (epsilon > 0.0 and eta > 0.0 and ball_radius > 0.0):
-        raise InvalidConfig("epsilon, eta, and ball_radius must all be positive")
-    if n_samples < 1:
-        raise InvalidSampleCount("n_samples must be at least 1")
+    if not all(math.isfinite(v) and v > 0.0 for v in (epsilon, eta, ball_radius)):
+        raise InvalidConfig("epsilon, eta, and ball_radius must all be finite and positive")
     if population.shape != empirical.shape:
         raise InvalidConfig("population and empirical models disagree on shape")
     if population.is_factor:
@@ -743,7 +733,7 @@ def check_assumptions(
     violations = []
     for points in _draws(*ball, accept, n_samples, gen, "assumption ball"):
         grad_pop = population.euclidean_grad(points)
-        grad_diffs = item_norms(empirical.euclidean_grad(points) - grad_pop, item_ndim)
+        grad_diffs = _item_norms(empirical.euclidean_grad(points) - grad_pop, item_ndim)
         form_pop = hessian_form(population, points)
         diff_eigs = np.linalg.eigvalsh(hessian_form(empirical, points) - form_pop)
         hess_diffs = abs(diff_eigs[:, [0, -1]]).max(axis=1)
@@ -755,7 +745,7 @@ def check_assumptions(
             )
         sup_grad = max(sup_grad, *grad_diffs.tolist())
         sup_hess = max(sup_hess, *hess_diffs.tolist())
-        grad_norms = item_norms(grad_pop, item_ndim)
+        grad_norms = _item_norms(grad_pop, item_ndim)
         small = np.flatnonzero(grad_norms <= epsilon)
         small_grad += len(small)
         # min_eig of the population form, at the small-gradient points only
@@ -826,8 +816,8 @@ def rip_delta_threshold(truth: SensingGroundTruth, epsilon: float, eta: float) -
     epsilon/2, the constant 1/36 keeps the far-field gradient floor
     positive, and the Hessian deviation stays under eta/2.
     """
-    if not (epsilon > 0.0 and eta > 0.0):
-        raise InvalidConfig("epsilon and eta must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (epsilon, eta)):
+        raise InvalidConfig("epsilon and eta must be finite and positive")
     k = truth.target_rank
     top_norm = float(np.linalg.norm(truth.eigvals[:k]))
     x_norm = float(np.linalg.norm(truth.matrix))
@@ -870,8 +860,6 @@ def estimate_rip(
         raise InvalidRank(
             f"rank bound must lie in [1, {truth.dim}], got {rank_bound}"
         )
-    if n_probes < 1:
-        raise InvalidSampleCount("need at least one probe")
     epsilon, eta = _thresholds(truth, epsilon, eta)
 
     gen = rng.stream(seed, "rip-probes", 0)
@@ -887,7 +875,7 @@ def estimate_rip(
 
     worst = 0.0
     for z in _draws(propose, dim * rb, _accept_all, int(n_probes), gen, "rip probes"):
-        energies = ensemble.energy(z / item_norms(z, 2)[:, None, None])
+        energies = ensemble.energy(z / _item_norms(z, 2)[:, None, None])
         worst = max(worst, *np.abs(energies - 1.0).tolist())
     return RipReport(
         rank_bound=rb,

@@ -76,9 +76,6 @@ class HorizontalTangent:
         object.__setattr__(self, "entries", _frozen_copy(d))
         object.__setattr__(self, "base", _frozen_copy(u))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
 
 @dataclass(frozen=True)
 class SkewFactor:
@@ -108,10 +105,6 @@ class SkewFactor:
         if asym > SKEW_INPUT_RTOL * max(np.linalg.norm(m), 1e-300):
             raise NotSkew(f"matrix is not skew-symmetric: ||M + M^T|| = {asym:.3e}")
         return cls(np.tril(m, k=-1))
-
-    @property
-    def dim(self) -> int:
-        return self.strict_lower.shape[0]
 
     def matrix(self) -> np.ndarray:
         return self.strict_lower - self.strict_lower.T
@@ -240,20 +233,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(flat.dot(flat)))
 
 
-def item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
+def _item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
     """Frobenius norm of each item of a stack whose items have item_ndim
     axes, rounded exactly as np.linalg.norm of the item alone.
 
     Each is the square root of a row-times-column product, the dot product
     np.linalg.norm takes of one raveled item; a norm over axis= sums in
-    another order and differs in the last bit on many items.
+    another order and differs in the last bit on many items. Private for
+    the same reason as _norm: the Newton search takes it on every gradient
+    stack it evaluates, and the region samplers on every block.
     """
-    return _item_norms(stack, item_ndim)
-
-
-def _item_norms(stack: np.ndarray, item_ndim: int) -> np.ndarray:
-    """item_norms, private for the same reason as _norm: the Newton search
-    takes it on every gradient stack it evaluates."""
     arr = np.asarray(stack, dtype=float)
     lead = arr.shape[: arr.ndim - item_ndim]
     flat = arr.reshape(-1, math.prod(arr.shape[len(lead):]))
@@ -297,6 +286,6 @@ def horizontal_basis(u) -> np.ndarray:
         np.swapaxes(basis, -1, -2) @ u_item - np.swapaxes(u_item, -1, -2) @ basis,
         axis=(-2, -1),
     )
-    if np.any(skew > HORIZONTAL_RTOL * item_norms(u_mat, 2)[..., None]):  # unit-norm B_i
+    if np.any(skew > HORIZONTAL_RTOL * _item_norms(u_mat, 2)[..., None]):  # unit-norm B_i
         raise NotHorizontal(f"basis is not horizontal: max defect {np.max(skew):.3e}")
     return basis

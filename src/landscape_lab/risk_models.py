@@ -573,9 +573,15 @@ class RiskModel:
     def hess_vec(self, point, direction) -> np.ndarray:
         u = self._factor(_coerce(point, self.shape, stack=True))
         d = np.asarray(direction, dtype=float)
+        lead = u.shape[:-3]  # (B,) for a stack of points, else ()
+        if d.shape[: len(lead)] != lead or d.shape[len(lead) :][-len(self.shape) :] != self.shape:
+            raise DimensionMismatch(
+                f"direction shape {d.shape} does not match leading axes {lead} "
+                f"and model shape {self.shape}"
+            )
         # (m, N, k) directions against one (N, k) point, or (B, m, N, k)
         # against a (B, 1, N, k) stack
-        dm = d.reshape(*u.shape[:-3], -1, *u.shape[-2:])
+        dm = d.reshape(*lead, -1, *u.shape[-2:])
         u_t = u.swapaxes(-1, -2)
         normal = self.operator.normal
         sym = dm @ u_t  # D U^T, whose transpose is U D^T
@@ -585,7 +591,12 @@ class RiskModel:
 
     def hess_quadratic(self, point, direction) -> float:
         u = self._factor(_coerce(point, self.shape))
-        d = self._factor(np.asarray(direction, dtype=float))
+        d = np.asarray(direction, dtype=float)
+        if d.shape != self.shape:
+            raise DimensionMismatch(
+                f"direction shape {d.shape} does not match model shape {self.shape}"
+            )
+        d = self._factor(d)
         sym = u @ d.T + d @ u.T
         residual = self.operator.normal(u @ u.T - self.target)
         return 2.0 * self.c * self.operator.energy(sym) + 4.0 * self.c * float(

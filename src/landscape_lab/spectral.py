@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteEntry
+from .errors import InvalidConfig, NonFiniteEntry
 from .manifold import horizontal_basis
 
 # central-difference steps: cube root of machine eps for first derivatives,
@@ -141,10 +141,17 @@ def fd_grad_check(model, point, tol: float = 1e-5) -> FdCheck:
 
 
 def fd_hess_check(model, point, direction, tol: float = 1e-4) -> FdCheck:
-    """Central-difference check of hess_vec along one direction, via grads."""
+    """Central-difference check of hess_vec along one direction, via grads.
+    The direction must be finite (else NonFiniteEntry) and of nonzero norm
+    (else InvalidConfig)."""
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
-    d_unit = d / np.linalg.norm(d)
+    if not np.isfinite(d).all():
+        raise NonFiniteEntry("direction entries must be finite")
+    d_norm = np.linalg.norm(d)
+    if d_norm == 0.0:
+        raise InvalidConfig("a finite-difference check needs a direction of nonzero norm")
+    d_unit = d / d_norm
     step = HESS_STEP_FACTOR * (1.0 + np.linalg.norm(p))
     analytic = np.asarray(model.hess_vec(p, d_unit), dtype=float)
     high = np.asarray(model.euclidean_grad(p + step * d_unit), dtype=float)

@@ -22,7 +22,13 @@ from landscape_lab.critical_points import (
     match_correspondence,
     refine_minimum_horizontal,
 )
-from landscape_lab.errors import DimensionMismatch, GramNotSPD, InvalidConfig, NonFiniteEntry
+from landscape_lab.errors import (
+    DimensionMismatch,
+    GramNotSPD,
+    InvalidConfig,
+    NonFiniteEntry,
+    ZeroTruthSignal,
+)
 from landscape_lab.manifold import procrustes_distance
 from landscape_lab.risk_models import (
     MsEmpiricalRisk,
@@ -714,7 +720,7 @@ class TestGridSearch:
         assert len(result.of_kind(KIND_MIN)) == 2
         assert len(result.of_kind(KIND_SADDLE)) == 3
         report = match_correspondence(
-            result.locations,
+            [r.location for r in result.records],
             analytic_critical_points_pr(XSTAR_2D),
             epsilon=1.0,
             eta=1.0,
@@ -732,7 +738,7 @@ class TestGridSearch:
         assert len(result.of_kind(KIND_SADDLE)) == 1
         expected = analytic_critical_points_ms(rank_one_truth(), include_signs=True)
         report = match_correspondence(
-            [r.ravel() for r in result.locations],
+            [r.location.ravel() for r in result.records],
             [p.ravel() for p in expected],
             epsilon=1.0,
             eta=1.0,
@@ -800,13 +806,6 @@ class TestGridSearch:
         assert result.n_converged > 0
         assert all(r.grad_norm <= 1e-7 for r in result.records)
 
-    def test_result_serializes(self):
-        model = PrPopulationRisk(XSTAR_2D)
-        result = find_critical_points(model, [XSTAR_2D])
-        parsed = json.loads(json.dumps(result.to_json_dict()))
-        assert parsed["n_converged"] == 1
-        assert parsed["records"][0]["kind"] == KIND_MIN
-
 
 class TestGridSeeds:
     def test_inclusive_endpoints_and_count(self):
@@ -826,6 +825,16 @@ class TestGridSeeds:
             grid_seed_points(0.0, 1.0, -0.1, 2)
         with pytest.raises(InvalidConfig):
             grid_seed_points(0.0, 1.0, 0.001, 3)
+
+    @pytest.mark.parametrize(
+        "lo, hi, spacing, dim",
+        [(0.0, math.inf, 0.1, 2), (0.0, 1.0, 1e-320, 1), (-1e308, 1e308, 1.0, 1)],
+        ids=["infinite-span", "tiny-spacing", "span-overflows"],
+    )
+    def test_an_infinite_step_count_is_rejected(self, lo, hi, spacing, dim):
+        # (hi - lo) / spacing is inf, which int(round(...)) cannot convert
+        with pytest.raises(InvalidConfig, match="finite step count"):
+            grid_seed_points(lo, hi, spacing, dim)
 
 
 class TestHorizontalRefinement:
@@ -882,6 +891,35 @@ class TestAnalyticReferences:
     def test_pr_dimension_one_has_three_points(self):
         points = analytic_critical_points_pr(np.array([2.0]))
         assert len(points) == 3
+
+    @pytest.mark.parametrize(
+        "signal, error",
+        [
+            (np.zeros(2), ZeroTruthSignal),
+            (np.ones((2, 1)), ZeroTruthSignal),
+            (np.array([np.nan, 1.0]), NonFiniteEntry),
+            (np.array([np.inf, 1.0]), NonFiniteEntry),
+        ],
+        ids=["zero", "not-1d", "nan", "inf"],
+    )
+    def test_pr_rejects_signal_the_risks_reject(self, signal, error):
+        with pytest.raises(error):
+            analytic_critical_points_pr(signal)
+
+    @pytest.mark.parametrize(
+        "signal", [experiments.XSTAR_PLANE, [1.2, -0.5, 0.3], [2.0]], ids=["plane", "n3", "n1"]
+    )
+    def test_pr_points_keep_the_bits_of_numpy_norm(self, signal):
+        xstar = np.asarray(signal, dtype=float)
+        norm_star = float(np.linalg.norm(xstar))
+        want = [np.zeros(len(xstar)), xstar, -xstar]
+        if len(xstar) >= 2:
+            basis, _ = np.linalg.qr(np.column_stack([xstar / norm_star, np.eye(len(xstar))]))
+            for i in range(1, len(xstar)):
+                saddle = norm_star / math.sqrt(3.0) * basis[:, i]
+                want += [saddle, -saddle]
+        got = analytic_critical_points_pr(signal)
+        assert [p.tolist() for p in got] == [p.tolist() for p in want]
 
 
 class TestMatching:
@@ -945,6 +983,15 @@ class TestMatching:
             match_correspondence(
                 [np.zeros(2)], [np.zeros(2)], epsilon=1.0, eta=1.0, metric="hausdorff"
             )
+
+    @pytest.mark.parametrize(
+        "epsilon, eta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_thresholds_are_rejected(self, epsilon, eta):
+        # they would report a nan or infinite bound
+        x = np.zeros(2)
+        with pytest.raises(InvalidConfig, match="finite"):
+            match_correspondence([x], [x], epsilon, eta)
 
     def test_report_serializes(self):
         report = match_correspondence(

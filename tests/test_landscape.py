@@ -167,15 +167,14 @@ class TestClassifyMs:
         ):
             assert key in result.witness
         assert result.witness["minimum_distance"] <= 1e-7
-        assert not result.advisory
-        json.dumps(result.to_json_dict())
+        assert not result.notes
 
     def test_poorly_separated_truth_is_advisory(self):
         truth = SensingGroundTruth.from_random_basis(
             dim=5, eigvals=(1.0, 0.9, 0.8), target_rank=2, seed=1
         )
         result = classify_region_ms(truth, truth.canonical_minimum())
-        assert result.advisory
+        assert result.notes
         assert any("separation" in note for note in result.notes)
 
 
@@ -516,6 +515,20 @@ class TestSamplers:
         gen = rng.stream(3, "sampler-starve-1d", 0)
         with pytest.raises(SamplerStarved):
             sample_region_pr(np.array([1.0]), PR_R3, 5, gen)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("family", ["ms", "pr"])
+    def test_count_below_one_raises_before_reading_gen(self, family, n):
+        if family == "ms":
+            sample, instance, regions = sample_region_ms, separated_truth(), MS_REGIONS
+        else:
+            sample, instance, regions = sample_region_pr, XSTAR, PR_REGIONS
+        for region in regions:
+            gen = rng.stream(24, "sampler-count", 0)
+            with pytest.raises(InvalidSampleCount, match=f"region {region}: need at least one"):
+                sample(instance, region, n, gen)
+            fresh = rng.stream(24, "sampler-count", 0)
+            assert rng.uniform(gen, 3).tolist() == rng.uniform(fresh, 3).tolist()
 
     def test_sampling_is_deterministic(self):
         truth = separated_truth()
@@ -1170,6 +1183,14 @@ class TestCheckAssumptions:
         with pytest.raises(InvalidSampleCount):
             check_assumptions(pop, pop, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["epsilon", "eta", "ball_radius"])
+    def test_non_finite_thresholds_are_rejected(self, name, value):
+        # an infinite epsilon or eta would pass every verdict
+        pop = PrPopulationRisk(XSTAR)
+        with pytest.raises(InvalidConfig, match="finite and positive"):
+            check_assumptions(pop, pop, 3, 1, **{name: value})
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidConfig):
             check_assumptions(
@@ -1501,6 +1522,15 @@ class TestRip:
     def test_threshold_gate(self):
         with pytest.raises(InvalidConfig):
             rip_delta_threshold(separated_truth(), epsilon=0.0, eta=1.0)
+
+    @pytest.mark.parametrize(
+        "epsilon, eta",
+        [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)],
+    )
+    def test_non_finite_thresholds_are_rejected(self, epsilon, eta):
+        # two infinite thresholds would read the cap 1/36
+        with pytest.raises(InvalidConfig, match="finite and positive"):
+            rip_delta_threshold(separated_truth(), epsilon, eta)
 
     def test_report_shape(self):
         report = estimate_rip(

@@ -706,6 +706,29 @@ def test_derivatives_reject_non_finite_points(model_index, bad):
 
 
 @pytest.mark.parametrize("model_index", range(4))
+def test_hessians_reject_misshapen_directions(model_index):
+    # without the check these are a raw reshape or broadcast error, or a
+    # silent reshape of the direction
+    model = all_models()[model_index]
+    point = generic_point(model)
+    points = np.stack([point, generic_point(model, 1)])
+    wide = (*model.shape[:-1], model.shape[-1] + 1)
+    cases = [
+        (point, np.ones(wide)),
+        (point, np.ones((4, *wide))),
+        (points, np.ones((2, *wide))),
+        (points, np.ones((3, *model.shape))),
+        (points, np.ones((3, 4, *model.shape))),
+    ]
+    for at, direction in cases:
+        with pytest.raises(DimensionMismatch, match="direction shape"):
+            model.hess_vec(at, direction)
+    for direction in (np.ones(wide), np.ones((2, *model.shape))):
+        with pytest.raises(DimensionMismatch, match="direction shape"):
+            model.hess_quadratic(point, direction)
+
+
+@pytest.mark.parametrize("model_index", range(4))
 def test_derivatives_reject_misshapen_points(model_index):
     model = all_models()[model_index]
     point = np.ones(int(np.prod(model.shape)) + 1)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from landscape_lab import rng
-from landscape_lab.errors import DimensionMismatch, GramNotSPD, NonFiniteEntry
+from landscape_lab.errors import DimensionMismatch, GramNotSPD, InvalidConfig, NonFiniteEntry
 from landscape_lab.landscape import GRADIENT_FLOOR, _check_values
-from landscape_lab.manifold import horizontal_basis, item_norms
+from landscape_lab.manifold import _item_norms, horizontal_basis
 from landscape_lab.risk_models import (
     MsPopulationRisk,
     PrEmpiricalRisk,
@@ -220,6 +220,23 @@ def test_fd_checks_catch_wrong_formulas():
     assert fd_hess_check(PrPopulationRisk(XSTAR), x, np.ones(3)).passed
 
 
+@pytest.mark.parametrize(
+    "direction, error",
+    [
+        (np.zeros(3), InvalidConfig),
+        (np.full(3, 1e-320), InvalidConfig),
+        (np.array([np.nan, 1.0, 0.0]), NonFiniteEntry),
+        (np.array([np.inf, 1.0, 0.0]), NonFiniteEntry),
+    ],
+    ids=["zero", "norm-underflows", "nan", "inf"],
+)
+def test_fd_hess_check_rejects_a_direction_it_cannot_normalize(direction, error):
+    # checked before the division, which would make the direction non-finite
+    x = rng.normal(rng.stream(MASTER, "fd-meta", 0), (3,))
+    with pytest.raises(error, match="direction"):
+        fd_hess_check(PrPopulationRisk(XSTAR), x, direction)
+
+
 # ---- stacks of points -----------------------------------------------------
 #
 # The region checks evaluate min_eig and the gradient norm on stacks of
@@ -302,7 +319,7 @@ def test_gradient_norms_on_a_stack_are_per_point_bit_for_bit(label):
     per_point = np.array([float(np.linalg.norm(model.euclidean_grad(p))) for p in points])
     grads = model.euclidean_grad(points)
     assert (grads == np.array([model.euclidean_grad(p) for p in points])).all()
-    assert (item_norms(grads, len(model.shape)) == per_point).all()
+    assert (_item_norms(grads, len(model.shape)) == per_point).all()
     assert (_check_values(model, GRADIENT_FLOOR, points) == per_point).all()
 
 
