@@ -51,7 +51,6 @@ MAX_STALLS = 5
 MAX_SEARCH_DIM = 64
 MAX_GRID_POINTS = 10**6  # seeds of a seed grid, values of a line or plane grid
 DEDUPE_BLOCK = 64  # converged seeds per block of dedupe distance rows
-EIGH2_MIN_STACK = 192  # 2 x 2 Hessian stacks from this size skip LAPACK
 
 KIND_MIN = "LocalMin"
 KIND_SADDLE = "StrictSaddle"
@@ -64,77 +63,31 @@ def _tau(model) -> float:
 
 
 def _eigh_2x2(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a (B, 2, 2) stack of symmetric matrices, bit for
-    bit, in a fixed number of array operations instead of a LAPACK call
-    per item.
+    """Eigenvalues, ascending, and orthonormal eigenvectors of a (B, 2, 2)
+    stack of symmetric matrices [[a, b], [b, c]], in closed form.
 
-    numpy's eigh reads the lower triangle (a, b, c) into LAPACK's dsyevd.
-    At n = 2 its tridiagonal reduction leaves the matrix as it is (the one
-    reflector has tau = 0) and dstedc hands it to dsteqr, which this
-    follows. An item deflates, keeping (a, c) and Z = I, when
-    |b| <= (sqrt|a| sqrt|c|) eps or b^2 <= (eps^2 |x|) |y| + safmin, with
-    (x, y) = (a, c) in dsteqr's QL order (|c| >= |a|) and (c, a) in its QR
-    order: the product order decides the last bit. Any other item takes
-    dlaev2's eigenvalues rt1, rt2 and rotation (cs1, sn1), applied to
-    Z = I as dlasr applies it. The pairs are then sorted ascending, columns
-    swapped along, as dsteqr sorts them. A stack holding an item whose
-    largest |entry| is neither zero nor inside [1e-120, 1e145] goes to
-    np.linalg.eigh whole: LAPACK rescales below about 1.5e-122 (dsteqr)
-    and above about 1e146 (dsyevd).
+    The eigenvalues are mean -+ radius, with mean = (a + c) / 2,
+    half = (a - c) / 2 and radius = hypot(half, b). The larger one's
+    eigenvector is (half + radius, b), or (b, radius - half) where
+    half < 0, so that nothing cancels; the smaller one's is its rotation by
+    -90 degrees. An item with b = 0 and a = c takes the identity.
     """
-    # dsteqr's machine constants, dlamch('E') and dlamch('S')
-    eps, safmin = 2.0**-53, 2.0**-1022
-    mag = np.abs(hess)
-    top = mag.max(axis=(1, 2))
-    if not (top.max() <= 1e145 and np.all((top >= 1e-120) | (top == 0.0))):
-        return np.linalg.eigh(hess)
     a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
-    # dlaev2's larger- and smaller-magnitude diagonal entries; |acmn| is x
-    acmx_first = mag[:, 0, 0] > mag[:, 1, 1]
-    acmx, acmn = np.where(acmx_first, a, c), np.where(acmx_first, c, a)
-    deflate = (mag[:, 1, 0] <= np.sqrt(mag[:, 0, 0]) * np.sqrt(mag[:, 1, 1]) * eps) | (
-        b * b <= eps**2 * np.abs(acmn) * np.abs(acmx) + safmin
-    )
-    # dlaev2 on every item; a deflated one gets b = 1, so that nothing
-    # divides by zero, and its results are replaced below
-    b = np.where(deflate, 1.0, b)
-    sm, df, tb = a + c, a - c, b + b
-    adf, ab = np.abs(df), np.abs(tb)
-    # ADF sqrt(1 + (AB/ADF)^2), AB sqrt(1 + (ADF/AB)^2) or AB sqrt(2),
-    # whichever of ADF and AB is larger
-    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
-    rt = big * np.sqrt(1.0 + (small / big) ** 2)
-    negative = sm < 0.0
-    rt1 = 0.5 * np.where(negative, sm - rt, sm + rt)
-    rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
-    cs = df + np.where(df < 0.0, -rt, rt)
-    over = np.abs(cs) > ab
-    # -TB/CS if |CS| > AB, else -CS/TB; then (cs1, sn1) as dlaev2 picks
-    # them, swapped and negated where SGN1 = SGN2
-    t = -np.where(over, tb, cs) / np.where(over, cs, tb)
-    u = 1.0 / np.sqrt(1.0 + t * t)
-    t *= u
-    same = negative == (df < 0.0)
-    flip = over != same
-    cs1, sn1 = np.where(flip, t, u), np.where(flip, u, t)
-    np.negative(cs1, out=cs1, where=same)
-    # cs1 and sn1 are nonzero here (u >= 1/sqrt(2), and |t| > 1e-300 as
-    # |b| > sqrt(safmin) and no entry exceeds 1e145), so dlasr's rotation
-    # of I, c*1 - s*0 and so on, is [[c, -s], [s, c]]
-    d0, d1 = np.where(deflate, a, rt1), np.where(deflate, c, rt2)
-    cos = np.where(deflate, 1.0, cs1)
-    sin = np.where(deflate, 0.0, sn1)
-    # columns (cos, sin) and (-sin, cos), swapped where the values are;
-    # 0.0 - sin keeps a deflated item's +0.0
-    swap, minus_sin = d1 < d0, 0.0 - sin
-    eigvals = np.empty((len(hess), 2))
-    eigvecs = np.empty((len(hess), 2, 2))
-    eigvals[:, 0], eigvals[:, 1] = np.where(swap, d1, d0), np.where(swap, d0, d1)
-    eigvecs[:, 0, 0] = np.where(swap, minus_sin, cos)
-    eigvecs[:, 0, 1] = np.where(swap, cos, minus_sin)
-    eigvecs[:, 1, 0] = np.where(swap, cos, sin)
-    eigvecs[:, 1, 1] = np.where(swap, sin, cos)
-    return eigvals, eigvecs
+    # halved before they are added, so that neither overflows
+    mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+    radius = np.hypot(half, b)
+    below = half < 0.0
+    x = np.where(below, b, half + radius)
+    y = np.where(below, radius - half, b)
+    # only b = 0, half = 0 gives (0, 0); (0, 1) makes the identity
+    y[(x == 0.0) & (y == 0.0)] = 1.0
+    norm = np.hypot(x, y)
+    x /= norm
+    y /= norm
+    eigvecs = np.empty(hess.shape)
+    eigvecs[:, 0, 0], eigvecs[:, 0, 1] = y, x
+    eigvecs[:, 1, 0], eigvecs[:, 1, 1] = -x, y
+    return np.stack([mean - radius, mean + radius], axis=-1), eigvecs
 
 
 def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
@@ -142,12 +95,13 @@ def _damped_newton_step(hess: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
     their magnitude is floored, so the step stays finite near degeneracy.
 
     Takes one (n, n) Hessian and (n,) gradient, or (B, n, n) and (B, n)
-    stacks, whose steps each equal the single step bit for bit: one batched
-    eigh, and a matrix-vector product per item either way. A stack of at
-    least EIGH2_MIN_STACK 2 x 2 Hessians is decomposed by _eigh_2x2, which
-    equals np.linalg.eigh bit for bit without a LAPACK call per item.
+    stacks, each of whose steps equals its item's step on a stack of one bit
+    for bit: one batched eigh, and a matrix-vector product per item. A
+    (B, 2, 2) stack, whatever its size, is decomposed in closed form by
+    _eigh_2x2 instead, without a LAPACK call; its steps agree with eigh's
+    to rounding, not bit for bit. One Hessian always goes to eigh.
     """
-    if hess.shape[1:] == (2, 2) and len(hess) >= EIGH2_MIN_STACK:
+    if hess.shape[1:] == (2, 2):
         eigvals, eigvecs = _eigh_2x2(hess)
     else:
         eigvals, eigvecs = np.linalg.eigh(hess)
@@ -280,22 +234,26 @@ def damped_newton(model, seed_point):
     A stack runs every seed in lockstep, each with its own iterations,
     stalls, backtracking and phase, and each ends bit for bit where it
     would alone (a single seed is a stack of one). model may also be a
-    list of risks of one family, population or empirical, of one truth or
-    signal and one shape (else InvalidConfig): the stack then splits into
-    len(model) equal consecutive blocks, block s on model[s]'s surface, and
-    the search of every surface runs in the same rounds, each seed still
-    ending where it would on its own model. A round makes one
-    dense_euclidean_hessian call and one batched eigh over the seeds still
-    active (at n = 2, from EIGH2_MIN_STACK seeds up, _eigh_2x2's bit-exact
-    port of it), and one euclidean_grad call per backtrack halving over the
-    seeds still halving, each on _surface_risk of those seeds. It returns
-    ((B, *shape) points, (B,) gradient norms, total Newton iterations,
-    number of converged seeds): totals over the stack, so a caller that
-    sums per-call iteration counts or counts converging calls reads a
-    stack like a seed. A seed converged iff its gradient norm is at most
-    the tolerance, since polishing only accepts a smaller norm.
+    non-empty list of risks of one family, population or empirical, of
+    one truth or signal and one shape (else InvalidConfig): the stack then
+    splits into len(model) equal consecutive blocks, block s on model[s]'s
+    surface, and the search of every surface runs in the same rounds, each
+    seed still ending where it would on its own model. A round makes one
+    dense_euclidean_hessian call and one decomposition of the Hessian stack
+    of the seeds still active (a batched eigh, or at n = 2 _eigh_2x2's
+    closed form), and one euclidean_grad call per backtrack halving over
+    the seeds still halving, each on _surface_risk of those seeds. It
+    returns ((B, *shape) points, (B,) gradient norms, total Newton
+    iterations, number of converged seeds): totals over the stack, so a
+    caller that sums per-call iteration counts or counts converging calls
+    reads a stack like a seed. A stack of no seeds returns empty arrays and
+    zero totals without a model call. A seed converged iff its gradient
+    norm is at most the tolerance, since polishing only accepts a smaller
+    norm.
     """
     models = model if isinstance(model, list) else [model]
+    if not models:
+        raise InvalidConfig("a Newton search needs at least one surface")
     shape = models[0].shape
     if models[0].is_factor:
         family = (MsPopulationRisk, MsEmpiricalRisk)
@@ -319,6 +277,8 @@ def damped_newton(model, seed_point):
         raise DimensionMismatch(
             f"a stack of {len(points)} seeds does not split into {len(models)} surfaces"
         )
+    if not len(points):
+        return points, np.empty(0), 0, 0
 
     def risk_of(items):
         return _surface_risk(models, per_surface, items)
@@ -507,15 +467,13 @@ def find_critical_points_each(models, seed_points) -> list:
         )
     seeds = list(seed_points)
     n = len(seeds)
-    points, grad_norms = np.empty((0, *shape)), np.empty(0)
-    if seeds:
-        shapes = {np.shape(seed) for seed in seeds}
-        if shapes != {shape}:
-            raise DimensionMismatch(
-                f"seed shapes {sorted(shapes)} do not match model shape {shape}"
-            )
-        tiled = np.tile(np.stack(seeds), (len(models), *(1,) * len(shape)))
-        points, grad_norms, _, _ = damped_newton(models, tiled)
+    shapes = {np.shape(seed) for seed in seeds}
+    if shapes - {shape}:
+        raise DimensionMismatch(
+            f"seed shapes {sorted(shapes)} do not match model shape {shape}"
+        )
+    tiled = np.tile(np.reshape(seeds, (n, *shape)), (len(models), *(1,) * len(shape)))
+    points, grad_norms, _, _ = damped_newton(models, tiled)
     results = []
     for s, model in enumerate(models):
         tol = TAU_DEDUPE_FACTOR * model.domain_scale
@@ -541,6 +499,8 @@ def find_critical_points_each(models, seed_points) -> list:
 
 def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
     """Uniform grid seeds over [lo, hi]^dim, inclusive of both ends."""
+    if dim < 1:
+        raise InvalidConfig(f"a seed grid needs dimension at least one, not {dim}")
     if not (hi > lo and spacing > 0.0 and math.isfinite((hi - lo) / spacing)):
         raise InvalidConfig("grid needs hi > lo, positive spacing and a finite step count")
     count = int(round((hi - lo) / spacing)) + 1
@@ -696,6 +656,8 @@ class CorrespondenceReport:
 
 
 def _pair_distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"a {a.shape} point cannot be matched to a {b.shape} one")
     if metric == "euclidean":
         return float(np.linalg.norm(a - b))
     if metric == "sign_euclidean":

@@ -6,10 +6,10 @@ directions, either the canonical ambient basis or an orthonormal horizontal
 basis at a factor point. The Hessian probes also take a (B, *shape) stack
 of points, as every risk model's hess_vec does, and then make one call for
 the whole stack; each item equals the single-point value bit for bit. The
-canonical stack is built once per model shape and stack size and shared
-read-only, so a hess_vec that wrote into its directions would raise instead
-of corrupting the next Hessian. Problem sizes here are small
-by design, so a dense eigensolver is the right tool.
+canonical stack is built once per model shape and shared read-only, so a
+hess_vec that wrote into its directions would raise instead of corrupting
+the next Hessian. Problem sizes here are small by design, so a dense
+eigensolver is the right tool.
 
 uses_quotient alone picks which of the two a model's curvature is read in:
 factors with k >= 2 columns carry the O(k) gauge zeros in their ambient
@@ -54,13 +54,12 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _canonical_basis(shape: tuple[int, ...], lead: tuple[int, ...]) -> np.ndarray:
-    """The (n, *shape) stack of canonical basis directions, read-only, and
-    broadcast to (*lead, n, *shape) for a stack of points."""
+def _canonical_basis(shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, *shape) stack of canonical basis directions, read-only."""
     n = math.prod(shape)
     basis = np.eye(n).reshape(n, *shape)
     basis.setflags(write=False)
-    return np.broadcast_to(basis, (*lead, *basis.shape))
+    return basis
 
 
 def dense_euclidean_hessian(model, point) -> np.ndarray:
@@ -70,7 +69,9 @@ def dense_euclidean_hessian(model, point) -> np.ndarray:
     from one hess_vec call, each as at that point alone.
     """
     shape = model.shape
-    basis = _canonical_basis(shape, np.asarray(point).shape[: -len(shape)])
+    basis = _canonical_basis(shape)
+    # broadcast to (*B, n, *shape) for a stack of points
+    basis = np.broadcast_to(basis, (*np.shape(point)[: -len(shape)], *basis.shape))
     images = model.hess_vec(point, basis)
     _check_finite(images, "hess_vec")
     # row j is the image of the j-th basis direction, the j-th column

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from landscape_lab import rng
+from landscape_lab import rng, spectral
 from landscape_lab.errors import DimensionMismatch, GramNotSPD, InvalidConfig, NonFiniteEntry
 from landscape_lab.landscape import GRADIENT_FLOOR, _check_values
 from landscape_lab.manifold import _item_norms, horizontal_basis
@@ -101,6 +101,17 @@ def test_dense_hessian_basis_is_read_only():
         dense_euclidean_hessian(Scribbler(XSTAR), point)
     assert np.array_equal(dense_euclidean_hessian(PrPopulationRisk(XSTAR), point), clean)
 
+
+
+def test_canonical_basis_is_built_once_per_shape():
+    # the Newton search asks for a different stack size almost every round
+    model = PrPopulationRisk(XSTAR)
+    spectral._canonical_basis.cache_clear()
+    for size in (5, 1, 3, 5):
+        dense_euclidean_hessian(model, np.tile(XSTAR + 0.3, (size, 1)))
+    dense_euclidean_hessian(model, XSTAR + 0.3)
+    info = spectral._canonical_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 # ---- horizontal probe ---------------------------------------------------
 
