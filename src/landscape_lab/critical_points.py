@@ -14,6 +14,7 @@ are distinct points.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,9 +25,7 @@ from .errors import DimensionMismatch, GramNotSPD, InvalidConfig
 from .manifold import _item_norms, _norm, procrustes_distance
 from .risk_models import (
     MsEmpiricalRisk,
-    MsPopulationRisk,
     PrEmpiricalRisk,
-    PrPopulationRisk,
     SensingGroundTruth,
     _coerce,
     _signal_norm,
@@ -73,12 +72,12 @@ def _eigh_2x2(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -90 degrees. An item with b = 0 and a = c takes the identity.
     """
     a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
-    # halved before they are added, so that neither overflows
+    # every sum is of halved terms, so that none overflows
     mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
     radius = np.hypot(half, b)
     below = half < 0.0
-    x = np.where(below, b, half + radius)
-    y = np.where(below, radius - half, b)
+    x = np.where(below, 0.5 * b, 0.5 * half + 0.5 * radius)
+    y = np.where(below, 0.5 * radius - 0.5 * half, 0.5 * b)
     # only b = 0, half = 0 gives (0, 0); (0, 1) makes the identity
     y[(x == 0.0) & (y == 0.0)] = 1.0
     norm = np.hypot(x, y)
@@ -128,36 +127,28 @@ def _capped(step: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _GramStack:
-    """The operators of several surfaces, Gram ensembles or the population
-    operators, applied to a stack of points whose items each lie on one
-    surface.
+    """The normal operators of several surfaces, Gram ensembles or the
+    population operators, applied to a stack of points whose items each lie
+    on one surface.
 
     runs lists (operator, start, stop): the items start <= i < stop lie on
     that operator's surface, and the runs follow each other from 0 to the
-    stack's size. energy and normal hand each run to its operator's own
-    method, one product per run, so every item rounds as on its surface
-    alone and no Gram matrix is gathered per item.
+    stack's size. normal hands each run to its operator's own normal, one
+    product per run, so every item rounds as on its surface alone and no
+    Gram matrix is gathered per item.
     """
 
     def __init__(self, runs: list, size: int):
         self.runs = runs
         self.size = size
 
-    def _apply(self, method: str, z: np.ndarray) -> np.ndarray:
+    def normal(self, z: np.ndarray) -> np.ndarray:
         # a stack of points reaches the operator as (B, m, N, N)
         if z.ndim != 4 or len(z) != self.size:
             raise DimensionMismatch(
                 f"a stack of {self.size} surface items needs as many points"
             )
-        return np.concatenate(
-            [getattr(operator, method)(z[a:b]) for operator, a, b in self.runs]
-        )
-
-    def energy(self, z: np.ndarray) -> np.ndarray:
-        return self._apply("energy", z)
-
-    def normal(self, z: np.ndarray) -> np.ndarray:
-        return self._apply("normal", z)
+        return np.concatenate([operator.normal(z[a:b]) for operator, a, b in self.runs])
 
 
 def _surface_risk(models, per_surface: int, idx: np.ndarray):
@@ -169,8 +160,8 @@ def _surface_risk(models, per_surface: int, idx: np.ndarray):
     Items of several surfaces get a shallow copy of the first empirical
     model (the first model, if all are population risks), so the tracer
     counts its calls under that class, whose operator is a _GramStack of
-    the surfaces' operators: each item of value, euclidean_grad and
-    hess_vec is then bit for bit the value on its own model.
+    the surfaces' operators: each item of euclidean_grad and hess_vec is
+    then bit for bit the value on its own model.
     """
     if len(models) == 1:
         return models[0]
@@ -181,9 +172,8 @@ def _surface_risk(models, per_surface: int, idx: np.ndarray):
     first = next(
         (m for m in models if isinstance(m, (MsEmpiricalRisk, PrEmpiricalRisk))), models[0]
     )
-    risk = object.__new__(type(first))
-    operator = _GramStack([(m.operator, a, b) for m, a, b in runs], len(idx))
-    risk.__dict__.update(first.__dict__, operator=operator)
+    risk = copy.copy(first)
+    risk.operator = _GramStack([(m.operator, a, b) for m, a, b in runs], len(idx))
     return risk
 
 
@@ -234,17 +224,18 @@ def damped_newton(model, seed_point):
     A stack runs every seed in lockstep, each with its own iterations,
     stalls, backtracking and phase, and each ends bit for bit where it
     would alone (a single seed is a stack of one). model may also be a
-    non-empty list of risks of one family, population or empirical, of
-    one truth or signal and one shape (else InvalidConfig): the stack then
-    splits into len(model) equal consecutive blocks, block s on model[s]'s
-    surface, and the search of every surface runs in the same rounds, each
-    seed still ending where it would on its own model. A round makes one
+    non-empty list of risks of one risk form, equal c, target, shape and
+    is_factor (else InvalidConfig): every seed then runs on every surface,
+    tiled into a new stack whose s-th block lies on model[s]'s surface,
+    and every surface searches in the same rounds, each seed still ending
+    where it would on its own model. A round makes one
     dense_euclidean_hessian call and one decomposition of the Hessian stack
     of the seeds still active (a batched eigh, or at n = 2 _eigh_2x2's
     closed form), and one euclidean_grad call per backtrack halving over
-    the seeds still halving, each on _surface_risk of those seeds. It
-    returns ((B, *shape) points, (B,) gradient norms, total Newton
-    iterations, number of converged seeds): totals over the stack, so a
+    the seeds still halving, each on _surface_risk of those seeds. Every
+    call but one seed on one model returns ((B, *shape) points, (B,)
+    gradient norms, total Newton iterations, number of converged seeds),
+    with B = len(model) * len(seeds) for a list: totals over the stack, so a
     caller that sums per-call iteration counts or counts converging calls
     reads a stack like a seed. A stack of no seeds returns empty arrays and
     zero totals without a model call. A seed converged iff its gradient
@@ -254,36 +245,30 @@ def damped_newton(model, seed_point):
     models = model if isinstance(model, list) else [model]
     if not models:
         raise InvalidConfig("a Newton search needs at least one surface")
-    shape = models[0].shape
-    if models[0].is_factor:
-        family = (MsPopulationRisk, MsEmpiricalRisk)
-    else:
-        family = (PrPopulationRisk, PrEmpiricalRisk)
-    if len(models) > 1 and not all(
-        isinstance(m, family) and m.shape == shape and np.array_equal(m.target, models[0].target)
-        for m in models
+    first = models[0]
+    shape = first.shape
+    if not all(
+        (m.c, m.shape, m.is_factor) == (first.c, shape, first.is_factor)
+        and np.array_equal(m.target, first.target)
+        for m in models[1:]
     ):
         raise InvalidConfig(
             "stacked surfaces must be risks of one family (matrix sensing or "
             "phase retrieval), of one truth or signal and one shape"
         )
-    # a copy, which the search updates in place
-    points = _coerce(seed_point, shape, stack=True).copy()
-    single = points.shape == shape
-    if single:
-        points = points[None]
-    per_surface, ragged = divmod(len(points), len(models))
-    if ragged:
-        raise DimensionMismatch(
-            f"a stack of {len(points)} seeds does not split into {len(models)} surfaces"
-        )
+    seeds = _coerce(seed_point, shape, stack=True)
+    single = seeds.shape == shape and len(models) == 1
+    seeds = seeds.reshape(-1, *shape)
+    # a new stack, the seeds once per surface, which the search updates in
+    # place
+    points = np.tile(seeds, (len(models), *(1,) * len(shape)))
     if not len(points):
         return points, np.empty(0), 0, 0
 
     def risk_of(items):
-        return _surface_risk(models, per_surface, items)
+        return _surface_risk(models, len(seeds), items)
 
-    tau = _tau(models[0])
+    tau = _tau(first)
     grad = risk_of(np.arange(len(points))).euclidean_grad(points)
     grad_norm = _item_norms(grad, len(shape))
     iters = np.zeros(len(points), dtype=int)
@@ -444,11 +429,12 @@ def find_critical_points_each(models, seed_points) -> list:
     """find_critical_points on each model's surface from the same seeds, as
     one list of results, with one damped_newton call for all of them.
 
-    Several models must be risks of one family, population or empirical,
-    of one truth or signal and one shape: damped_newton takes them as a
-    list, with the seeds tiled once per model, so every surface searches in
-    the same Newton rounds, and each seed ends bit for bit where a search
-    of its surface alone ends it. Per surface, the converged endpoints are
+    seed_points is a (B, *shape) array, used as it is, or a sequence of
+    points of the models' shape. Several models must share one risk form:
+    damped_newton takes them as a list with the seeds once, runs every seed
+    on every surface in the same Newton rounds, and each seed ends bit for
+    bit where a search of its surface alone ends it. Per surface, the
+    converged endpoints are
     deduplicated in seed order by distance rows (_dedupe), and the
     surviving records are classified with one stacked min_eig call, in
     record order. Seeds that fail to converge are counted, not fatal.
@@ -465,15 +451,17 @@ def find_critical_points_each(models, seed_points) -> list:
             f"dense search supports at most {MAX_SEARCH_DIM} dimensions, "
             f"model has {dim}"
         )
-    seeds = list(seed_points)
-    n = len(seeds)
-    shapes = {np.shape(seed) for seed in seeds}
+    if isinstance(seed_points, np.ndarray):
+        seeds, shapes = seed_points, {seed_points.shape[1:]}
+    else:
+        seeds = list(seed_points)
+        shapes = {np.shape(seed) for seed in seeds}
     if shapes - {shape}:
         raise DimensionMismatch(
             f"seed shapes {sorted(shapes)} do not match model shape {shape}"
         )
-    tiled = np.tile(np.reshape(seeds, (n, *shape)), (len(models), *(1,) * len(shape)))
-    points, grad_norms, _, _ = damped_newton(models, tiled)
+    n = len(seeds)
+    points, grad_norms, _, _ = damped_newton(models, np.reshape(seeds, (n, *shape)))
     results = []
     for s, model in enumerate(models):
         tol = TAU_DEDUPE_FACTOR * model.domain_scale
@@ -497,8 +485,10 @@ def find_critical_points_each(models, seed_points) -> list:
     return results
 
 
-def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
-    """Uniform grid seeds over [lo, hi]^dim, inclusive of both ends."""
+def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> np.ndarray:
+    """Uniform grid seeds over [lo, hi]^dim, inclusive of both ends, as one
+    (count**dim, dim) array in itertools.product's order: the last
+    coordinate varies fastest."""
     if dim < 1:
         raise InvalidConfig(f"a seed grid needs dimension at least one, not {dim}")
     if not (hi > lo and spacing > 0.0 and math.isfinite((hi - lo) / spacing)):
@@ -508,7 +498,7 @@ def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> list:
     if dim * math.log(count) > math.log(MAX_GRID_POINTS):
         raise InvalidConfig("grid would exceed a million seeds")
     axis = np.linspace(lo, hi, count)
-    return [np.array(p) for p in itertools.product(axis, repeat=dim)]
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
 def refine_minimum_horizontal(model, seed_point):

@@ -343,7 +343,7 @@ def run_2d_landscape(config: ExperimentConfig, master: int):
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     coordinates = _Coordinates(grid.T.tolist())
     shape = surfaces[0][1].shape
-    newton_seeds = np.stack(grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2)).reshape(-1, *shape)
+    newton_seeds = grid_seed_points(lo, hi, NEWTON_SEED_SPACING, 2).reshape(-1, *shape)
     # the population and every empirical surface search as one stack
     searches = find_critical_points_each([model for _, model in surfaces], newton_seeds)
 

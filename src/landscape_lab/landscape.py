@@ -32,6 +32,7 @@ BLOCK.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -576,16 +577,16 @@ def _run_region_checks(family, model, bounds, sample, n_per_region, seed, notes=
     checks = []
     violations = []
     for region, (kind, bound) in bounds.items():
+        # the skipped and the sampled check differ only in what was sampled
+        check = functools.partial(
+            RegionCheck, region=region, bound_kind=kind, bound_value=bound, requested=n_per_region
+        )
         gen = rng.stream(seed, f"regions-{family}/{region}", 0)
         try:
             samples = sample(region, n_per_region, gen)
         except SamplerStarved as starved:
             checks.append(
-                RegionCheck(
-                    region=region,
-                    bound_kind=kind,
-                    bound_value=bound,
-                    requested=n_per_region,
+                check(
                     n_sampled=0,
                     n_violations=0,
                     worst_margin=math.nan,
@@ -608,15 +609,7 @@ def _run_region_checks(family, model, bounds, sample, n_per_region, seed, notes=
                 }
             )
         checks.append(
-            RegionCheck(
-                region=region,
-                bound_kind=kind,
-                bound_value=bound,
-                requested=n_per_region,
-                n_sampled=len(samples),
-                n_violations=len(bad),
-                worst_margin=float(margins[worst]),
-            )
+            check(n_sampled=len(samples), n_violations=len(bad), worst_margin=float(margins[worst]))
         )
     return RegionBoundReport(
         family=family,

@@ -1,5 +1,6 @@
 """Newton search, analytic reference enumerations, dedupe, and matching."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -382,7 +383,6 @@ class TestSurfaceRisk:
             assert type(risk) is type(empirical[0])
             at = points[idx]
             for call, args in [
-                (lambda model, p: model.value(p), (at,)),
                 (lambda model, p: model.euclidean_grad(p), (at,)),
                 (lambda model, p, d: model.hess_vec(p, d), (at, directions[idx])),
                 (dense_euclidean_hessian, (at,)),
@@ -406,8 +406,6 @@ class TestSurfaceRisk:
         points = surface_points(models, 1)
         with pytest.raises(DimensionMismatch):
             risk.euclidean_grad(points[:2])
-        with pytest.raises(DimensionMismatch):
-            risk.value(points[0])
 
 
 class TestSurfaceStack:
@@ -426,8 +424,8 @@ class TestSurfaceStack:
 
         monkeypatch.setattr(critical_points, "damped_newton", counted)
         results = find_critical_points_each(models, seeds)
-        # one Newton stack for every surface
-        assert newton == [len(models) * len(seeds)]
+        # one Newton call for every surface, given the seeds once
+        assert newton == [len(seeds)]
         assert len(results) == len(models)
         for got, want in zip(results, alone):
             assert_same_search(got, want)
@@ -441,16 +439,34 @@ class TestSurfaceStack:
         models = plane_surfaces("ms2d_rank1", (3, 10))
         seeds = np.stack(plane_grid(0.5, models[0].shape))
         alone = [damped_newton(model, seeds) for model in models]
-        tiled = np.concatenate([seeds] * len(models))
-        points, grad_norms, iters, n_converged = damped_newton(models, tiled)
+        before = seeds.copy()
+        # every seed runs on every surface, the seeds tiled surface by surface
+        points, grad_norms, iters, n_converged = damped_newton(models, seeds)
+        assert seeds.tobytes() == before.tobytes()
         assert points.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
         assert grad_norms.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
         assert (iters, n_converged) == (sum(a[2] for a in alone), sum(a[3] for a in alone))
         # the M = 3 surface fails some seeds, so those paths are in the stack
         assert n_converged < len(points)
-        # the stack splits into one equal block per surface
-        with pytest.raises(DimensionMismatch, match="does not split into 3 surfaces"):
-            damped_newton(models, tiled[:-1])
+        # one seed on several surfaces is a stack of one seed per surface
+        points, grad_norms, iters, n_converged = damped_newton(models, seeds[7])
+        assert points.tobytes() == np.concatenate([a[0][7:8] for a in alone]).tobytes()
+        assert grad_norms.tobytes() == np.concatenate([a[1][7:8] for a in alone]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["pr", "ms"])
+    def test_a_seed_array_searches_as_its_points(self, kind):
+        models = plane_surfaces("pr2d" if kind == "pr" else "ms2d_rank1", (3, 10))
+        shape = models[0].shape
+        seeds = grid_seed_points(-2.0, 2.0, 0.5, 2).reshape(-1, *shape)
+        for got, want in zip(
+            find_critical_points_each(models, seeds), find_critical_points_each(models, list(seeds))
+        ):
+            assert_same_search(got, want)
+        # an array is checked on its trailing shape, a sequence point by point
+        with pytest.raises(DimensionMismatch, match="do not match model shape"):
+            find_critical_points_each(models, seeds.reshape(len(seeds), -1, 1, 1))
+        with pytest.raises(DimensionMismatch, match="do not match model shape"):
+            find_critical_points_each(models, [*seeds[:3], np.zeros(3)])
 
     def test_mixed_surfaces_are_rejected(self):
         population = PrPopulationRisk(XSTAR_2D)
@@ -499,8 +515,9 @@ class TestSurfaceStack:
 
         monkeypatch.setattr(critical_points, "damped_newton", counted)
         experiments.RUNNERS[experiment](config, config.master_seed)
-        # the population surface and both empirical ones, 21 x 21 seeds each
-        assert newton == [3 * 21 * 21]
+        # the 21 x 21 seeds once, for the population surface and both
+        # empirical ones
+        assert newton == [21 * 21]
 
 
 class TestDedupe:
@@ -597,8 +614,8 @@ def symmetric_2x2(a, b, c):
 def eigh_2x2_families(n):
     """(name, (n, 2, 2) stack) pairs: random matrices, zero off-diagonals of
     both signs, a = c, a = -c, |a - c| = |2b|, off-diagonals far below the
-    diagonal's spread, zero matrices, and scales from 1e-300 to entries
-    near 1e307."""
+    diagonal's spread, zero matrices, scales from 1e-300 to entries near
+    1e307, and two diagonal spreads above 9e307."""
     gen = rng.stream(11, "eigh-2x2", 0)
     a, b, c = rng.normal(gen, (3, n))
     sign = np.sign(b)
@@ -614,6 +631,9 @@ def eigh_2x2_families(n):
     yield "a=-0", symmetric_2x2(-np.zeros(n), np.zeros(n), np.zeros(n))
     for scale in (1e11, 1e-11, 1e-118, 1e140, 1e-125, 1e-140, 1e-150, 1e150, 1e-300, 1e300, 1e307):
         yield f"scale {scale:g}", symmetric_2x2(scale * a, scale * b, scale * c)
+    # a diagonal spread above 9e307, where half + radius overflows
+    yield "a=-c=1.6e308", symmetric_2x2(np.full(n, 1.6e308), np.zeros(n), np.full(n, -1.6e308))
+    yield "a=b=-c=1e308", symmetric_2x2(np.full(n, 1e308), np.full(n, 1e308), np.full(n, -1e308))
 
 
 def assert_eigh_accurate(hess):
@@ -823,6 +843,15 @@ class TestGridSeeds:
 
     def test_dimension_two_is_a_product(self):
         assert len(grid_seed_points(0.0, 1.0, 0.5, 2)) == 9
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_array_in_product_order(self, dim):
+        seeds = grid_seed_points(-2.0, 2.0, 0.5, dim)
+        axis = np.linspace(-2.0, 2.0, 9)
+        assert isinstance(seeds, np.ndarray) and seeds.shape == (9**dim, dim)
+        # the last coordinate varies fastest
+        want = np.array(list(itertools.product(axis, repeat=dim)))
+        assert seeds.tobytes() == want.tobytes()
 
     def test_gates(self):
         with pytest.raises(InvalidConfig):
