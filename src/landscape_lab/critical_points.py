@@ -429,17 +429,16 @@ def find_critical_points_each(models, seed_points) -> list:
     """find_critical_points on each model's surface from the same seeds, as
     one list of results, with one damped_newton call for all of them.
 
-    seed_points is a (B, *shape) array, used as it is, or a sequence of
-    points of the models' shape. Several models must share one risk form:
+    seed_points is a sequence of points of the models' shape, such as a
+    (B, *shape) array. Several models must share one risk form:
     damped_newton takes them as a list with the seeds once, runs every seed
     on every surface in the same Newton rounds, and each seed ends bit for
     bit where a search of its surface alone ends it. Per surface, the
-    converged endpoints are
-    deduplicated in seed order by distance rows (_dedupe), and the
-    surviving records are classified with one stacked min_eig call, in
-    record order. Seeds that fail to converge are counted, not fatal.
-    Duplicates merge at 1e-4 times the domain scale, keeping the
-    representative with the smaller gradient norm.
+    converged endpoints are deduplicated in seed order by distance rows
+    (_dedupe), and the surviving records are classified with one stacked
+    min_eig call, in record order. Seeds that fail to converge are
+    counted, not fatal. Duplicates merge at 1e-4 times the domain scale,
+    keeping the representative with the smaller gradient norm.
     """
     models = list(models)
     if not models:
@@ -451,16 +450,13 @@ def find_critical_points_each(models, seed_points) -> list:
             f"dense search supports at most {MAX_SEARCH_DIM} dimensions, "
             f"model has {dim}"
         )
-    if isinstance(seed_points, np.ndarray):
-        seeds, shapes = seed_points, {seed_points.shape[1:]}
-    else:
-        seeds = list(seed_points)
-        shapes = {np.shape(seed) for seed in seeds}
+    seeds = list(seed_points)
+    n = len(seeds)
+    shapes = {np.shape(seed) for seed in seeds}
     if shapes - {shape}:
         raise DimensionMismatch(
             f"seed shapes {sorted(shapes)} do not match model shape {shape}"
         )
-    n = len(seeds)
     points, grad_norms, _, _ = damped_newton(models, np.reshape(seeds, (n, *shape)))
     results = []
     for s, model in enumerate(models):
@@ -498,7 +494,7 @@ def grid_seed_points(lo: float, hi: float, spacing: float, dim: int) -> np.ndarr
     if dim * math.log(count) > math.log(MAX_GRID_POINTS):
         raise InvalidConfig("grid would exceed a million seeds")
     axis = np.linspace(lo, hi, count)
-    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    return np.array(list(itertools.product(axis, repeat=dim)))
 
 
 def refine_minimum_horizontal(model, seed_point):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -713,76 +712,48 @@ class TestErrorBases:
         assert captured.out == ""
 
 
-# the name of the kernel that numpy's OpenBLAS picked at load time
-BLAS_CORE_NAME = """\
-import ctypes, glob, os
-import numpy
-libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
-corename = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
-corename = corename.scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-print(corename().decode())
-"""
+HERE = Path(__file__).resolve().parent
 
 
-def blas_core(env):
-    """The OpenBLAS kernel a child process under env loads, or None where
-    its name cannot be read."""
+def blas_kernels(env):
+    """(loaded, to force) of tests/blas_kernel.py in a child process under
+    env, or None where the loaded kernel's name cannot be read."""
     done = subprocess.run(
-        [sys.executable, "-c", BLAS_CORE_NAME], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, str(HERE / "blas_kernel.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
-    name = done.stdout.strip()
-    return name if done.returncode == 0 and name else None
+    names = done.stdout.split()
+    return names if done.returncode == 0 and len(names) == 2 else None
 
 
 @pytest.fixture(scope="module")
 def second_kernel():
-    """The environment without a forced kernel, and the kernel to force:
-    Haswell, or Sandybridge where the default is Haswell or Zen."""
+    """The environment without a forced kernel, and the kernel to force."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-    default = blas_core(env)
-    if default is None:
+    kernels = blas_kernels(env)
+    if kernels is None:
         pytest.skip("the OpenBLAS kernel name cannot be read from numpy's library")
-    forced = "Sandybridge" if default in ("Haswell", "Zen") else "Haswell"
-    if blas_core({**env, "OPENBLAS_CORETYPE": forced}) in (None, default):
+    default, forced = kernels
+    moved = blas_kernels({**env, "OPENBLAS_CORETYPE": forced})
+    if moved is None or moved[0] == default:
         pytest.skip(f"OPENBLAS_CORETYPE={forced} does not move the kernel off {default}")
     return env, forced
 
 
-def output_values(path):
-    """An output file as values: its JSON document, or its CSV lines split
-    into cells, each cell that reads as a number a float."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return json.loads(text)
-
-    def cell(text):
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-    return [[cell(c) for c in line.split(",")] for line in text.splitlines()]
-
-
-def assert_within_tolerance(want, got, where):
-    """Equal keys, lengths, strings, integers and bools; floats within 1e-6
+@pytest.fixture(scope="module")
+def output_checks():
+    """perfbench/checks.py's digest and compare, the benchmark's tolerance
+    check: exact strings, integers, bools and lengths, floats within 1e-6
     relative or 1e-8 absolute."""
-    if isinstance(want, float) or isinstance(got, float):
-        assert isinstance(want, float) and isinstance(got, float), where
-        assert (math.isnan(want) and math.isnan(got)) or math.isclose(
-            got, want, rel_tol=1e-6, abs_tol=1e-8
-        ), f"{where}: {got!r} != {want!r}"
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and list(got) == list(want), where
-        for key in want:
-            assert_within_tolerance(want[key], got[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (a, b) in enumerate(zip(want, got)):
-            assert_within_tolerance(a, b, f"{where}[{i}]")
-    else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    try:
+        from checks import compare, digest
+    finally:
+        sys.path.pop(0)
+    return digest, compare
 
 
 class TestBlasKernels:
@@ -791,13 +762,13 @@ class TestBlasKernels:
         [["pr2d", "--grid", "-1:1:9", "--m", "20"], ["regions_pr", "--samples", "20"]],
         ids=["pr2d", "regions_pr"],
     )
-    def test_outputs_hold_on_a_second_kernel(self, argv, second_kernel, tmp_path):
+    def test_outputs_hold_on_a_second_kernel(self, argv, second_kernel, output_checks, tmp_path):
         # another CPU loads another OpenBLAS kernel, which moves last bits:
-        # exit codes, record counts, kinds and verdicts stay exact, floats
-        # within tolerance
+        # exit codes and the files written stay exact, their values within
+        # the benchmark's tolerance
         env, forced = second_kernel
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**env, "PYTHONPATH": src + os.pathsep + env.get("PYTHONPATH", "")}
+        digest, compare = output_checks
+        env = {**env, "PYTHONPATH": str(HERE.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")}
         runs = []
         for kernel in ({}, {"OPENBLAS_CORETYPE": forced}):
             out = tmp_path / (kernel.get("OPENBLAS_CORETYPE") or "default")
@@ -810,10 +781,9 @@ class TestBlasKernels:
                 cwd=out,
                 timeout=120,
             )
-            files = {path.name: output_values(path) for path in sorted(out.iterdir())}
-            runs.append((done.returncode, files))
+            runs.append((done.returncode, sorted(out.iterdir())))
         (want_code, want), (got_code, got) = runs
         assert got_code == want_code
-        assert want and list(got) == list(want)
-        for name in want:
-            assert_within_tolerance(want[name], got[name], name)
+        assert want and [p.name for p in got] == [p.name for p in want]
+        for a, b in zip(want, got):
+            assert compare(digest(a), digest(b), a.name) == []

@@ -462,7 +462,7 @@ class TestSurfaceStack:
             find_critical_points_each(models, seeds), find_critical_points_each(models, list(seeds))
         ):
             assert_same_search(got, want)
-        # an array is checked on its trailing shape, a sequence point by point
+        # an array is the sequence of its points, each checked on its shape
         with pytest.raises(DimensionMismatch, match="do not match model shape"):
             find_critical_points_each(models, seeds.reshape(len(seeds), -1, 1, 1))
         with pytest.raises(DimensionMismatch, match="do not match model shape"):
@@ -844,11 +844,15 @@ class TestGridSeeds:
     def test_dimension_two_is_a_product(self):
         assert len(grid_seed_points(0.0, 1.0, 0.5, 2)) == 9
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_one_array_in_product_order(self, dim):
-        seeds = grid_seed_points(-2.0, 2.0, 0.5, dim)
-        axis = np.linspace(-2.0, 2.0, 9)
-        assert isinstance(seeds, np.ndarray) and seeds.shape == (9**dim, dim)
+    # at spacing 10 the grid is one point, in more dimensions than a numpy
+    # array may have axes
+    @pytest.mark.parametrize(
+        "spacing, dim", [(0.5, 1), (0.5, 2), (0.5, 3), (10.0, 65)], ids=["1", "2", "3", "65"]
+    )
+    def test_one_array_in_product_order(self, spacing, dim):
+        seeds = grid_seed_points(-2.0, 2.0, spacing, dim)
+        axis = np.linspace(-2.0, 2.0, int(round(4.0 / spacing)) + 1)
+        assert isinstance(seeds, np.ndarray) and seeds.shape == (len(axis) ** dim, dim)
         # the last coordinate varies fastest
         want = np.array(list(itertools.product(axis, repeat=dim)))
         assert seeds.tobytes() == want.tobytes()
