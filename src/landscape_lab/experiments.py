@@ -178,14 +178,25 @@ class _Coordinates:
         return list(map("%.17g,%.17g".__mod__, zip(*self.columns)))
 
 
-class _GridRows(list):
+class _GridRows:
     """A contour grid table's (x1, x2, value) rows, which _csv_text writes
-    from the shared coordinates' text and the values."""
+    from the shared coordinates' text and the values. The row tuples are
+    built only when the rows are iterated, as write_json does for a JSON
+    body."""
 
     def __init__(self, coordinates: _Coordinates, values: list):
-        super().__init__(zip(*coordinates.columns, values))
         self.coordinates = coordinates
         self.values = values
+
+    def __iter__(self):
+        return zip(*self.coordinates.columns, self.values)
+
+
+def _grid_rows_list(obj) -> list:
+    """write_json's default: a _GridRows as the list of its rows."""
+    if not isinstance(obj, _GridRows):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return list(obj)
 
 
 def _csv_text(path: str, columns, rows, metadata: dict) -> str:
@@ -218,7 +229,9 @@ def write_csv(path: str, text: str) -> str:
 
 def write_json(path: str, payload: dict) -> str:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, allow_nan=False, default=_grid_rows_list
+        )
     except ValueError:  # NaN or Infinity, which JSON does not have
         raise NonFiniteEntry(f"{path} would hold a non-finite number") from None
     try:

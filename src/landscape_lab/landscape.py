@@ -171,12 +171,14 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
     canonical minimum; Procrustes absorbs the gauge orbit, and spectra
     whose minima extend beyond one orbit are flagged advisory rather than
     resolved. The witness's gradient is the population one, (UU^T - X) U,
-    from the same UU^T as its norm.
+    from the same UU^T as its norm. At k = 2, sigma_k and the Procrustes
+    gauge are in closed form (_sigma_k, manifold._gauge), and agree with
+    the SVD's to rounding.
     """
     thresholds, notes = _ms_truth_constants(truth)
     minimum = truth.canonical_minimum()
     u = _coerce(point, minimum.shape)
-    sigma_k = float(np.linalg.svd(u, compute_uv=False)[-1])
+    sigma_k = _sigma_k(u)
     uut = u @ u.T
     uut_norm = _norm(uut)
     grad_norm = _norm((uut - truth.matrix) @ u)
@@ -208,6 +210,24 @@ def classify_region_ms(truth: SensingGroundTruth, point) -> RegionLabelSet:
         **thresholds,
     }
     return RegionLabelSet(frozenset(labels), witness, notes)
+
+
+def _sigma_k(u: np.ndarray) -> float:
+    """The smallest singular value of an N x k factor: the SVD's, and at
+    k = 2 in closed form. There U = [u1 u2] = QR by one Gram-Schmidt step,
+    r11 = ||u1||, r12 = u1.u2 / r11, r22 = ||u2 - (r12 / r11) u1||, and
+    sigma_min = r11 r22 / sigma_max, with sigma_max that of the triangle R."""
+    if u.shape[1] != 2:
+        return float(np.linalg.svd(u, compute_uv=False)[-1])
+    u1, u2 = u.T
+    r11 = math.sqrt(u1.dot(u1))
+    if r11 == 0.0:
+        return 0.0
+    r12 = float(u1.dot(u2)) / r11
+    w = u2 - (r12 / r11) * u1
+    r22 = math.sqrt(w.dot(w))
+    sigma_max = 0.5 * math.hypot(r11 + r22, r12) + 0.5 * math.hypot(r11 - r22, r12)
+    return r11 * r22 / sigma_max
 
 
 def saddle_sphere_distance(signal, x) -> float:

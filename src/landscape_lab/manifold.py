@@ -192,7 +192,8 @@ def procrustes_distance(u, v) -> float:
     """Gauge-invariant distance min over orthogonal Q of ||U - VQ||_F.
 
     Reflections are included (full O(k), not SO(k)); for k = 1 this is
-    min(||u - v||, ||u + v||)."""
+    min(||u - v||, ||u + v||). At k = 2 the gauge is in closed form
+    (_gauge), which agrees with the SVD's to rounding."""
     dist, _ = procrustes_align(u, v)
     return dist
 
@@ -209,17 +210,47 @@ def procrustes_align(u, v) -> tuple[float, np.ndarray]:
 
 
 def _procrustes(u_mat: np.ndarray, v_mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """procrustes_align of two float matrices of one shape, unchecked.
+    """procrustes_align of two float matrices of one shape, unchecked. The
+    gauge is _gauge's: at k = 2 in closed form, with no LAPACK call, which
+    agrees with the SVD's to rounding.
 
     Private for the reason _norm is: region classification takes it once
     per proposal.
     """
-    cross = v_mat.T @ u_mat
-    left, _, right_t = np.linalg.svd(cross)
-    q_opt = left @ right_t
+    q_opt = _gauge(v_mat.T @ u_mat)
     # norm of the aligned difference, not the nuclear-norm identity: the
     # identity cancels catastrophically near zero distance
     return _norm(u_mat - v_mat @ q_opt), q_opt
+
+
+def _gauge(cross: np.ndarray) -> np.ndarray:
+    """The Q in O(k) maximizing tr(Q^T M) for the k x k cross matrix
+    M = V^T U, which minimizes ||U - VQ||_F: the SVD's L R^T, and at k = 2
+    the same optimum in closed form, in Python floats.
+
+    At k = 2, M is first divided by the sum of its quartered entries'
+    magnitudes, which is finite for any finite M. The rotation
+    [[x, -y], [y, x]] / h is optimal when det M >= 0, with
+    (x, y) = (m00 + m11, m10 - m01); the reflection [[x, y], [y, -x]] / h
+    otherwise, with (x, y) = (m00 - m11, m01 + m10); h = ||(x, y)|| is at
+    least 1. M = 0 takes the identity; a non-finite M goes to the SVD, as
+    at every other k. critical_points._gauge_stack is the same arithmetic
+    on a stack, bit for bit.
+    """
+    if cross.shape == (2, 2):
+        (a, b), (c, d) = cross.tolist()
+        scale = 0.25 * abs(a) + 0.25 * abs(b) + 0.25 * abs(c) + 0.25 * abs(d)
+        if scale == 0.0:
+            return np.eye(2)
+        if scale < math.inf:
+            a, b, c, d = a / scale, b / scale, c / scale, d / scale
+            # s = -1 for the rotation, +1 for the reflection
+            x, y, s = (a + d, c - b, -1.0) if a * d - b * c >= 0.0 else (a - d, b + c, 1.0)
+            h = math.sqrt(x * x + y * y)
+            x, y = x / h, y / h
+            return np.array([[x, s * y], [y, -s * x]])
+    left, _, right_t = np.linalg.svd(cross)
+    return left @ right_t
 
 
 def _norm(v: np.ndarray) -> float:

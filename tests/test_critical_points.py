@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from landscape_lab import critical_points, experiments, rng
+from landscape_lab import critical_points, experiments, manifold, rng
 from landscape_lab.critical_points import (
     KIND_DEGENERATE,
     KIND_MIN,
@@ -554,6 +554,20 @@ class TestDedupe:
                     want = float(np.linalg.norm(record - seed))
                 assert rows[i, j] == want
         assert rows[3, 4] < 1e-8
+
+    def test_gauge_stack_is_the_gauge_bit_for_bit(self):
+        # random cross matrices of both determinant signs, and the zero,
+        # rank-one and near-overflow ones
+        crosses = rng.normal(rng.stream(5, "gauge-stack", 0), (40, 2, 2))
+        crosses[0] = 0.0
+        crosses[1] = np.outer(crosses[1, 0], [1.0, -2.0])
+        crosses[2] *= 1e-300
+        crosses[3] *= 1.6e308 / np.abs(crosses[3]).max()
+        dets = np.linalg.det(crosses[4:])
+        assert (dets > 0).any() and (dets < 0).any()
+        stack = critical_points._gauge_stack(crosses)
+        for cross, q in zip(crosses, stack):
+            assert q.tobytes() == manifold._gauge(cross).tobytes()
 
     @pytest.mark.parametrize("block", [64, 1, 3, 7])
     def test_dedupe_equals_a_loop_over_pairs(self, block, monkeypatch):

@@ -346,7 +346,7 @@ class TestPlaneLandscapes:
                 for x1 in axis
                 for x2 in axis
             ]
-            assert grids[f"_{name}_grid"] == rows
+            assert list(grids[f"_{name}_grid"]) == rows
 
 
 class TestDistanceExperiment:
@@ -647,13 +647,25 @@ class TestCsvText:
         tables = [[1.0, -0.0, math.nan, 0.1], [-2.5e300, 0.0, 1e-7, -0.0]]
         for values in tables:
             rows = experiments._GridRows(coordinates, values)
-            assert rows == list(zip(*self.GRID, values))
+            assert list(rows) == list(zip(*self.GRID, values))
             columns = ("x1", "x2", "value")
             text = experiments._csv_text("t.csv", columns, rows, {"surface": "m3"})
             assert text == experiments._csv_text("t.csv", columns, list(rows), {"surface": "m3"})
         assert text.splitlines()[2:4] == ["0,-0,-2.5000000000000001e+300", "-0,0,0"]
         # formatted once, for the first table, and kept for the second
         assert vars(coordinates)["text"][:2] == ["0,-0", "-0,0"]
+
+    def test_only_json_builds_the_row_tuples(self, tmp_path, monkeypatch):
+        built = []
+        iterate = experiments._GridRows.__iter__
+        monkeypatch.setattr(
+            experiments._GridRows, "__iter__", lambda rows: built.append(rows) or iterate(rows)
+        )
+        kwargs = {"experiment": "pr2d", "m": (3,), "grid": (-0.2, 0.2, 3)}
+        run_config(out=str(tmp_path / "c"), fmt="csv", **kwargs)
+        assert built == []
+        run_config(out=str(tmp_path / "j"), fmt="json", **kwargs)
+        assert len(built) == 2  # the population and the M = 3 grid
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_an_infinite_grid_value_raises(self, value):

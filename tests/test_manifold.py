@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landscape_lab import rng
+from landscape_lab import manifold, rng
 from landscape_lab.errors import (
     DimensionMismatch,
     GramNotSPD,
@@ -254,6 +254,67 @@ def test_procrustes_never_exceeds_ambient_distance(seed):
     u = rng.normal(gen, (5, 2))
     v = rng.normal(gen, (5, 2))
     assert procrustes_distance(u, v) <= np.linalg.norm(u - v) + 1e-12
+
+
+def svd_procrustes(u: np.ndarray, v: np.ndarray) -> float:
+    """The Procrustes distance through the SVD's gauge L R^T."""
+    left, _, right_t = np.linalg.svd(v.T @ u)
+    return float(np.linalg.norm(u - v @ (left @ right_t)))
+
+
+def rank_two_pair(case: str, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V), k = 2, whose cross matrix V^T U is of the named kind."""
+    gen = rng.stream(MASTER, f"proc-k2-{case}", 0)
+    n = 2 if case == "square" else 6
+    u = rng.normal(gen, (n, 2))
+    v = rng.normal(gen, (n, 2))
+    if case == "det<0":
+        # near the reflected orbit, so that det(V^T U) = -det(U^T U) < 0
+        v = u @ np.array([[1.0, 0.0], [0.0, -1.0]]) + 0.1 * v
+    elif case == "rank-1":
+        v = np.outer(v[:, 0], [1.0, -2.0])
+    elif case == "zero":
+        u[3:] = 0.0
+        v[:3] = 0.0
+    return scale * u, scale * v
+
+
+class TestRankTwoGauge:
+    """At k = 2 the gauge is in closed form: the distance agrees with the
+    SVD's within 8 eps (||U|| + ||V||), and Q is orthogonal to 4 eps."""
+
+    EPS = np.finfo(float).eps
+    CASES = ("random", "det<0", "rank-1", "zero", "square")
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150], ids=["1e-150", "1", "1e150"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_svd(self, case, scale):
+        u, v = rank_two_pair(case, scale)
+        cross = (v / scale).T @ (u / scale)
+        # the rotation branch, the reflection branch, and the degenerate ones
+        if case in ("random", "det<0", "square"):
+            assert np.sign(np.linalg.det(cross)) == (1 if case == "random" else -1)
+        else:
+            assert np.linalg.matrix_rank(cross) == (1 if case == "rank-1" else 0)
+        dist, q = procrustes_align(u, v)
+        assert np.isfinite(q).all()
+        assert np.abs(q.T @ q - np.eye(2)).max() <= 4 * self.EPS
+        assert dist == float(np.linalg.norm(u - v @ q))
+        bound = 8 * self.EPS * (np.linalg.norm(u) + np.linalg.norm(v))
+        assert abs(dist - svd_procrustes(u, v)) <= bound
+        if case == "zero":
+            assert np.array_equal(q, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e300, 1.6e308 / 3.0], ids=["1e-300", "1e300", "1.6e308"]
+    )
+    @pytest.mark.parametrize("cross", [[[2.0, 1.0], [-1.0, 3.0]], [[2.0, 1.0], [1.0, -3.0]]])
+    def test_cross_matrices_near_the_float_limits(self, cross, scale):
+        # the SVD's L R^T of the unscaled matrix, which the scale leaves alone
+        left, _, right_t = np.linalg.svd(np.array(cross))
+        q = manifold._gauge(scale * np.array(cross))
+        assert np.abs(q - left @ right_t).max() <= 8 * self.EPS
+        assert np.abs(q.T @ q - np.eye(2)).max() <= 4 * self.EPS
 
 
 # ---- horizontal basis --------------------------------------------------
